@@ -229,7 +229,7 @@ _TRAIN_SPEC = {
     "model_kind": (str, "forest", "forest or linear"),
     **_FOREST_SPEC,
     "seed": (int, 0, "random seed"),
-    "threads": (int, None, "worker threads (default: all cores)"),
+    "threads": (int, None, "worker threads (default: the usable CPUs)"),
     "out": (str, _REQUIRED, "output model JSON"),
 }
 
@@ -256,10 +256,29 @@ _PREDICT_SPEC = {
 }
 
 
+def _check_feature_names(model, data: FusedDataset, model_path: str,
+                         data_path: str) -> None:
+    """Refuse a dataset whose columns are not the model's, in order."""
+    expected, got = model.feature_names, data.feature_names
+    if expected == got:
+        return
+    i = next(
+        (i for i, (a, b) in enumerate(zip(expected, got)) if a != b),
+        min(len(expected), len(got)),
+    )
+    want = expected[i] if i < len(expected) else "no column"
+    have = got[i] if i < len(got) else "no column"
+    raise DataError(
+        f"{data_path} does not match the features of {model_path}: "
+        f"column {i + 1} is {have}, the model expects {want}"
+    )
+
+
 def _cmd_predict(args) -> int:
     opts = _resolve(args, _PREDICT_SPEC)
     model = modelio.load_model(opts.model)
     data = _load_dataset(opts.data)
+    _check_feature_names(model, data, opts.model, opts.data)
     if isinstance(model, forest.ForestModel):
         predicted = forest.predict_batch(model, data.rows)
     else:
@@ -294,7 +313,7 @@ _EXPERIMENT_SPEC = {
     **_FOREST_SPEC,
     "cutoff": (_timestamp, _REQUIRED, "train/test boundary (UTC timestamp)"),
     "seed": (int, 0, "random seed"),
-    "threads": (int, None, "worker threads (default: all cores)"),
+    "threads": (int, None, "worker threads (default: the usable CPUs)"),
 }
 
 _EVALUATE_SPEC = {
@@ -398,7 +417,10 @@ def _threads(opts) -> int:
         if opts.threads < 1:
             raise _UsageError("bad value for --threads: must be >= 1")
         return opts.threads
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,15 @@ The top-level ``kind`` tag selects the flavour (``"forest"`` or
 ``{"f": feature, "t": threshold, "l": ..., "r": ...}``, leaves
 ``{"p": prediction, "n": count}``.  Reals are written with full
 shortest-round-trip precision (up to 17 significant digits), so a loaded
-model predicts bit-identically to the saved one.
+model predicts bit-identically to the saved one.  Loading a forest checks its
+structure (tree count, split features in range, finite reals) and raises
+``DataError`` instead of building a model that would crash or predict NaN.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,14 +35,61 @@ def _tree_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_obj(obj: dict) -> TreeNode:
+def _finite(value, what: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise DataError(f"model file has a non-finite {what}: {number!r}")
+    return number
+
+
+def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
     if "p" in obj:
-        return Leaf(float(obj["p"]), int(obj["n"]))
+        return Leaf(_finite(obj["p"], "leaf value"), int(obj["n"]))
+    feature = int(obj["f"])
+    if not 0 <= feature < n_features:
+        raise DataError(
+            f"model file splits on feature {feature}, outside [0, {n_features})"
+        )
     return Split(
-        int(obj["f"]),
-        float(obj["t"]),
-        _tree_from_obj(obj["l"]),
-        _tree_from_obj(obj["r"]),
+        feature,
+        _finite(obj["t"], "threshold"),
+        _tree_from_obj(obj["l"], n_features),
+        _tree_from_obj(obj["r"], n_features),
+    )
+
+
+def _forest_from_obj(obj: dict) -> ForestModel:
+    """Rebuild a forest, refusing trees that do not fit its features or config."""
+    cfg = obj["config"]
+    config = ForestConfig(
+        n_trees=int(cfg["n_trees"]),
+        mtry=None if cfg["mtry"] is None else int(cfg["mtry"]),
+        min_leaf=int(cfg["min_leaf"]),
+        seed=int(cfg["seed"]),
+        bootstrap=bool(cfg["bootstrap"]),
+    )
+    feature_names = tuple(obj["feature_names"])
+    trees = obj["trees"]
+    if len(trees) != config.n_trees:
+        raise DataError(
+            f"model file has {len(trees)} trees, its config says {config.n_trees}"
+        )
+    importances = [_finite(v, "importance") for v in obj["importances"]]
+    if len(importances) != len(feature_names):
+        raise DataError(
+            f"model file has {len(importances)} importances for "
+            f"{len(feature_names)} features"
+        )
+    return ForestModel(
+        trees=tuple(_tree_from_obj(t, len(feature_names)) for t in trees),
+        feature_names=feature_names,
+        config=config,
+        importances=importances,
+        train_target_range=(
+            float(obj["train_target_range"][0]),
+            float(obj["train_target_range"][1]),
+        ),
+        oob_mse=None if obj["oob_mse"] is None else float(obj["oob_mse"]),
     )
 
 
@@ -94,24 +144,7 @@ def model_from_json(content: str) -> ForestModel | LinearModel:
                 feature_names=tuple(obj["feature_names"]),
             )
         if kind == "forest":
-            cfg = obj["config"]
-            return ForestModel(
-                trees=tuple(_tree_from_obj(t) for t in obj["trees"]),
-                feature_names=tuple(obj["feature_names"]),
-                config=ForestConfig(
-                    n_trees=int(cfg["n_trees"]),
-                    mtry=None if cfg["mtry"] is None else int(cfg["mtry"]),
-                    min_leaf=int(cfg["min_leaf"]),
-                    seed=int(cfg["seed"]),
-                    bootstrap=bool(cfg["bootstrap"]),
-                ),
-                importances=obj["importances"],
-                train_target_range=(
-                    float(obj["train_target_range"][0]),
-                    float(obj["train_target_range"][1]),
-                ),
-                oob_mse=None if obj["oob_mse"] is None else float(obj["oob_mse"]),
-            )
+            return _forest_from_obj(obj)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"model file is missing or corrupt: {exc}") from None
     raise DataError(f"unknown model kind: {kind!r}")
@@ -122,4 +155,7 @@ def save_model(model: ForestModel | LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ForestModel | LinearModel:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return model_from_json(Path(path).read_text(encoding="utf-8"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -71,8 +71,9 @@ def sweep():
 
     Uses the default 767-feature lag spec on 45 synthetic days with a
     30-day cutoff and 50 trees.  The full-width forest fit doubles as the
-    ranking forest for the top-50 plan (same data, same config, and fits
-    are deterministic), so each seed costs two forest fits, not three.
+    ranking forest for the top-50 plan through a shared ``fits`` dict (same
+    data, same config, and fits are deterministic), so each seed costs two
+    forest fits, not three.
     """
     lag = LagSpec()
     cutoff = EPOCH + timedelta(days=30)
@@ -82,14 +83,14 @@ def sweep():
         data = fuse(solar, dst, kp, lag)
         cfg = forest.ForestConfig(n_trees=50, seed=seed)
 
+        fits: dict = {}
         full = run_plan(data, ExperimentPlan(cutoff=cutoff, lag_spec=lag,
-                                             forest_config=cfg))
-        memo = {(lag, cfg, cutoff): forest.importance(full.model)}
+                                             forest_config=cfg), fits=fits)
         top = run_plan(
             data,
             ExperimentPlan(cutoff=cutoff, lag_spec=lag, forest_config=cfg,
                            k_features=50),
-            _ranking_memo=memo,
+            fits=fits,
         )
         lin = run_plan(data, ExperimentPlan(cutoff=cutoff, lag_spec=lag,
                                             forest_config=cfg,

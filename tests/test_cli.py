@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from kpforecast import cli
 from kpforecast.cli import main
 
 SMALL_LAGS = [
@@ -237,6 +239,37 @@ def test_data_errors_exit_2(sources, tmp_path, capsys):
     assert main(["importance", "--model", str(linear),
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "forest" in capsys.readouterr().err
+    # a dataset of the model's width fused with another lag spec: the
+    # columns differ by name, so neither model kind may predict on it
+    shifted = tmp_path / "shifted.csv"
+    assert main([*_fuse_args(sources, shifted),
+                 "--dst-lookback-hours", "3", "--kp-lookback-hours", "3"]) == 0
+    model = tmp_path / "forest.json"
+    assert main(["train", "--data", str(fused), "--trees", "2",
+                 "--threads", "1", "--out", str(model)]) == 0
+    for trained in (model, linear):
+        capsys.readouterr()
+        assert main(["predict", "--model", str(trained), "--data", str(shifted),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "shifted.csv" in err and trained.name in err
+        assert "dst_m120" in err and "kp_m0" in err
+
+
+def test_threads_default_is_the_cpus_this_process_may_use(monkeypatch):
+    def threads(value):
+        return cli._threads(SimpleNamespace(threads=value))
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert threads(None) == 3
+    assert threads(7) == 7  # an explicit count is kept as given
+    # platforms without an affinity API fall back to the CPU count
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert threads(None) == 64
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert threads(None) == 1
 
 
 def test_console_script_is_installed():

@@ -240,3 +240,39 @@ def test_comparison_table_order_labels_and_cache_purity():
     # in isolation (fresh caches) and compare
     for plan, (label, acc) in zip(plans, table):
         assert run_experiment(plan, solar, dst, kp).accuracy_within_1 == acc
+
+
+def test_comparison_table_fits_each_forest_once(monkeypatch):
+    solar, dst, kp = _sources(seed=6)
+    widths = []
+    real_fit = forest.fit
+
+    def counting_fit(data, config=forest.ForestConfig(), threads=1):
+        widths.append(data.n_features)
+        return real_fit(data, config, threads)
+
+    monkeypatch.setattr(forest, "fit", counting_fit)
+    plans = [
+        _plan(),
+        _plan(k_features=12),
+        _plan(k_features=8),
+        _plan(k_features=8, downsample=2),
+        _plan(model_kind="linear"),
+    ]
+    comparison_table(plans, solar, dst, kp)
+    # one full-width fit serves the RF row and both rankings
+    full_width = fuse(solar, dst, kp, SMALL_SPEC).n_features
+    assert widths == [full_width, 12, 8, 8]
+
+
+def test_shared_fits_hold_the_full_width_forest():
+    solar, dst, kp = _sources(seed=7)
+    data = fuse(solar, dst, kp, SMALL_SPEC)
+    fits: dict = {}
+    top = run_plan(data, _plan(k_features=10), fits=fits)
+    rf = run_plan(data, _plan(), fits=fits)
+    assert list(fits) == [(SMALL_SPEC, _cutoff(12), FAST_FOREST)]
+    assert rf.model is fits[(SMALL_SPEC, _cutoff(12), FAST_FOREST)]
+    # sharing changes no result
+    assert rf.report == run_plan(data, _plan()).report
+    assert top.report == run_plan(data, _plan(k_features=10)).report

@@ -133,3 +133,84 @@ def test_deep_tree_survives_the_round_trip():
     assert np.array_equal(
         forest.predict_batch(model, X), forest.predict_batch(clone, X)
     )
+
+
+# -- structural validation on load ------------------------------------------------
+
+
+def _forest_obj():
+    data = _training_data(seed=4, n=40, p=4)
+    model = forest.fit(data, forest.ForestConfig(n_trees=3, seed=2))
+    return json.loads(model_to_json(model))
+
+
+def _first_split(obj):
+    for tree in obj["trees"]:
+        if "f" in tree:
+            return tree
+    raise AssertionError("no tree has a split")
+
+
+def _first_leaf(node):
+    while "p" not in node:
+        node = node["l"]
+    return node
+
+
+def _load_tampered(obj):
+    # json.dumps writes NaN/Infinity tokens, which json.loads accepts
+    return model_from_json(json.dumps(obj))
+
+
+def test_forest_without_trees_is_rejected():
+    obj = _forest_obj()
+    obj["trees"] = []
+    with pytest.raises(DataError, match="0 trees"):
+        _load_tampered(obj)
+
+
+def test_tree_count_must_match_config():
+    obj = _forest_obj()
+    obj["trees"].pop()
+    with pytest.raises(DataError, match="2 trees, its config says 3"):
+        _load_tampered(obj)
+
+
+@pytest.mark.parametrize("feature", [4, 17, -1])
+def test_split_feature_out_of_range_is_rejected(feature):
+    obj = _forest_obj()
+    _first_split(obj)["f"] = feature
+    with pytest.raises(DataError, match=f"feature {feature}, outside"):
+        _load_tampered(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_threshold_is_rejected(value):
+    obj = _forest_obj()
+    _first_split(obj)["t"] = value
+    with pytest.raises(DataError, match="non-finite threshold"):
+        _load_tampered(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_leaf_value_is_rejected(value):
+    obj = _forest_obj()
+    _first_leaf(_first_split(obj))["p"] = value
+    with pytest.raises(DataError, match="non-finite leaf value"):
+        _load_tampered(obj)
+
+
+def test_importances_must_match_feature_count():
+    obj = _forest_obj()
+    obj["importances"].append(0.0)
+    with pytest.raises(DataError, match="5 importances for 4 features"):
+        _load_tampered(obj)
+
+
+def test_load_errors_name_the_file(tmp_path):
+    obj = _forest_obj()
+    obj["trees"] = []
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="tampered.json"):
+        load_model(path)
