@@ -41,6 +41,7 @@ from .fusion import (
 )
 from .ingest import (
     MeasurementSeries,
+    MeasurementTable,
     parse_dst,
     parse_kp,
     parse_solar_wind,
@@ -60,6 +61,7 @@ __all__ = [
     "PortableRng",
     "derive_seed",
     "MeasurementSeries",
+    "MeasurementTable",
     "parse_solar_wind",
     "parse_dst",
     "parse_kp",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .ingest import DstRecord, KpRecord, MeasurementSeries, SolarWindRecord
+from .ingest import MeasurementSeries, MeasurementTable
 from .rng import PortableRng, derive_seed
 
 __all__ = ["SynthConfig", "generate", "write_csv", "EPOCH"]
@@ -140,16 +140,6 @@ def generate(
     return solar, dst, kp
 
 
-def _solar_records(solar: tuple[MeasurementSeries, ...]) -> list[SolarWindRecord]:
-    n = len(solar[0])
-    return [
-        SolarWindRecord(
-            solar[0].time_at(i), *(float(s.values[i]) for s in solar)
-        )
-        for i in range(n)
-    ]
-
-
 def write_csv(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
     """Generate and write ``solar_wind.csv``, ``dst.csv``, ``kp.csv``.
 
@@ -160,18 +150,7 @@ def write_csv(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Pat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = (out / "solar_wind.csv", out / "dst.csv", out / "kp.csv")
-    paths[0].write_text(ingest.format_solar_wind(_solar_records(solar)),
+    for path, group in zip(paths, (solar, (dst,), (kp,))):
+        path.write_text(ingest.format_table(MeasurementTable.from_series(group)),
                         encoding="utf-8")
-    paths[1].write_text(
-        ingest.format_dst(
-            [DstRecord(dst.time_at(i), float(dst.values[i])) for i in range(len(dst))]
-        ),
-        encoding="utf-8",
-    )
-    paths[2].write_text(
-        ingest.format_kp(
-            [KpRecord(kp.time_at(i), float(kp.values[i])) for i in range(len(kp))]
-        ),
-        encoding="utf-8",
-    )
     return paths

@@ -217,11 +217,19 @@ def _grow_tree(
     return grow(bag), imp, oob
 
 
-def _route(tree: TreeNode, row: np.ndarray) -> float:
-    node = tree
-    while isinstance(node, Split):
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.prediction
+def _route(tree: TreeNode, rows: np.ndarray) -> np.ndarray:
+    """Leaf prediction for every row, routing the rows a node at a time."""
+    out = np.empty(rows.shape[0])
+    stack = [(tree, np.arange(rows.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            out[idx] = node.prediction
+        elif idx.size:
+            go_left = rows[idx, node.feature] <= node.threshold
+            stack.append((node.right, idx[~go_left]))
+            stack.append((node.left, idx[go_left]))
+    return out
 
 
 def _ensure_recursion_room(depth_bound: int) -> None:
@@ -265,10 +273,9 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     if config.bootstrap:
         pred_sum = np.zeros(data.n_rows)
         pred_count = np.zeros(data.n_rows, dtype=np.int64)
-        for root, _, oob in grown:
-            for i in oob:
-                pred_sum[i] += _route(root, X[i])
-                pred_count[i] += 1
+        for root, _, oob in grown:  # by tree index; oob rows are distinct
+            pred_sum[oob] += _route(root, X[oob])
+            pred_count[oob] += 1
         covered = pred_count > 0
         if covered.any():
             residual = pred_sum[covered] / pred_count[covered] - y[covered]
@@ -302,10 +309,7 @@ def predict(model: ForestModel, row: np.ndarray) -> float:
     _check_width(model, row.size)
     if not np.isfinite(row).all():
         raise NonFiniteValue("prediction row must be finite")
-    total = 0.0
-    for tree in model.trees:
-        total += _route(tree, row)
-    return total / len(model.trees)
+    return float(_mean_over_trees(model, row[None, :])[0])
 
 
 def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:
@@ -316,14 +320,14 @@ def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     _check_width(model, rows.shape[1])
     if not np.isfinite(rows).all():
         raise NonFiniteValue("prediction rows must be finite")
-    out = np.zeros(rows.shape[0])
-    for tree in model.trees:
-        out += np.fromiter(
-            (_route(tree, rows[i]) for i in range(rows.shape[0])),
-            dtype=np.float64,
-            count=rows.shape[0],
-        )
-    return out / len(model.trees)
+    return _mean_over_trees(model, rows)
+
+
+def _mean_over_trees(model: ForestModel, rows: np.ndarray) -> np.ndarray:
+    total = np.zeros(rows.shape[0])
+    for tree in model.trees:  # fixed accumulation order: by tree index
+        total += _route(tree, rows)
+    return total / len(model.trees)
 
 
 # --------------------------------------------------------------------------

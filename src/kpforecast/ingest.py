@@ -15,15 +15,28 @@ Formats:
 * Dst — ``t,dst`` hourly (nT, typically negative during storms)
 * Kp — ``t,kp`` every 3 hours on 00/03/06/... UTC boundaries, value in [0, 9]
 
-``to_series`` regularises a record sequence onto its cadence grid with gaps
-marked explicitly, which is the form the fusion stage consumes.
+A parser returns a :class:`MeasurementTable`, the records column by column:
+int64 minute times, a 2-D float64 value array and a ``present`` mask.  One
+pass over the lines splits the fields, matches the timestamp pattern (keeping
+its digits) and converts numbers with Python's ``float``.  Every other check
+(calendar validity, strictly increasing time, finiteness, alignment and
+physical ranges) runs on the arrays and reports the first faulty line in file
+order, with the error that checking each line as it is read would raise there.
+
+``to_series`` places one table column onto its cadence grid with gaps marked
+explicitly, which is the form the fusion stage consumes.  ``format_table``
+writes a table back in its canonical format.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from datetime import datetime, timedelta, timezone
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,18 +51,14 @@ from .errors import (
 
 __all__ = [
     "SOLAR_WIND_FIELDS",
-    "SolarWindRecord",
-    "DstRecord",
-    "KpRecord",
+    "MeasurementTable",
     "MeasurementSeries",
     "parse_timestamp",
     "format_timestamp",
     "parse_solar_wind",
     "parse_dst",
     "parse_kp",
-    "format_solar_wind",
-    "format_dst",
-    "format_kp",
+    "format_table",
     "to_series",
     "solar_wind_series",
 ]
@@ -60,6 +69,14 @@ SOLAR_WIND_FIELDS = ("fma", "bx", "by", "bz", "speed", "density", "temperature")
 _TIMESTAMP_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2})(?::00)?Z$"
 )
+
+#: Table times count minutes from this instant.
+_MINUTE_ZERO = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MINUTE = timedelta(minutes=1)
+
+
+def _instant(minute: int) -> datetime:
+    return _MINUTE_ZERO + int(minute) * _MINUTE
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -88,30 +105,54 @@ def format_timestamp(t: datetime) -> str:
     return t.strftime("%Y-%m-%dT%H:%MZ")
 
 
-@dataclass(frozen=True)
-class SolarWindRecord:
-    """One 5-minute solar-wind sample; ``None`` marks a gap in a field."""
+@dataclass(frozen=True, eq=False)
+class MeasurementTable:
+    """The records of one canonical file, column by column.
 
-    t: datetime
-    fma: float | None
-    bx: float | None
-    by: float | None
-    bz: float | None
-    speed: float | None
-    density: float | None
-    temperature: float | None
+    Record ``i`` was taken at ``minutes[i]``, counted in whole minutes from
+    1970-01-01T00:00Z (strictly increasing in a parsed file).
+    ``values[i, j]`` is its ``fields[j]`` and is data only where
+    ``present[i, j]``; an empty field is a gap and holds NaN.  Arrays are
+    frozen read-only, as in :class:`MeasurementSeries`.
+    """
 
+    fields: tuple[str, ...]
+    minutes: np.ndarray
+    values: np.ndarray
+    present: np.ndarray
 
-@dataclass(frozen=True)
-class DstRecord:
-    t: datetime
-    dst: float | None
+    def __post_init__(self) -> None:
+        minutes = np.asarray(self.minutes, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        present = np.asarray(self.present, dtype=bool)
+        shape = (minutes.size, len(self.fields))
+        if minutes.ndim != 1 or values.shape != shape or present.shape != shape:
+            raise ValueError("need 1-D minutes and (records, fields) values and present")
+        for name, array in (("minutes", minutes), ("values", values), ("present", present)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
+    @classmethod
+    def from_series(cls, series: Sequence[MeasurementSeries]) -> MeasurementTable:
+        """One record per grid slot of series that share a grid (inverse of :func:`to_series`)."""
+        first = series[0]
+        if any((s.start, s.cadence_minutes, len(s)) != (first.start, first.cadence_minutes,
+                                                        len(first)) for s in series):
+            raise ValueError("series must share start, cadence and length")
+        origin = (first.start - _MINUTE_ZERO) // _MINUTE
+        present = np.column_stack([s.present for s in series])
+        return cls(
+            tuple(s.name for s in series),
+            origin + first.cadence_minutes * np.arange(len(first), dtype=np.int64),
+            np.where(present, np.column_stack([s.values for s in series]), np.nan),
+            present,
+        )
 
-@dataclass(frozen=True)
-class KpRecord:
-    t: datetime
-    kp: float | None  # in [0, 9] when present
+    def __len__(self) -> int:
+        return self.minutes.size
+
+    def time_at(self, index: int) -> datetime:
+        return _instant(self.minutes[index])
 
 
 @dataclass(frozen=True)
@@ -163,149 +204,210 @@ class MeasurementSeries:
 # --------------------------------------------------------------------------
 # parsing
 
+# The order in which checking one line as it is read meets each kind of fault.
+_SHAPE, _CALENDAR, _ORDER, _ALIGNMENT, _NUMBER, _RANGE = range(6)
 
-def _parse_float(field: str, line_no: int) -> float | None:
-    if field == "":
-        return None
+
+def _timestamp_error(line_no: int, text: str) -> BadTimestamp:
     try:
-        value = float(field)
-    except ValueError:
-        raise MalformedLine(line_no, f"unparsable number {field!r}") from None
-    if not np.isfinite(value):
-        raise MalformedLine(line_no, f"non-finite number {field!r}")
-    return value
+        parse_timestamp(text)
+    except ValueError as exc:
+        return BadTimestamp(line_no, str(exc))
+    raise AssertionError(f"{text!r} is a valid timestamp")
 
 
-def _iter_records(content: str, n_fields: int):
-    """Yield ``(line_no, timestamp, value_fields)`` for each data line."""
-    prev_t: datetime | None = None
-    for line_no, raw in enumerate(content.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line or line.startswith("#"):
+def _number_fault(fields: list[str]) -> str | None:
+    """Why the first non-empty field, in line order, is not a finite number."""
+    for field in fields:
+        if field == "":
             continue
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise MalformedLine(
-                line_no, f"expected {n_fields} fields, got {len(fields)}"
-            )
         try:
-            t = parse_timestamp(fields[0])
-        except ValueError as exc:
-            raise BadTimestamp(line_no, str(exc)) from None
-        if prev_t is not None and t <= prev_t:
-            raise NonMonotonicTime(
-                line_no, f"{format_timestamp(t)} does not advance past previous record"
-            )
-        prev_t = t
-        yield line_no, t, fields[1:]
+            value = float(field)
+        except ValueError:
+            return f"unparsable number {field!r}"
+        if not math.isfinite(value):
+            return f"non-finite number {field!r}"
+    return None
 
 
-def parse_solar_wind(content: str) -> list[SolarWindRecord]:
-    """Parse the 8-column solar-wind format; empty file gives an empty list."""
-    records = []
-    for line_no, t, fields in _iter_records(content, 8):
-        values = [_parse_float(f, line_no) for f in fields]
-        for name in ("fma", "speed", "density", "temperature"):
-            v = values[SOLAR_WIND_FIELDS.index(name)]
-            if v is not None and v < 0:
-                raise ValueOutOfRange(line_no, f"{name} must be non-negative, got {v}")
-        records.append(SolarWindRecord(t, *values))
-    return records
+class _Scan:
+    """One pass over a file's lines, then every other check on whole arrays.
+
+    The pass stops at the first line whose fields, timestamp pattern or
+    numbers cannot be read.  Each check notes the first record it fails on,
+    and :meth:`table` raises the fault of the earliest line and, within that
+    line, of the lowest rank, so the error names the same line and problem as
+    checking every line in turn.
+    """
+
+    def __init__(self, content: str, fields: tuple[str, ...]) -> None:
+        self.content = content
+        self.fields = fields
+        self.faults: list[tuple[int, int, Callable[[], Exception]]] = []  # (record, rank, error)
+        n = len(fields)
+        # Packed arrays, not lists: a list holds a Python object per cell,
+        # four times the memory of a packed number.
+        self.line_nos = array("q")
+        stamps = array("q")  # YYYYMMDDHHMM of each record
+        values = array("d")  # every value of every record, record after record
+        gaps: list[int] = []  # positions in ``values`` of empty fields
+        for line_no, raw in enumerate(content.splitlines(), start=1):
+            line = raw.rstrip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            record = len(self.line_nos)
+            if len(parts) != n + 1:
+                self.faults.append((record, _SHAPE, partial(
+                    MalformedLine, line_no, f"expected {n + 1} fields, got {len(parts)}")))
+                break
+            m = _TIMESTAMP_RE.match(parts[0])
+            if m is None:
+                self.faults.append((record, _SHAPE, partial(_timestamp_error, line_no, parts[0])))
+                break
+            self.line_nos.append(line_no)
+            stamps.append(int("".join(m.groups())))
+            try:
+                values.extend(map(float, parts[1:]))
+            except ValueError:  # a gap, or a field that is not a number
+                del values[record * n:]
+                try:
+                    values.extend([float(f) if f else math.nan for f in parts[1:]])
+                except ValueError:  # the line's time still takes part in the checks
+                    values.extend([math.nan] * n)
+                    gaps += range(record * n, record * n + n)
+                    self.faults.append((record, _NUMBER, partial(
+                        MalformedLine, line_no, _number_fault(parts[1:]))))
+                    break
+                gaps += (record * n + j for j, f in enumerate(parts[1:]) if f == "")
+        records = len(self.line_nos)
+        self.values = np.frombuffer(values, dtype=np.float64).reshape(records, n)
+        self.present = np.ones((records, n), dtype=bool)
+        self.present.flat[gaps] = False
+        self.check((self.present & ~np.isfinite(self.values)).any(axis=1), _NUMBER,
+                   lambda r: MalformedLine(self.line_nos[r], _number_fault(self._line(r)[1:])))
+        self._times(np.frombuffer(stamps, dtype=np.int64))
+
+    def _times(self, digits: np.ndarray) -> None:
+        """Minute times from YYYYMMDDHHMM, checked for calendar and order."""
+        year, month, day = digits // 10**8, digits // 10**6 % 100, digits // 10**4 % 100
+        hour, minute = digits // 100 % 100, digits % 100
+        months = (year - 1970) * 12 + month - 1
+        first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        next_first_day = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                 & (day <= next_first_day - first_day) & (hour <= 23) & (minute <= 59))
+        self.check(~valid, _CALENDAR,
+                   lambda r: _timestamp_error(self.line_nos[r], self._line(r)[0]))
+        self.minutes = (first_day + day - 1) * 1440 + hour * 60 + minute
+        stalled = np.zeros(self.minutes.size, dtype=bool)
+        stalled[1:] = self.minutes[1:] <= self.minutes[:-1]
+        self.check(stalled, _ORDER, lambda r: NonMonotonicTime(
+            self.line_nos[r],
+            f"{format_timestamp(_instant(self.minutes[r]))} does not advance past previous record"))
+
+    def _line(self, record: int) -> list[str]:
+        return self.content.splitlines()[self.line_nos[record] - 1].rstrip().split(",")
+
+    def check(self, bad: np.ndarray, rank: int, error) -> None:
+        """Note ``error(record)`` for the first record flagged in ``bad``.
+
+        The error is built only if it is the one raised: a record after an
+        invalid calendar date may be flagged on a time that means nothing.
+        """
+        flagged = np.flatnonzero(bad)
+        if flagged.size:
+            record = int(flagged[0])
+            self.faults.append((record, rank, partial(error, record)))
+
+    def table(self) -> MeasurementTable:
+        """The parsed table, or the error of the first faulty line."""
+        if self.faults:
+            raise min(self.faults, key=lambda fault: fault[:2])[2]()
+        return MeasurementTable(self.fields, self.minutes, self.values, self.present)
 
 
-def parse_dst(content: str) -> list[DstRecord]:
+def parse_solar_wind(content: str) -> MeasurementTable:
+    """Parse the 8-column solar-wind format; an empty file gives an empty table."""
+    scan = _Scan(content, SOLAR_WIND_FIELDS)
+    names = ("fma", "speed", "density", "temperature")
+    columns = [SOLAR_WIND_FIELDS.index(name) for name in names]
+    negative = scan.present[:, columns] & (scan.values[:, columns] < 0)
+
+    def error(record: int) -> ValueOutOfRange:
+        k = int(np.flatnonzero(negative[record])[0])
+        value = float(scan.values[record, columns[k]])
+        return ValueOutOfRange(scan.line_nos[record],
+                               f"{names[k]} must be non-negative, got {value}")
+
+    scan.check(negative.any(axis=1), _RANGE, error)
+    return scan.table()
+
+
+def parse_dst(content: str) -> MeasurementTable:
     """Parse the hourly Dst format (timestamps must sit on hour boundaries)."""
-    records = []
-    for line_no, t, fields in _iter_records(content, 2):
-        if t.minute:
-            raise BadTimestamp(line_no, "dst timestamps must be hour-aligned")
-        records.append(DstRecord(t, _parse_float(fields[0], line_no)))
-    return records
+    scan = _Scan(content, ("dst",))
+    scan.check(scan.minutes % 60 != 0, _ALIGNMENT, lambda r: BadTimestamp(
+        scan.line_nos[r], "dst timestamps must be hour-aligned"))
+    return scan.table()
 
 
-def parse_kp(content: str) -> list[KpRecord]:
+def parse_kp(content: str) -> MeasurementTable:
     """Parse the 3-hourly Kp format; values must lie in [0, 9]."""
-    records = []
-    for line_no, t, fields in _iter_records(content, 2):
-        if t.minute or t.hour % 3:
-            raise BadTimestamp(line_no, "kp timestamps must be 3-hour-aligned")
-        kp = _parse_float(fields[0], line_no)
-        if kp is not None and not 0.0 <= kp <= 9.0:
-            raise ValueOutOfRange(line_no, f"kp must lie in [0, 9], got {kp}")
-        records.append(KpRecord(t, kp))
-    return records
+    scan = _Scan(content, ("kp",))
+    scan.check(scan.minutes % 180 != 0, _ALIGNMENT, lambda r: BadTimestamp(
+        scan.line_nos[r], "kp timestamps must be 3-hour-aligned"))
+    values, present = scan.values[:, 0], scan.present[:, 0]
+    scan.check(present & ((values < 0.0) | (values > 9.0)), _RANGE, lambda r: ValueOutOfRange(
+        scan.line_nos[r], f"kp must lie in [0, 9], got {float(values[r])}"))
+    return scan.table()
 
 
 # --------------------------------------------------------------------------
 # serialisation (inverse of the parsers; floats via repr for exact round-trip)
 
 
-def _format_value(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
-
-
-def format_solar_wind(records: list[SolarWindRecord]) -> str:
-    lines = [
-        ",".join(
-            [format_timestamp(r.t)]
-            + [_format_value(getattr(r, f)) for f in SOLAR_WIND_FIELDS]
-        )
-        for r in records
-    ]
-    return "".join(line + "\n" for line in lines)
-
-
-def format_dst(records: list[DstRecord]) -> str:
-    return "".join(
-        f"{format_timestamp(r.t)},{_format_value(r.dst)}\n" for r in records
-    )
-
-
-def format_kp(records: list[KpRecord]) -> str:
-    return "".join(
-        f"{format_timestamp(r.t)},{_format_value(r.kp)}\n" for r in records
-    )
+def format_table(table: MeasurementTable) -> str:
+    """The table in its canonical format, one line per record, gaps empty."""
+    stamps = np.datetime_as_string(table.minutes.astype("datetime64[m]"), unit="m")
+    columns = [[stamp + "Z" for stamp in stamps.tolist()]]
+    for values, present in zip(table.values.T.tolist(), table.present.T.tolist()):
+        columns.append([repr(v) if p else "" for v, p in zip(values, present)])
+    return "".join(",".join(cells) + "\n" for cells in zip(*columns))
 
 
 # --------------------------------------------------------------------------
 # grid regularisation
 
 
-def to_series(records, field: str, cadence_minutes: int) -> MeasurementSeries:
-    """Place time-ordered records onto the cadence grid anchored at the first.
+def to_series(table: MeasurementTable, field: str, cadence_minutes: int) -> MeasurementSeries:
+    """Place one column of a table onto the cadence grid anchored at its first record.
 
     Grid slots with no record, and records whose ``field`` is a gap, come out
     with ``present == False``.  A record whose timestamp is off the grid
-    raises :class:`CadenceMismatch`; an empty record list raises
+    raises :class:`CadenceMismatch`; an empty table raises
     :class:`EmptyDataset`.
     """
-    if not records:
+    if not len(table):
         raise EmptyDataset(f"no records to build series {field!r}")
-    start = records[0].t
-    step = timedelta(minutes=cadence_minutes)
-    span_steps, rem = divmod(records[-1].t - start, step)
-    if rem:
+    j = table.fields.index(field)
+    offsets = table.minutes - table.minutes[0]
+    off_grid = offsets % cadence_minutes != 0
+    if off_grid.any():
+        bad = -1 if off_grid[-1] else int(np.flatnonzero(off_grid)[0])
         raise CadenceMismatch(
-            f"{field}: record at {format_timestamp(records[-1].t)} is off the "
-            f"{cadence_minutes}-minute grid anchored at {format_timestamp(start)}"
+            f"{field}: record at {format_timestamp(table.time_at(bad))} is off the "
+            f"{cadence_minutes}-minute grid anchored at {format_timestamp(table.time_at(0))}"
         )
-    length = span_steps + 1
-    values = np.full(length, np.nan)
-    present = np.zeros(length, dtype=bool)
-    for r in records:
-        index, rem = divmod(r.t - start, step)
-        if rem:
-            raise CadenceMismatch(
-                f"{field}: record at {format_timestamp(r.t)} is off the "
-                f"{cadence_minutes}-minute grid anchored at {format_timestamp(start)}"
-            )
-        v = getattr(r, field)
-        if v is not None:
-            values[index] = v
-            present[index] = True
-    return MeasurementSeries(field, cadence_minutes, start, values, present)
+    slots = offsets // cadence_minutes
+    present = table.present[:, j]
+    values = np.full(int(slots[-1]) + 1, np.nan)
+    values[slots[present]] = table.values[present, j]
+    on_grid = np.zeros(values.size, dtype=bool)
+    on_grid[slots[present]] = True
+    return MeasurementSeries(field, cadence_minutes, table.time_at(0), values, on_grid)
 
 
-def solar_wind_series(records: list[SolarWindRecord]) -> tuple[MeasurementSeries, ...]:
+def solar_wind_series(table: MeasurementTable) -> tuple[MeasurementSeries, ...]:
     """All seven solar-wind series in canonical order."""
-    return tuple(to_series(records, f, 5) for f in SOLAR_WIND_FIELDS)
+    return tuple(to_series(table, f, 5) for f in SOLAR_WIND_FIELDS)

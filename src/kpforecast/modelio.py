@@ -5,9 +5,11 @@ The top-level ``kind`` tag selects the flavour (``"forest"`` or
 ``{"f": feature, "t": threshold, "l": ..., "r": ...}``, leaves
 ``{"p": prediction, "n": count}``.  Reals are written with full
 shortest-round-trip precision (up to 17 significant digits), so a loaded
-model predicts bit-identically to the saved one.  Loading a forest checks its
-structure (tree count, split features in range, finite reals) and raises
-``DataError`` instead of building a model that would crash or predict NaN.
+model predicts bit-identically to the saved one.  Loading checks a model's
+structure and field types (forests: tree count, JSON-integer split features
+in range, a JSON-boolean ``bootstrap``; linear models: one coefficient per
+feature; both: finite reals) and raises ``DataError`` instead of building a
+model that would crash or predict NaN.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ def _tree_to_obj(node: TreeNode) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"model file has a non-integer {what}: {value!r}")
+    return value
+
+
 def _finite(value, what: str) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -44,8 +52,8 @@ def _finite(value, what: str) -> float:
 
 def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
     if "p" in obj:
-        return Leaf(_finite(obj["p"], "leaf value"), int(obj["n"]))
-    feature = int(obj["f"])
+        return Leaf(_finite(obj["p"], "leaf value"), _integer(obj["n"], "leaf count"))
+    feature = _integer(obj["f"], "split feature")
     if not 0 <= feature < n_features:
         raise DataError(
             f"model file splits on feature {feature}, outside [0, {n_features})"
@@ -61,12 +69,14 @@ def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
 def _forest_from_obj(obj: dict) -> ForestModel:
     """Rebuild a forest, refusing trees that do not fit its features or config."""
     cfg = obj["config"]
+    if not isinstance(cfg["bootstrap"], bool):
+        raise DataError(f"model file has a non-boolean bootstrap: {cfg['bootstrap']!r}")
     config = ForestConfig(
-        n_trees=int(cfg["n_trees"]),
-        mtry=None if cfg["mtry"] is None else int(cfg["mtry"]),
-        min_leaf=int(cfg["min_leaf"]),
-        seed=int(cfg["seed"]),
-        bootstrap=bool(cfg["bootstrap"]),
+        n_trees=_integer(cfg["n_trees"], "n_trees"),
+        mtry=None if cfg["mtry"] is None else _integer(cfg["mtry"], "mtry"),
+        min_leaf=_integer(cfg["min_leaf"], "min_leaf"),
+        seed=_integer(cfg["seed"], "seed"),
+        bootstrap=cfg["bootstrap"],
     )
     feature_names = tuple(obj["feature_names"])
     trees = obj["trees"]
@@ -90,6 +100,22 @@ def _forest_from_obj(obj: dict) -> ForestModel:
             float(obj["train_target_range"][1]),
         ),
         oob_mse=None if obj["oob_mse"] is None else float(obj["oob_mse"]),
+    )
+
+
+def _linear_from_obj(obj: dict) -> LinearModel:
+    """Rebuild a linear model, refusing one that would predict NaN or misalign."""
+    feature_names = tuple(obj["feature_names"])
+    coefficients = [_finite(c, "coefficient") for c in obj["coefficients"]]
+    if len(coefficients) != len(feature_names):
+        raise DataError(
+            f"model file has {len(coefficients)} coefficients for "
+            f"{len(feature_names)} features"
+        )
+    return LinearModel(
+        intercept=_finite(obj["intercept"], "intercept"),
+        coefficients=coefficients,
+        feature_names=feature_names,
     )
 
 
@@ -138,11 +164,7 @@ def model_from_json(content: str) -> ForestModel | LinearModel:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     try:
         if kind == "linear":
-            return LinearModel(
-                intercept=float(obj["intercept"]),
-                coefficients=obj["coefficients"],
-                feature_names=tuple(obj["feature_names"]),
-            )
+            return _linear_from_obj(obj)
         if kind == "forest":
             return _forest_from_obj(obj)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

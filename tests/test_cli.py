@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -254,6 +255,40 @@ def test_data_errors_exit_2(sources, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "shifted.csv" in err and trained.name in err
         assert "dst_m120" in err and "kp_m0" in err
+    # a linear model with a NaN coefficient would predict NaN for every row
+    tampered = json.loads(linear.read_text())
+    tampered["coefficients"][0] = float("nan")
+    nan_model = tmp_path / "nan_linear.json"
+    nan_model.write_text(json.dumps(tampered))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(nan_model), "--data", str(fused),
+                 "--out", str(tmp_path / "nan.csv")]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not (tmp_path / "nan.csv").exists()
+
+
+# sha256 of the files below as written by the commit before the columnar
+# ingest: synth, fuse, train and predict must keep every byte
+PINNED_DIGESTS = {
+    "d/solar_wind.csv": "0206af42964c9db14862962237d458fe0bd07026a593107874fd7be7a69bd7e0",
+    "d/dst.csv": "a455a66fa40b8ff85415ed7494459735e7cefc70eeed4c6bd99009c0c8ba410d",
+    "d/kp.csv": "c317aa1033ab86e4baa9622cc34e4eacc58c52da2bccfe889e86b6dd6be67697",
+    "data.csv": "3a755cb939052203e9b7184ffdd98e057e3aea28f035df0f7d3fcec62b9ee705",
+    "pred.csv": "8538397b7b7532fbd51cfead54891ff5b841495e6d8240156b5b4afe480c8dbe",
+}
+
+
+def test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd):
+    assert main(["synth", "--seed", "7", "--days", "3", "--out", "d"]) == 0
+    assert main(["fuse", "--solar-wind", "d/solar_wind.csv", "--dst", "d/dst.csv",
+                 "--kp", "d/kp.csv", "--out", "data.csv"]) == 0
+    assert main(["train", "--data", "data.csv", "--trees", "5", "--min-leaf", "2",
+                 "--seed", "7", "--threads", "1", "--out", "model.json"]) == 0
+    assert main(["predict", "--model", "model.json", "--data", "data.csv",
+                 "--out", "pred.csv"]) == 0
+    digests = {name: hashlib.sha256((tmp_cwd / name).read_bytes()).hexdigest()
+               for name in PINNED_DIGESTS}
+    assert digests == PINNED_DIGESTS
 
 
 def test_threads_default_is_the_cpus_this_process_may_use(monkeypatch):

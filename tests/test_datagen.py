@@ -112,8 +112,9 @@ def test_write_csv_round_trips_through_the_parsers(tmp_path):
     solar_path, dst_path, kp_path = write_csv(config, tmp_path)
     solar, dst, kp = generate(config)
 
-    records = ingest.parse_solar_wind(solar_path.read_text(encoding="utf-8"))
-    parsed = ingest.solar_wind_series(records)
+    table = ingest.parse_solar_wind(solar_path.read_text(encoding="utf-8"))
+    assert len(table) == 2 * 288
+    parsed = ingest.solar_wind_series(table)
     for expect, got in zip(solar, parsed):
         assert got.name == expect.name
         assert got.start == expect.start

@@ -214,3 +214,69 @@ def test_load_errors_name_the_file(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match="tampered.json"):
         load_model(path)
+
+
+# -- linear models and field types ------------------------------------------------
+
+
+def _linear_obj():
+    return json.loads(model_to_json(baseline.fit_linear(_training_data(seed=5, p=4))))
+
+
+def test_linear_with_a_nan_coefficient_is_rejected():
+    obj = _linear_obj()
+    obj["coefficients"][2] = float("nan")
+    with pytest.raises(DataError, match="non-finite coefficient"):
+        _load_tampered(obj)
+
+
+def test_linear_with_a_non_finite_intercept_is_rejected():
+    obj = _linear_obj()
+    obj["intercept"] = float("-inf")
+    with pytest.raises(DataError, match="non-finite intercept"):
+        _load_tampered(obj)
+
+
+def test_linear_coefficients_must_match_feature_count():
+    obj = _linear_obj()
+    obj["coefficients"].append(1.0)
+    with pytest.raises(DataError, match="5 coefficients for 4 features"):
+        _load_tampered(obj)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_bootstrap_must_be_a_json_boolean(value):
+    obj = _forest_obj()
+    obj["config"]["bootstrap"] = value
+    with pytest.raises(DataError, match="non-boolean bootstrap"):
+        _load_tampered(obj)
+
+
+def _set_split_feature(obj, value):
+    _first_split(obj)["f"] = value
+
+
+def _set_leaf_count(obj, value):
+    _first_leaf(_first_split(obj))["n"] = value
+
+
+def _set_config(key):
+    def tamper(obj, value):
+        obj["config"][key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, what", [
+    (_set_split_feature, "split feature"),
+    (_set_leaf_count, "leaf count"),
+    (_set_config("n_trees"), "n_trees"),
+    (_set_config("min_leaf"), "min_leaf"),
+    (_set_config("seed"), "seed"),
+    (_set_config("mtry"), "mtry"),
+], ids=["f", "n", "n_trees", "min_leaf", "seed", "mtry"])
+@pytest.mark.parametrize("value", [2.9, 2.0, True, "2"])
+def test_integer_fields_must_be_json_integers(tamper, what, value):
+    obj = _forest_obj()
+    tamper(obj, value)
+    with pytest.raises(DataError, match=f"non-integer {what}"):
+        _load_tampered(obj)
