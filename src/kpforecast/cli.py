@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TextIO
 
 from . import baseline, datagen, evaluate, forest, ingest, modelio, pca
 from .errors import DataError
@@ -174,17 +175,23 @@ def _forest_config(opts) -> forest.ForestConfig:
     )
 
 
-def _write(path_text: str, content: str) -> None:
+def _create(path_text: str) -> TextIO:
+    """Open an output file for writing, making its directory first."""
     path = Path(path_text)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    return path.open("w", encoding="utf-8")
+
+
+def _write(path_text: str, content: str) -> None:
+    with _create(path_text) as handle:
+        handle.write(content)
 
 
 def _load_dataset(path: str) -> FusedDataset:
     try:
-        return FusedDataset.from_csv(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+        return FusedDataset.read_csv(path)
+    except (DataError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -220,7 +227,8 @@ def _cmd_fuse(args) -> int:
     opts = _resolve(args, _FUSE_SPEC)
     solar, dst, kp = _read_sources(opts)
     data = fuse(solar, dst, kp, _lag_spec(opts))
-    _write(opts.out, data.to_csv())
+    with _create(opts.out) as handle:
+        data.write_csv(handle)
     return 0
 
 

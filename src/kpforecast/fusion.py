@@ -12,6 +12,12 @@ the window drop the instant, no imputation.
 With the default spec this yields 7*108 + 3 + 8 = 767 features named
 ``fma_m0 ... fma_m535, ..., dst_m0, dst_m60, dst_m120, kp_m0, ..., kp_m1260``
 (``_m<minutes>`` is the lag).
+
+A :class:`FusedDataset` is saved as the dataset CSV: a header of the feature
+names then ``target,row_time``, and one line per row with every float written
+by ``repr`` (an exact round-trip).  ``write_csv`` and ``read_csv`` stream it a
+block of rows at a time, so the file's text is never held whole; ``to_csv``
+and ``from_csv`` are the same code on a string.
 """
 
 from __future__ import annotations
@@ -19,19 +25,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import islice
+from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import (
+    BadTimestamp,
     CadenceMismatch,
+    DataError,
+    EmptyDataset,
     EmptyIntersection,
     IndexOutOfRange,
+    MalformedLine,
     NonFiniteValue,
     ValueOutOfRange,
 )
 from .ingest import (
     SOLAR_WIND_FIELDS,
     MeasurementSeries,
+    _number_fault,
     format_timestamp,
     parse_timestamp,
 )
@@ -48,6 +62,9 @@ __all__ = [
 ]
 
 _KP_CADENCE = 180
+
+#: Rows per block of the dataset CSV, written or read.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -106,7 +123,8 @@ class FusedDataset:
 
     Every cell is finite (gapped windows never become rows) and targets lie
     in [0, 9].  Arrays are frozen read-only; all transformations return new
-    datasets.
+    datasets.  :meth:`write_csv` and :meth:`read_csv` save and load the
+    dataset CSV in blocks of rows; a fault in a file names its line.
     """
 
     feature_names: tuple[str, ...]
@@ -140,42 +158,110 @@ class FusedDataset:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
+    def _csv_blocks(self) -> Iterator[str]:
+        """The dataset CSV: the header line, then the lines of each block of rows.
+
+        Cells are ``repr`` of the float (an exact round-trip).  Within a block
+        each distinct bit pattern is formatted once and the strings are
+        gathered per row: a raw solar-wind sample recurs in the lag columns of
+        consecutive rows, so most cells of a block repeat another.
+        """
+        yield ",".join([*self.feature_names, "target", "row_time"]) + "\n"
+        for start in range(0, self.n_rows, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            cells = np.column_stack([self.rows[start:stop], self.targets[start:stop]])
+            # Bit patterns, not values, so that -0.0 keeps its sign.
+            distinct, inverse = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
+            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+            lines = text[inverse].reshape(cells.shape).tolist()
+            times = map(format_timestamp, self.row_times[start:stop])
+            yield "".join(",".join(line) + "," + time + "\n" for line, time in zip(lines, times))
+
     def to_csv(self) -> str:
         """Header plus one line per row; floats via repr (exact round-trip)."""
-        header = ",".join([*self.feature_names, "target", "row_time"])
-        lines = [header]
-        for i in range(self.n_rows):
-            cells = [repr(float(v)) for v in self.rows[i]]
-            cells.append(repr(float(self.targets[i])))
-            cells.append(format_timestamp(self.row_times[i]))
-            lines.append(",".join(cells))
-        return "".join(line + "\n" for line in lines)
+        return "".join(self._csv_blocks())
+
+    def write_csv(self, handle: TextIO) -> None:
+        """Write :meth:`to_csv`'s text to ``handle`` a block of rows at a time."""
+        handle.writelines(self._csv_blocks())
 
     @classmethod
     def from_csv(cls, content: str) -> "FusedDataset":
-        lines = [ln.rstrip() for ln in content.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines:
-            raise ValueError("dataset CSV needs at least a header line")
-        header = lines[0].split(",")
+        """Parse the text :meth:`to_csv` writes (see :meth:`read_csv`)."""
+        return cls._parse(content.splitlines())
+
+    @classmethod
+    def read_csv(cls, path: str | Path) -> "FusedDataset":
+        """Read a dataset CSV file a block of rows at a time.
+
+        Blank and ``#`` lines are skipped, as is trailing whitespace.  A fault
+        raises a :class:`~kpforecast.errors.DataError` subtype that names the
+        1-based line: :class:`EmptyDataset` for a file without a header,
+        :class:`MalformedLine` for a bad header, a wrong cell count or a cell
+        that is not a finite number, :class:`ValueOutOfRange` for a target
+        outside [0, 9] and :class:`BadTimestamp` for a bad ``row_time``.
+        """
+        with open(path, encoding="utf-8") as handle:
+            return cls._parse(handle)
+
+    @classmethod
+    def _parse(cls, lines: Iterable[str]) -> "FusedDataset":
+        numbered = ((n, line) for n, line in enumerate(map(str.rstrip, lines), start=1)
+                    if line and not line.startswith("#"))
+        first = next(numbered, None)
+        if first is None:
+            raise EmptyDataset("dataset CSV has no header line")
+        header_no, header = first[0], first[1].split(",")
         if len(header) < 3 or header[-2:] != ["target", "row_time"]:
-            raise ValueError("dataset CSV header must end with target,row_time")
+            raise MalformedLine(header_no, "dataset CSV header must end with target,row_time")
         names = tuple(header[:-2])
-        rows, targets, times = [], [], []
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"dataset CSV row has {len(cells)} cells, "
-                                 f"expected {len(header)}")
-            rows.append([float(c) for c in cells[:-2]])
-            targets.append(float(cells[-2]))
-            times.append(parse_timestamp(cells[-1]))
-        return cls(
-            names,
-            np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names)),
-            np.asarray(targets, dtype=np.float64),
-            tuple(times),
-        )
+        rows, targets = [np.empty((0, len(names)))], [np.empty(0)]
+        times: list[datetime] = []
+        while block := list(islice(numbered, _BLOCK_ROWS)):
+            values, stamps = _parse_block(block, len(header))
+            rows.append(values[:, :-1])
+            targets.append(values[:, -1])
+            times += stamps
+        return cls(names, np.concatenate(rows), np.concatenate(targets), tuple(times))
+
+
+def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:
+    """The first fault of one dataset line, read left to right."""
+    if len(cells) != width:
+        return MalformedLine(line_no, f"expected {width} cells, got {len(cells)}")
+    fault = _number_fault(cells[:-1])
+    if fault is not None:
+        return MalformedLine(line_no, fault)
+    target = float(cells[-2])
+    if not 0.0 <= target <= 9.0:
+        return ValueOutOfRange(line_no, f"target must lie in [0, 9], got {target}")
+    try:
+        parse_timestamp(cells[-1])
+    except ValueError as exc:
+        return BadTimestamp(line_no, str(exc))
+    return None
+
+
+def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, list[datetime]]:
+    """``[rows | target]`` and the row times of numbered dataset lines.
+
+    The whole block converts at once; only if that fails, or a value or time
+    is out of place, are its lines checked one by one for the first fault.
+    """
+    split = [line.split(",") for _, line in block]
+    try:
+        if all(len(cells) == width for cells in split):
+            values = np.array([cells[:-1] for cells in split], dtype=np.float64)
+            targets = values[:, -1]
+            if np.isfinite(values).all() and targets.min() >= 0.0 and targets.max() <= 9.0:
+                return values, [parse_timestamp(cells[-1]) for cells in split]
+    except ValueError:
+        pass
+    for (line_no, _), cells in zip(block, split):
+        fault = _line_fault(line_no, cells, width)
+        if fault is not None:
+            raise fault
+    raise AssertionError("a dataset block failed to convert without a faulty line")
 
 
 @dataclass(frozen=True)

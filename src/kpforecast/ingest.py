@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def format_timestamp(t: datetime) -> str:
         raise ValueError("timestamp must be UTC-aware")
     if t.second or t.microsecond:
         raise ValueError("timestamp must have minute resolution")
-    return t.strftime("%Y-%m-%dT%H:%MZ")
+    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}Z"
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +216,9 @@ def _timestamp_error(line_no: int, text: str) -> BadTimestamp:
     raise AssertionError(f"{text!r} is a valid timestamp")
 
 
-def _number_fault(fields: list[str]) -> str | None:
-    """Why the first non-empty field, in line order, is not a finite number."""
+def _number_fault(fields: Iterable[str]) -> str | None:
+    """Why the first field, in line order, is not a finite number."""
     for field in fields:
-        if field == "":
-            continue
         try:
             value = float(field)
         except ValueError:
@@ -277,7 +275,7 @@ class _Scan:
                     values.extend([math.nan] * n)
                     gaps += range(record * n, record * n + n)
                     self.faults.append((record, _NUMBER, partial(
-                        MalformedLine, line_no, _number_fault(parts[1:]))))
+                        MalformedLine, line_no, _number_fault(filter(None, parts[1:])))))
                     break
                 gaps += (record * n + j for j, f in enumerate(parts[1:]) if f == "")
         records = len(self.line_nos)
@@ -285,7 +283,8 @@ class _Scan:
         self.present = np.ones((records, n), dtype=bool)
         self.present.flat[gaps] = False
         self.check((self.present & ~np.isfinite(self.values)).any(axis=1), _NUMBER,
-                   lambda r: MalformedLine(self.line_nos[r], _number_fault(self._line(r)[1:])))
+                   lambda r: MalformedLine(self.line_nos[r],
+                                           _number_fault(filter(None, self._line(r)[1:]))))
         self._times(np.frombuffer(stamps, dtype=np.int64))
 
     def _times(self, digits: np.ndarray) -> None:

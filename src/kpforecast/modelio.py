@@ -7,8 +7,9 @@ The top-level ``kind`` tag selects the flavour (``"forest"`` or
 shortest-round-trip precision (up to 17 significant digits), so a loaded
 model predicts bit-identically to the saved one.  Loading checks a model's
 structure and field types (forests: tree count, JSON-integer split features
-in range, a JSON-boolean ``bootstrap``; linear models: one coefficient per
-feature; both: finite reals) and raises ``DataError`` instead of building a
+in range, a JSON-boolean ``bootstrap``, importances that are non-negative
+and sum to 1 or are all zero; linear models: one coefficient per feature;
+both: finite reals) and raises ``DataError`` instead of building a
 model that would crash or predict NaN.
 """
 
@@ -90,6 +91,12 @@ def _forest_from_obj(obj: dict) -> ForestModel:
             f"model file has {len(importances)} importances for "
             f"{len(feature_names)} features"
         )
+    negative = next((v for v in importances if v < 0.0), None)
+    if negative is not None:
+        raise DataError(f"model file has a negative importance: {negative!r}")
+    total = math.fsum(importances)
+    if total != 0.0 and abs(total - 1.0) > 1e-9:
+        raise DataError(f"model file has importances summing to {total!r}, not 1")
     return ForestModel(
         trees=tuple(_tree_from_obj(t, len(feature_names)) for t in trees),
         feature_names=feature_names,

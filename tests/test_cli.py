@@ -265,6 +265,24 @@ def test_data_errors_exit_2(sources, tmp_path, capsys):
                  "--out", str(tmp_path / "nan.csv")]) == 2
     assert "non-finite coefficient" in capsys.readouterr().err
     assert not (tmp_path / "nan.csv").exists()
+    # a faulty cell of the dataset is named by file and line (the header is line 1)
+    lines = fused.read_text().splitlines()
+    cells = lines[2].split(",")
+    faults = {
+        "nan_cell.csv": (",".join(["nan", *cells[1:]]), "line 3: non-finite number 'nan'"),
+        "text_cell.csv": (",".join(["abc", *cells[1:]]), "line 3: unparsable number 'abc'"),
+        "big_target.csv": (",".join([*cells[:-2], "12", cells[-1]]),
+                           "line 3: target must lie in [0, 9], got 12.0"),
+        "short_row.csv": (",".join(cells[:-1]), f"line 3: expected {len(cells)} cells"),
+        "bad_time.csv": (",".join([*cells[:-1], "2021-13-01T00:00Z"]),
+                         "line 3: invalid calendar instant '2021-13-01T00:00Z'"),
+    }
+    for name, (line, message) in faults.items():
+        faulty = tmp_path / name
+        faulty.write_text("\n".join([*lines[:2], line, *lines[3:]]) + "\n")
+        assert main(["predict", "--model", str(model), "--data", str(faulty),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"{faulty}: {message}" in capsys.readouterr().err
 
 
 # sha256 of the files below as written by the commit before the columnar

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpforecast import ingest
-from kpforecast.errors import CadenceMismatch, EmptyIntersection, IndexOutOfRange
+from kpforecast.errors import (
+    BadTimestamp,
+    CadenceMismatch,
+    EmptyDataset,
+    EmptyIntersection,
+    IndexOutOfRange,
+    MalformedLine,
+    ValueOutOfRange,
+)
 from kpforecast.fusion import (
     FeatureSubset,
     FusedDataset,
@@ -308,10 +320,132 @@ def test_dataset_csv_round_trip_is_bit_exact():
 
 
 def test_dataset_csv_rejects_malformed_content():
-    with pytest.raises(ValueError):
-        FusedDataset.from_csv("")
-    with pytest.raises(ValueError):
-        FusedDataset.from_csv("a,b\n1,2\n")  # header lacks target,row_time
+    for empty in ("", "\n# only a comment\n"):
+        with pytest.raises(EmptyDataset):
+            FusedDataset.from_csv(empty)
+    with pytest.raises(MalformedLine, match="line 2: .*target,row_time"):
+        FusedDataset.from_csv("# header next\na,b\n1,2\n")  # header lacks target,row_time
     good = make_dataset([[1.0]], [2.0]).to_csv()
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedLine, match="line 3: expected 3 cells, got 1"):
         FusedDataset.from_csv(good + "1.0\n")  # short row
+
+
+# -- CSV blocks: bit-exact across block edges, faults by line (properties) -------
+
+_SPECIAL_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7e308, -1.7e308, 1.7976931348623157e308, 1 / 3]
+
+
+def _float_of_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+_FINITE_CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_SPECIAL_CELLS)
+    | st.integers(0, 2**64 - 1).map(_float_of_bits).filter(math.isfinite)
+)
+_TARGETS = st.floats(0.0, 9.0) | st.sampled_from([0.0, -0.0, 5e-324, 9.0])
+
+
+def _fill(draw, pool_strategy, shape):
+    """An array of ``shape`` whose cells repeat a drawn pool, as lag columns do."""
+    pool = np.array(draw(st.lists(pool_strategy, min_size=1, max_size=40)), dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return pool[rng.integers(0, pool.size, size=shape)]
+
+
+@st.composite
+def datasets(draw, sizes=(0, 1, 255, 256, 257, 513)):
+    n, p = draw(st.sampled_from(sizes)), draw(st.integers(1, 3))
+    rows = _fill(draw, _FINITE_CELLS, (n, p))
+    start = draw(st.datetimes(max_value=datetime(9000, 1, 1), timezones=st.just(UTC)))
+    start = start.replace(second=0, microsecond=0)
+    times = tuple(start + timedelta(hours=3 * i) for i in range(n))
+    names = tuple(f"x{j}_m{5 * j}" for j in range(p))
+    return FusedDataset(names, rows, _fill(draw, _TARGETS, n), times)
+
+
+def _written_and_read(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            data.write_csv(handle)
+        return path.read_bytes(), FusedDataset.read_csv(path)
+
+
+def _assert_same_bits(a, b):
+    assert a.feature_names == b.feature_names
+    assert a.row_times == b.row_times
+    assert a.rows.shape == b.rows.shape
+    assert np.array_equal(a.rows.view(np.int64), b.rows.view(np.int64))
+    assert np.array_equal(a.targets.view(np.int64), b.targets.view(np.int64))
+
+
+@settings(max_examples=60)
+@given(datasets())
+def test_dataset_csv_round_trip_is_bit_exact_across_block_edges(data):
+    text = data.to_csv()
+    _assert_same_bits(FusedDataset.from_csv(text), data)
+    written, read = _written_and_read(data)
+    assert written == text.encode("utf-8")
+    _assert_same_bits(read, data)
+
+
+# corruption -> error raised
+_DATASET_CORRUPTIONS = {
+    "cell_count": MalformedLine,
+    "unparsable": MalformedLine,
+    "non_finite": MalformedLine,
+    "target_range": ValueOutOfRange,
+    "row_time": BadTimestamp,
+}
+
+
+def _corrupt_dataset_line(how, cells, draw):
+    numbers, stamp = cells[:-1], cells[-1]
+    if how == "cell_count":
+        return cells + ["1.0"] if draw(st.booleans()) else cells[:-1]
+    if how in ("unparsable", "non_finite"):
+        j = draw(st.integers(0, len(numbers) - 1))
+        token = draw(st.sampled_from(["abc", "1.2.3", "", "0x10", "--1"] if how == "unparsable"
+                                     else ["nan", "NaN", "inf", "-inf", "1e400"]))
+        return numbers[:j] + [token] + numbers[j + 1:] + [stamp]
+    if how == "target_range":
+        return numbers[:-1] + [draw(st.sampled_from(["12", "-0.5", "9.000001", "-1e-300"]))] + [stamp]
+    if how == "row_time":
+        bad = draw(st.sampled_from([
+            stamp.replace("T", " "), stamp[:-1], stamp[:-1] + ":30Z",
+            stamp[:5] + "13" + stamp[7:], stamp[:11] + "24" + stamp[13:], "yesterday",
+        ]))
+        return numbers + [bad]
+    raise AssertionError(how)
+
+
+@settings(max_examples=200)
+@given(datasets(sizes=(1, 2, 7, 255, 256, 257, 600)), st.data())
+def test_a_corrupted_dataset_line_is_reported_with_its_number(dataset, data):
+    lines = dataset.to_csv().splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "# comment", "   ", "#,,,"])))
+    data_lines = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"][1:]
+    k = data.draw(st.integers(0, len(data_lines) - 1))
+    kinds = st.sampled_from(sorted(_DATASET_CORRUPTIONS))
+    faults = [(data_lines[k], data.draw(kinds))]
+    # a second fault on a later line, in the same block or another, must not mask the first
+    if k + 1 < len(data_lines) and data.draw(st.booleans()):
+        later = data.draw(st.integers(k + 1, len(data_lines) - 1))
+        faults.append((data_lines[later], data.draw(kinds)))
+    for index, how in faults:
+        lines[index] = ",".join(_corrupt_dataset_line(how, lines[index].split(","), data.draw))
+    text = "\n".join(lines) + "\n"
+    error = _DATASET_CORRUPTIONS[faults[0][1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        for read in (lambda: FusedDataset.from_csv(text), lambda: FusedDataset.read_csv(path)):
+            with pytest.raises(error) as exc:
+                read()
+            assert type(exc.value) is error
+            assert exc.value.line_no == faults[0][0] + 1

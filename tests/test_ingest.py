@@ -60,6 +60,22 @@ def test_format_timestamp_round_trip():
     assert ingest.parse_timestamp(ingest.format_timestamp(t)) == t
 
 
+@pytest.mark.parametrize("year, text", [
+    (1, "0001-03-04T05:06Z"), (999, "0999-03-04T05:06Z"), (2021, "2021-03-04T05:06Z"),
+])
+def test_format_timestamp_pads_every_year_to_four_digits(year, text):
+    t = datetime(year, 3, 4, 5, 6, tzinfo=UTC)
+    assert ingest.format_timestamp(t) == text
+    assert ingest.parse_timestamp(text) == t
+
+
+@settings(max_examples=300)
+@given(st.datetimes(timezones=st.just(UTC)))
+def test_parse_timestamp_inverts_format_timestamp(t):
+    t = t.replace(second=0, microsecond=0)
+    assert ingest.parse_timestamp(ingest.format_timestamp(t)) == t
+
+
 # -- solar wind ----------------------------------------------------------------
 
 FIELD = {name: j for j, name in enumerate(ingest.SOLAR_WIND_FIELDS)}

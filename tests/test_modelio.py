@@ -207,6 +207,31 @@ def test_importances_must_match_feature_count():
         _load_tampered(obj)
 
 
+@pytest.mark.parametrize("value", [-1e-12, -0.5])
+def test_negative_importance_is_rejected(value):
+    obj = _forest_obj()
+    obj["importances"][0] = value
+    with pytest.raises(DataError, match="negative importance"):
+        _load_tampered(obj)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-8])
+def test_importances_must_sum_to_one(scale):
+    obj = _forest_obj()
+    obj["importances"] = [v * scale for v in obj["importances"]]
+    with pytest.raises(DataError, match="importances summing to"):
+        _load_tampered(obj)
+
+
+def test_importances_may_be_all_zero_or_off_by_rounding():
+    obj = _forest_obj()
+    assert sum(obj["importances"]) > 0.0
+    obj["importances"] = [v * (1.0 + 1e-12) for v in obj["importances"]]
+    _load_tampered(obj)
+    obj["importances"] = [0.0] * len(obj["importances"])
+    assert not _load_tampered(obj).importances.any()
+
+
 def test_load_errors_name_the_file(tmp_path):
     obj = _forest_obj()
     obj["trees"] = []
