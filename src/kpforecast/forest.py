@@ -9,6 +9,12 @@ has at most ``min_leaf`` rows, zero target variance, or no candidate admits
 a valid split.  A leaf predicts the mean of its routed targets; the forest
 predicts the mean over trees.  A row routes left when ``value <= threshold``.
 
+The split search runs in the compiled kernel of :mod:`.splitkernel`, which
+returns bit for bit what the numpy :func:`_best_split` returns and releases
+the interpreter lock, so ``threads`` trees search in parallel.  Where the
+kernel cannot be built (no ``cc``, no writable cache), :func:`_best_split`
+itself searches; the model is the same either way.
+
 Determinism: tree ``i`` owns a private stream seeded from
 ``(config.seed, i)``; the bootstrap is drawn first, then each node consumes
 the stream in depth-first order (node, left subtree, right subtree).  Tree
@@ -26,6 +32,8 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from .errors import (
     KOutOfRange,
     NonFiniteValue,
 )
+from . import splitkernel
 from .fusion import FeatureSubset, FusedDataset
 from .rng import PortableRng, derive_seed
 
@@ -141,7 +150,8 @@ def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, cand: np.ndarray
     Returns ``(feature, threshold, left_rows, right_rows, sse_reduction)``
     or ``None`` when no candidate separates the rows.  All candidates are
     scored in one vectorised pass: targets are sorted per candidate column
-    and prefix sums give each child's sum of squared errors directly.
+    and prefix sums give each child's sum of squared errors directly.  This
+    is the reference that the compiled kernel matches bit for bit.
     """
     m = rows.size
     sub = X[np.ix_(rows, cand)]
@@ -170,14 +180,33 @@ def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, cand: np.ndarray
     j = int(np.flatnonzero(tied.any(axis=0))[0])
     pos = int(np.flatnonzero(tied[:, j])[0])
 
-    lo, hi = xs[pos, j], xs[pos + 1, j]
+    return _split(X, rows, int(cand[j]), xs[pos, j], xs[pos + 1, j], best, total_sum[j], total_sq[j])
+
+
+def _split(X, rows, feature, lo, hi, best, total_sum, total_sq):
+    """The split between sorted values ``lo`` and ``hi`` of ``feature``, as
+    :func:`_best_split` returns it; ``best`` is its score and ``total_sum``
+    and ``total_sq`` the node's target sums in that feature's sorted order."""
     threshold = (lo + hi) / 2.0
     if threshold == hi:  # midpoint rounded up to hi: fall back so right side stays non-empty
         threshold = lo
-    feature = int(cand[j])
     go_left = X[rows, feature] <= threshold
-    parent_sse = float(total_sq[j] - total_sum[j] * total_sum[j] / m)
+    parent_sse = float(total_sq - total_sum * total_sum / rows.size)
     return feature, float(threshold), rows[go_left], rows[~go_left], parent_sse - float(best)
+
+
+def _kernel_search(kernel, Xc: np.ndarray, y: np.ndarray):
+    """A split search for one tree: :func:`_best_split` on the compiled kernel."""
+    searcher = splitkernel.Searcher(kernel, Xc, y)
+
+    def search(rows: np.ndarray, cand: np.ndarray):
+        found = searcher.search(rows, cand)
+        if found is None:
+            return None
+        j, _, best, lo, hi, total_sum, total_sq = found
+        return _split(Xc, rows, int(cand[j]), lo, hi, best, total_sum, total_sq)
+
+    return search
 
 
 def _grow_tree(
@@ -186,8 +215,12 @@ def _grow_tree(
     config: ForestConfig,
     mtry: int,
     tree_seed: int,
+    search: Callable,
 ) -> tuple[TreeNode, np.ndarray, np.ndarray]:
-    """Grow one tree; returns (root, unnormalised importance, oob row indices)."""
+    """Grow one tree; returns (root, unnormalised importance, oob row indices).
+
+    ``search(rows, cand)`` finds a node's split as :func:`_best_split` does.
+    """
     n, p = X.shape
     rng = PortableRng(tree_seed)
     if config.bootstrap:
@@ -204,7 +237,7 @@ def _grow_tree(
         if rows.size <= config.min_leaf or ysub.min() == ysub.max():
             return Leaf(float(ysub.mean()), rows.size)
         cand = all_features if mtry == p else rng.subset(p, mtry)
-        found = _best_split(X, y, rows, cand)
+        found = search(rows, cand)
         if found is None:
             return Leaf(float(ysub.mean()), rows.size)
         feature, threshold, left_rows, right_rows, sse_reduction = found
@@ -250,9 +283,13 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     _ensure_recursion_room(data.n_rows)
 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
+    kernel = splitkernel.load()
+    # One column-major copy per fit, read by every tree's searcher.
+    Xc = None if kernel is None else np.asfortranarray(X)
 
     def build(tree_seed: int):
-        return _grow_tree(X, y, config, mtry, tree_seed)
+        search = partial(_best_split, X, y) if kernel is None else _kernel_search(kernel, Xc, y)
+        return _grow_tree(X, y, config, mtry, tree_seed, search)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -141,8 +141,9 @@ class FusedDataset:
             raise ValueError("targets and row_times must match the row count")
         if not np.isfinite(rows).all() or not np.isfinite(targets).all():
             raise NonFiniteValue("fused dataset must be entirely finite")
-        if len(targets) and (targets.min() < 0.0 or targets.max() > 9.0):
-            raise ValueOutOfRange(0, "targets must lie in [0, 9]")
+        outside = (targets < 0.0) | (targets > 9.0)
+        if outside.any():  # no file here, so no line to name
+            raise DataError(f"targets must lie in [0, 9], got {float(targets[outside][0])}")
         rows.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "rows", rows)

@@ -16,6 +16,7 @@ from kpforecast import ingest
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
+    DataError,
     EmptyDataset,
     EmptyIntersection,
     IndexOutOfRange,
@@ -213,6 +214,13 @@ def test_row_times_strictly_increasing_and_rows_finite():
     data = fuse(solar, dst, kp, TOY_SPEC)
     assert all(a < b for a, b in zip(data.row_times, data.row_times[1:]))
     assert np.isfinite(data.rows).all()
+
+
+def test_in_memory_target_out_of_range_names_no_line():
+    with pytest.raises(DataError) as caught:
+        make_dataset([[1.0]], [12.0])
+    assert not isinstance(caught.value, ValueOutOfRange)  # which names a line
+    assert str(caught.value) == "targets must lie in [0, 9], got 12.0"
 
 
 # -- downsampling ---------------------------------------------------------------
