@@ -8,6 +8,10 @@ lowest feature index, then the lowest threshold).  Growth stops when a node
 has at most ``min_leaf`` rows, zero target variance, or no candidate admits
 a valid split.  A leaf predicts the mean of its routed targets; the forest
 predicts the mean over trees.  A row routes left when ``value <= threshold``.
+A fitted tree is a :class:`Tree`: six parallel arrays over its nodes,
+numbered in preorder, which growth, prediction, out-of-bag scoring and the
+model file (:mod:`.modelio`) all share.  No step recurses, so a tree may be
+as deep as its data makes it.
 
 The split search runs in the compiled kernel of :mod:`.splitkernel`, which
 returns bit for bit what the numpy :func:`_best_split` returns and releases
@@ -29,7 +33,6 @@ are averaged over trees and normalised to sum to one.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -51,9 +54,7 @@ _TREE_STREAM = 0x74726565  # "tree": namespaces per-tree seeds in the fan-out
 
 __all__ = [
     "ForestConfig",
-    "Leaf",
-    "Split",
-    "TreeNode",
+    "Tree",
     "ForestModel",
     "RankedFeature",
     "ImportanceReport",
@@ -90,26 +91,56 @@ class ForestConfig:
         return mtry
 
 
-@dataclass(frozen=True)
-class Leaf:
-    prediction: float
-    n_samples: int
+_TREE_ARRAYS = (
+    ("feature", np.int64),
+    ("threshold", np.float64),
+    ("left", np.int64),
+    ("right", np.int64),
+    ("value", np.float64),
+    ("n_samples", np.int64),
+)
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One CART tree as six read-only parallel arrays, one entry per node.
 
+    Nodes are numbered in preorder (node, left subtree, right subtree), so
+    the root is node 0 and a split's left child is the next node.  A split
+    routes a row to ``left`` when ``row[feature] <= threshold``; its
+    ``value`` is 0.0 and its ``n_samples`` 0.  A leaf is a node whose
+    ``left`` is -1: it predicts ``value`` for the ``n_samples`` rows it was
+    grown on, and its ``feature`` and ``right`` are -1 and its ``threshold``
+    0.0.  Two trees are equal when every array is equal bit for bit.
+    """
 
-TreeNode = Leaf | Split
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _TREE_ARRAYS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            if array.shape != (len(self.feature),):
+                raise ValueError(f"tree array {name} must be 1-D, one entry per node")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return all(
+            getattr(self, name).tobytes() == getattr(other, name).tobytes()
+            for name, _ in _TREE_ARRAYS
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     feature_names: tuple[str, ...]
     config: ForestConfig
     importances: np.ndarray  # normalised, sums to 1 (all zero if no split gained)
@@ -216,10 +247,12 @@ def _grow_tree(
     mtry: int,
     tree_seed: int,
     search: Callable,
-) -> tuple[TreeNode, np.ndarray, np.ndarray]:
-    """Grow one tree; returns (root, unnormalised importance, oob row indices).
+) -> tuple[Tree, np.ndarray, np.ndarray]:
+    """Grow one tree; returns (tree, unnormalised importance, oob row indices).
 
     ``search(rows, cand)`` finds a node's split as :func:`_best_split` does.
+    The stack pops a node's left child before its right, so nodes are
+    numbered, and the stream and importances consumed, in preorder.
     """
     n, p = X.shape
     rng = PortableRng(tree_seed)
@@ -231,44 +264,56 @@ def _grow_tree(
         oob = np.empty(0, dtype=np.int64)
     all_features = np.arange(p)
     imp = np.zeros(p)
+    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
 
-    def grow(rows: np.ndarray) -> TreeNode:
+    stack = [(bag, -1)]  # (rows, the split whose right child this is, or -1)
+    while stack:
+        rows, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
         ysub = y[rows]
-        if rows.size <= config.min_leaf or ysub.min() == ysub.max():
-            return Leaf(float(ysub.mean()), rows.size)
-        cand = all_features if mtry == p else rng.subset(p, mtry)
-        found = search(rows, cand)
+        found = None
+        if rows.size > config.min_leaf and ysub.min() != ysub.max():
+            cand = all_features if mtry == p else rng.subset(p, mtry)
+            found = search(rows, cand)
         if found is None:
-            return Leaf(float(ysub.mean()), rows.size)
-        feature, threshold, left_rows, right_rows, sse_reduction = found
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(float(ysub.mean()))
+            n_samples.append(rows.size)
+            continue
+        f, t, left_rows, right_rows, sse_reduction = found
         # node_weight * variance_reduction == sse_reduction / bag size
-        imp[feature] += sse_reduction / n
-        left = grow(left_rows)
-        right = grow(right_rows)
-        return Split(feature, threshold, left, right)
+        imp[f] += sse_reduction / n
+        feature.append(f)
+        threshold.append(t)
+        left.append(node + 1)
+        right.append(-1)  # set when the right child is numbered
+        value.append(0.0)
+        n_samples.append(0)
+        stack.append((right_rows, node))
+        stack.append((left_rows, -1))
 
-    return grow(bag), imp, oob
+    return Tree(feature, threshold, left, right, value, n_samples), imp, oob
 
 
-def _route(tree: TreeNode, rows: np.ndarray) -> np.ndarray:
-    """Leaf prediction for every row, routing the rows a node at a time."""
+def _route(tree: Tree, rows: np.ndarray) -> np.ndarray:
+    """The leaf prediction for every row, routing the rows a node at a time."""
     out = np.empty(rows.shape[0])
-    stack = [(tree, np.arange(rows.shape[0]))]
+    stack = [(0, np.arange(rows.shape[0]))]
     while stack:
         node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.prediction
+        left = tree.left[node]
+        if left < 0:
+            out[idx] = tree.value[node]
         elif idx.size:
-            go_left = rows[idx, node.feature] <= node.threshold
-            stack.append((node.right, idx[~go_left]))
-            stack.append((node.left, idx[go_left]))
+            go_left = rows[idx, tree.feature[node]] <= tree.threshold[node]
+            stack.append((tree.right[node], idx[~go_left]))
+            stack.append((left, idx[go_left]))
     return out
-
-
-def _ensure_recursion_room(depth_bound: int) -> None:
-    needed = min(depth_bound, 20_000) + 2_000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int = 1) -> ForestModel:
@@ -280,7 +325,6 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise NonFiniteValue("training data must be finite")
     mtry = config.resolve_mtry(data.n_features)
-    _ensure_recursion_room(data.n_rows)
 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
     kernel = splitkernel.load()
@@ -297,7 +341,7 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     else:
         grown = [build(s) for s in seeds]
 
-    trees = tuple(root for root, _, _ in grown)
+    trees = tuple(tree for tree, _, _ in grown)
     imp = np.zeros(data.n_features)
     for _, tree_imp, _ in grown:  # fixed accumulation order: by tree index
         imp += tree_imp
@@ -310,8 +354,8 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     if config.bootstrap:
         pred_sum = np.zeros(data.n_rows)
         pred_count = np.zeros(data.n_rows, dtype=np.int64)
-        for root, _, oob in grown:  # by tree index; oob rows are distinct
-            pred_sum[oob] += _route(root, X[oob])
+        for tree, _, oob in grown:  # by tree index; oob rows are distinct
+            pred_sum[oob] += _route(tree, X[oob])
             pred_count[oob] += 1
         covered = pred_count > 0
         if covered.any():

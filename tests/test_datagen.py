@@ -71,7 +71,7 @@ def test_quiet_config_is_constant_and_forest_nails_it():
     # every tree is a single zero-variance leaf; only float mean rounding
     # separates the predictions from the constant itself
     assert np.allclose(predicted, kp.values[0], rtol=0.0, atol=1e-12)
-    assert all(isinstance(t, forest.Leaf) for t in model.trees)
+    assert all(t.left.tolist() == [-1] for t in model.trees)
 
 
 def test_pinned_storm_statistics_for_seed_zero():

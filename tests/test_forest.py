@@ -10,8 +10,7 @@ from kpforecast.errors import DimensionMismatch, KOutOfRange, NonFiniteValue
 from kpforecast.forest import (
     ForestConfig,
     ForestModel,
-    Leaf,
-    Split,
+    Tree,
     fit,
     importance,
     predict,
@@ -31,14 +30,24 @@ def _the_tree(model: ForestModel):
     return model.trees[0]
 
 
-def _as_dict(node):
-    if isinstance(node, Leaf):
-        return {"p": node.prediction, "n": node.n_samples}
+def _leaf(value, n_samples):
+    """A one-node tree: a leaf predicting ``value`` for ``n_samples`` rows."""
+    return Tree([-1], [0.0], [-1], [-1], [value], [n_samples])
+
+
+def _is_leaf(tree, node):
+    return tree.left[node] == -1
+
+
+def _as_dict(tree, node=0):
+    """Node ``node`` of ``tree`` and its subtree as the oracle's nested dicts."""
+    if _is_leaf(tree, node):
+        return {"p": float(tree.value[node]), "n": int(tree.n_samples[node])}
     return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _as_dict(node.left),
-        "r": _as_dict(node.right),
+        "f": int(tree.feature[node]),
+        "t": float(tree.threshold[node]),
+        "l": _as_dict(tree, tree.left[node]),
+        "r": _as_dict(tree, tree.right[node]),
     }
 
 
@@ -48,12 +57,13 @@ def _as_dict(node):
 def test_two_cluster_split_lands_between_clusters():
     data = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0.0, 0.0, 5.0, 5.0])
     tree = _the_tree(fit(data, EXACT_TREE))
-    assert isinstance(tree, Split)
-    assert tree.feature == 0
-    assert 1.0 < tree.threshold < 10.0  # any gap point separates the clusters
-    assert tree.threshold == 5.5  # midpoint of the adjacent pair (1, 10)
-    assert isinstance(tree.left, Leaf) and tree.left.prediction == 0.0
-    assert isinstance(tree.right, Leaf) and tree.right.prediction == 5.0
+    assert not _is_leaf(tree, 0)
+    assert tree.feature[0] == 0
+    assert 1.0 < tree.threshold[0] < 10.0  # any gap point separates the clusters
+    assert tree.threshold[0] == 5.5  # midpoint of the adjacent pair (1, 10)
+    left, right = tree.left[0], tree.right[0]
+    assert _is_leaf(tree, left) and tree.value[left] == 0.0
+    assert _is_leaf(tree, right) and tree.value[right] == 5.0
 
 
 def test_min_leaf_stops_splitting_at_five_rows():
@@ -62,25 +72,25 @@ def test_min_leaf_stops_splitting_at_five_rows():
     )
     config = ForestConfig(n_trees=1, mtry=1, min_leaf=5, seed=0, bootstrap=False)
     tree = _the_tree(fit(data, config))
-    assert tree == Leaf(prediction=3.0, n_samples=5)
+    assert tree == _leaf(3.0, 5)
 
 
 def test_zero_variance_node_becomes_leaf():
     data = make_dataset([[0.0], [1.0], [2.0]], [4.0, 4.0, 4.0])
     tree = _the_tree(fit(data, EXACT_TREE))
-    assert tree == Leaf(prediction=4.0, n_samples=3)
+    assert tree == _leaf(4.0, 3)
 
 
 def test_identical_rows_admit_no_split():
     data = make_dataset([[2.0], [2.0], [2.0]], [1.0, 2.0, 3.0])
     tree = _the_tree(fit(data, EXACT_TREE))
-    assert tree == Leaf(prediction=2.0, n_samples=3)
+    assert tree == _leaf(2.0, 3)
 
 
 def test_route_left_on_exact_threshold_match():
     data = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0.0, 0.0, 5.0, 5.0])
     model = fit(data, EXACT_TREE)
-    threshold = _the_tree(model).threshold
+    threshold = _the_tree(model).threshold[0]
     assert predict(model, np.array([threshold])) == 0.0  # <= goes left
     assert predict(model, np.array([np.nextafter(threshold, 100.0)])) == 5.0
 
@@ -90,9 +100,10 @@ def test_adjacent_value_midpoint_guard_keeps_split_valid():
     hi = np.nextafter(lo, 2.0)  # midpoint rounds to hi; guard must snap to lo
     data = make_dataset([[lo], [hi]], [0.0, 1.0])
     tree = _the_tree(fit(data, EXACT_TREE))
-    assert isinstance(tree, Split)
-    assert tree.threshold == lo
-    assert tree.left == Leaf(0.0, 1) and tree.right == Leaf(1.0, 1)
+    assert not _is_leaf(tree, 0)
+    assert tree.threshold[0] == lo
+    assert tree == Tree([0, -1, -1], [lo, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                        [0.0, 0.0, 1.0], [0, 1, 1])
 
 
 def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
@@ -102,12 +113,32 @@ def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
     data = make_dataset(X, [0.0, 1.0])
     config = ForestConfig(n_trees=1, mtry=3, min_leaf=1, seed=0, bootstrap=False)
     tree = _the_tree(fit(data, config))
-    assert tree.feature == 0
+    assert tree.feature[0] == 0
     # symmetric dyadic case: cutting at 0.5 or 1.5 both score exactly 0.5,
     # so the scores tie bitwise and the lower threshold must win
     data2 = make_dataset([[0.0], [1.0], [2.0]], [1.0, 0.0, 1.0])
     tree2 = _the_tree(fit(data2, EXACT_TREE))
-    assert tree2.feature == 0 and tree2.threshold == 0.5
+    assert tree2.feature[0] == 0 and tree2.threshold[0] == 0.5
+
+
+def test_tree_arrays_are_read_only_with_one_entry_per_node():
+    data = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0.0, 0.0, 5.0, 5.0])
+    tree = _the_tree(fit(data, EXACT_TREE))
+    for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+        array = getattr(tree, name)
+        assert array.shape == (3,)
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(ValueError, match="one entry per node"):
+        Tree([-1], [0.0], [-1], [-1], [1.0, 2.0], [1])
+
+
+def test_trees_are_equal_only_bit_for_bit():
+    assert _leaf(1.0, 2) == _leaf(1.0, 2)
+    assert _leaf(0.0, 2) != _leaf(-0.0, 2)
+    assert _leaf(1.0, 2) != _leaf(1.0, 3)
+    assert _leaf(1.0, 2) != Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1],
+                                 [2, -1, -1], [0.0, 1.0, 1.0], [0, 1, 1])
 
 
 # -- forest averaging ------------------------------------------------------------
@@ -116,7 +147,7 @@ def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
 def test_forest_prediction_is_mean_over_stub_trees():
     base = fit(make_dataset([[0.0]], [1.0]), EXACT_TREE)
     model = ForestModel(
-        trees=(Leaf(3.0, 1), Leaf(5.0, 1)),
+        trees=(_leaf(3.0, 1), _leaf(5.0, 1)),
         feature_names=base.feature_names,
         config=base.config,
         importances=np.zeros(1),

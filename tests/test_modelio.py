@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import re
+import sys
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpforecast import baseline, forest
+from kpforecast.cli import main
 from kpforecast.errors import DataError
 from kpforecast.modelio import (
     load_model,
@@ -45,6 +53,7 @@ def test_forest_round_trip_predicts_bit_identically():
     assert np.array_equal(clone.importances, model.importances)
     assert clone.train_target_range == model.train_target_range
     assert clone.oob_mse == model.oob_mse
+    assert clone.trees == model.trees  # array for array, bit for bit
     # serialisation is a fixed point: dumping the clone reproduces the bytes
     assert model_to_json(clone) == model_to_json(model)
 
@@ -67,20 +76,18 @@ def test_kind_tags_and_node_shapes():
     data = _training_data(n=20, p=2)
     fj = json.loads(model_to_json(forest.fit(data, forest.ForestConfig(
         n_trees=2, seed=0))))
-    assert fj["kind"] == "forest"
-    assert set(fj) == {"kind", "config", "feature_names", "importances",
+    assert fj["kind"] == "forest" and fj["format"] == 2
+    assert set(fj) == {"kind", "format", "config", "feature_names", "importances",
                        "train_target_range", "oob_mse", "trees"}
 
-    def check(node):
-        if "p" in node:
-            assert set(node) == {"p", "n"}
-        else:
-            assert set(node) == {"f", "t", "l", "r"}
-            check(node["l"])
-            check(node["r"])
-
     for tree in fj["trees"]:
-        check(tree)
+        assert set(tree) == {"f", "t", "l", "r", "p", "n"}
+        assert len({len(column) for column in tree.values()}) == 1
+        for f, t, left, right, p, n in zip(*(tree[k] for k in "ftlrpn")):
+            if left == -1:  # a leaf: split fields hold their fillers
+                assert (f, t, right) == (-1, 0.0, -1) and n >= 1
+            else:  # a split: leaf fields hold their fillers
+                assert (p, n) == (0.0, 0) and f >= 0 and left >= 0 and right >= 0
 
     lj = json.loads(model_to_json(baseline.fit_linear(data)))
     assert lj["kind"] == "linear"
@@ -120,19 +127,83 @@ def test_unserialisable_type_is_a_type_error():
         model_to_json(object())
 
 
-def test_deep_tree_survives_the_round_trip():
-    # a pathological diagonal dataset grows one long chain
-    n = 400
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test at the interpreter's default recursion limit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield 1000
+    sys.setrecursionlimit(saved)
+
+
+def _depth(tree):
+    """Edges on the longest root-to-leaf path; children follow parents in preorder."""
+    depth = np.zeros(len(tree.left), dtype=np.int64)
+    for node in np.flatnonzero(tree.left != -1):
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+def test_a_fitted_chain_928_levels_deep_survives_the_round_trip(default_recursion_limit):
+    # each target is half the next, so every best split peels off one row
+    n = 1200
     X = np.arange(float(n)).reshape(n, 1)
-    y = np.arange(float(n)) / n * 9.0
-    data = make_dataset(X, y)
+    y = 9.0 * 0.5 ** (n - 1 - np.arange(float(n)))
     model = forest.fit(
-        data, forest.ForestConfig(n_trees=1, min_leaf=1, seed=0, bootstrap=False)
+        make_dataset(X, y),
+        forest.ForestConfig(n_trees=1, min_leaf=1, seed=0, bootstrap=False),
     )
-    clone = model_from_json(model_to_json(model))
+    assert sys.getrecursionlimit() == default_recursion_limit
+    assert _depth(model.trees[0]) == 928
+    content = model_to_json(model)
+    assert sys.getrecursionlimit() == default_recursion_limit
+    clone = model_from_json(content)
+    assert sys.getrecursionlimit() == default_recursion_limit
+    assert clone.trees == model.trees
+    assert model_to_json(clone) == content
     assert np.array_equal(
         forest.predict_batch(model, X), forest.predict_batch(clone, X)
     )
+
+
+def test_a_built_chain_5000_splits_deep_survives_the_round_trip(default_recursion_limit):
+    # split i is node 2i: x <= i + 0.5 goes to the leaf 2i + 1 predicting i,
+    # anything larger on to node 2i + 2; the last node predicts the depth
+    depth = 5000
+    splits = np.arange(depth)
+    feature = np.full(2 * depth + 1, -1)
+    threshold = np.zeros(2 * depth + 1)
+    left = np.full(2 * depth + 1, -1)
+    right = np.full(2 * depth + 1, -1)
+    value = np.zeros(2 * depth + 1)
+    n_samples = np.zeros(2 * depth + 1, dtype=np.int64)
+    feature[2 * splits] = 0
+    threshold[2 * splits] = splits + 0.5
+    left[2 * splits] = 2 * splits + 1
+    right[2 * splits] = 2 * splits + 2
+    value[2 * splits + 1] = splits
+    value[-1] = depth
+    n_samples[2 * splits + 1] = 1
+    n_samples[-1] = 1
+    tree = forest.Tree(feature, threshold, left, right, value, n_samples)
+    assert _depth(tree) == depth
+    model = forest.ForestModel(
+        trees=(tree,),
+        feature_names=("x0",),
+        config=forest.ForestConfig(n_trees=1, min_leaf=1, bootstrap=False),
+        importances=np.ones(1),
+        train_target_range=(0.0, float(depth)),
+        oob_mse=None,
+    )
+    content = model_to_json(model)
+    assert sys.getrecursionlimit() == default_recursion_limit
+    clone = model_from_json(content)
+    assert sys.getrecursionlimit() == default_recursion_limit
+    assert clone.trees == (tree,)
+    assert model_to_json(clone) == content
+    X = np.arange(depth + 1.0).reshape(-1, 1)
+    assert np.array_equal(forest.predict_batch(clone, X), np.arange(depth + 1.0))
+    assert sys.getrecursionlimit() == default_recursion_limit
 
 
 # -- structural validation on load ------------------------------------------------
@@ -145,15 +216,18 @@ def _forest_obj():
 
 
 def _first_split(obj):
+    """The first tree whose root (node 0) is a split."""
     for tree in obj["trees"]:
-        if "f" in tree:
+        if tree["l"][0] != -1:
             return tree
     raise AssertionError("no tree has a split")
 
 
-def _first_leaf(node):
-    while "p" not in node:
-        node = node["l"]
+def _first_leaf(tree):
+    """The first leaf of ``tree`` in preorder: the end of the root's left spine."""
+    node = 0
+    while tree["l"][node] != -1:
+        node = tree["l"][node]
     return node
 
 
@@ -179,7 +253,7 @@ def test_tree_count_must_match_config():
 @pytest.mark.parametrize("feature", [4, 17, -1])
 def test_split_feature_out_of_range_is_rejected(feature):
     obj = _forest_obj()
-    _first_split(obj)["f"] = feature
+    _first_split(obj)["f"][0] = feature
     with pytest.raises(DataError, match=f"feature {feature}, outside"):
         _load_tampered(obj)
 
@@ -187,7 +261,7 @@ def test_split_feature_out_of_range_is_rejected(feature):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_threshold_is_rejected(value):
     obj = _forest_obj()
-    _first_split(obj)["t"] = value
+    _first_split(obj)["t"][0] = value
     with pytest.raises(DataError, match="non-finite threshold"):
         _load_tampered(obj)
 
@@ -195,7 +269,8 @@ def test_non_finite_threshold_is_rejected(value):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_leaf_value_is_rejected(value):
     obj = _forest_obj()
-    _first_leaf(_first_split(obj))["p"] = value
+    tree = _first_split(obj)
+    tree["p"][_first_leaf(tree)] = value
     with pytest.raises(DataError, match="non-finite leaf value"):
         _load_tampered(obj)
 
@@ -278,11 +353,12 @@ def test_bootstrap_must_be_a_json_boolean(value):
 
 
 def _set_split_feature(obj, value):
-    _first_split(obj)["f"] = value
+    _first_split(obj)["f"][0] = value
 
 
 def _set_leaf_count(obj, value):
-    _first_leaf(_first_split(obj))["n"] = value
+    tree = _first_split(obj)
+    tree["n"][_first_leaf(tree)] = value
 
 
 def _set_config(key):
@@ -305,3 +381,304 @@ def test_integer_fields_must_be_json_integers(tamper, what, value):
     tamper(obj, value)
     with pytest.raises(DataError, match=f"non-integer {what}"):
         _load_tampered(obj)
+
+
+# -- values are JSON numbers and strings, never coerced ----------------------------
+
+
+def _set_leaf_value(obj, value):
+    tree = _first_split(obj)
+    tree["p"][_first_leaf(tree)] = value
+
+
+def _set_top(key):
+    def tamper(obj, value):
+        obj[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("make, tamper, value, message", [
+    (_forest_obj, _set_top("oob_mse"), "nan", "non-numeric oob_mse: 'nan'"),
+    (_forest_obj, _set_top("oob_mse"), True, "non-numeric oob_mse: True"),
+    (_forest_obj, _set_top("train_target_range"), ["0", "9"],
+     "non-numeric train_target_range: '0'"),
+    (_forest_obj, _set_top("train_target_range"), [float("nan"), 9.0],
+     "non-finite train_target_range: nan"),
+    (_forest_obj, _set_top("train_target_range"), [0.0], "train_target_range of 1 values"),
+    (_forest_obj, _set_leaf_value, "1.5", "non-numeric leaf value: '1.5'"),
+    (_forest_obj, _set_leaf_value, False, "non-numeric leaf value: False"),
+    (_forest_obj, _set_top("feature_names"), [1, 2, 3, 4], "non-string feature name: 1"),
+    (_linear_obj, _set_top("feature_names"), [1, 2, 3, 4], "non-string feature name: 1"),
+    (_linear_obj, _set_top("intercept"), "1.5", "non-numeric intercept: '1.5'"),
+], ids=["oob string", "oob boolean", "range strings", "range NaN", "range length",
+        "leaf string", "leaf boolean", "forest names", "linear names", "intercept string"])
+def test_values_are_not_coerced(make, tamper, value, message):
+    obj = make()
+    tamper(obj, value)
+    with pytest.raises(DataError, match=re.escape(message)):
+        _load_tampered(obj)
+
+
+def test_oob_mse_may_be_null_and_reals_may_be_json_integers():
+    obj = _forest_obj()
+    obj["oob_mse"] = None
+    obj["train_target_range"] = [0, 9]
+    model = _load_tampered(obj)
+    assert model.oob_mse is None and model.train_target_range == (0.0, 9.0)
+
+
+# -- the flat tree layout ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("form", [None, 1, 3, "2", 2.0, True])
+def test_forest_files_of_another_format_are_refused(form):
+    obj = _forest_obj()
+    if form is None:
+        del obj["format"]
+    else:
+        obj["format"] = form
+    with pytest.raises(DataError, match=f"forest format {re.escape(repr(form))}, not 2: .* retrained"):
+        _load_tampered(obj)
+
+
+def _set_node(field, node_of):
+    def tamper(obj, value):
+        tree = _first_split(obj)
+        tree[field][node_of(tree)] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, value, message", [
+    (_set_node("f", _first_leaf), 1, "leaf without f = r = -1 and t = 0.0"),
+    (_set_node("r", _first_leaf), 2, "leaf without f = r = -1 and t = 0.0"),
+    (_set_node("t", _first_leaf), 0.5, "leaf without f = r = -1 and t = 0.0"),
+    (_set_node("t", _first_leaf), -0.0, "leaf without f = r = -1 and t = 0.0"),
+    (_set_node("n", _first_leaf), 0, "leaf with a row count below 1"),
+    (_set_node("p", lambda tree: 0), 1.0, "split without p = 0.0 and n = 0"),
+    (_set_node("p", lambda tree: 0), -0.0, "split without p = 0.0 and n = 0"),
+    (_set_node("n", lambda tree: 0), 3, "split without p = 0.0 and n = 0"),
+], ids=["leaf f", "leaf r", "leaf t", "leaf t -0.0", "leaf n", "split p", "split p -0.0",
+        "split n"])
+def test_leaf_and_split_fillers_are_checked(tamper, value, message):
+    obj = _forest_obj()
+    tamper(obj, value)
+    with pytest.raises(DataError, match=re.escape(message)):
+        _load_tampered(obj)
+
+
+def _set_root_child(side, value_of):
+    def tamper(tree):
+        tree[side][0] = value_of(tree)
+    return tamper
+
+
+def _add_orphan(tree):
+    for key, value in zip("ftlrpn", (-1, 0.0, -1, -1, 1.0, 1)):
+        tree[key].append(value)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_set_root_child("r", lambda tree: len(tree["l"])), "child index"),
+    (_set_root_child("r", lambda tree: -2), "child index -2 outside"),
+    (_set_root_child("l", lambda tree: 0), "node 0 is reached where node 1 belongs"),
+    (_set_root_child("r", lambda tree: 1), "not a tree in preorder"),
+    (_set_root_child("l", lambda tree: tree["r"][0]), "not a tree in preorder"),
+    (_add_orphan, "1 nodes its root does not reach"),
+    (lambda tree: tree["p"].pop(), "lists of different lengths"),
+    (lambda tree: [tree[k].clear() for k in "ftlrpn"], "has no nodes"),
+], ids=["past the end", "negative", "cycle", "repeated", "left skips ahead", "orphan",
+        "length mismatch", "empty"])
+def test_child_indices_must_form_one_tree_in_preorder(tamper, message):
+    obj = _forest_obj()
+    tamper(_first_split(obj))
+    with pytest.raises(DataError, match=re.escape(message)):
+        _load_tampered(obj)
+
+
+def test_json_nested_too_deeply_to_parse_is_a_data_error():
+    with pytest.raises(DataError, match="nests JSON too deeply"):
+        model_from_json("[" * 100_000 + "]" * 100_000)
+
+
+# -- fuzzing the model file -------------------------------------------------------
+
+
+@cache
+def _valid_models():
+    data = _training_data(seed=6, n=24, p=3)
+    return {
+        "forest": model_to_json(forest.fit(data, forest.ForestConfig(n_trees=3, seed=1))),
+        "forest without bootstrap": model_to_json(forest.fit(
+            data, forest.ForestConfig(n_trees=2, mtry=2, seed=2, bootstrap=False))),
+        "linear": model_to_json(baseline.fit_linear(data)),
+    }
+
+
+_FORESTS = ["forest", "forest without bootstrap"]
+_NULLABLE = {("config", "mtry"), ("oob_mse",)}
+
+
+def _paths(node, path=()):
+    """Every position in a parsed JSON document, as the keys that lead to it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _json_type(value):
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            type(None): "null", list: "array", dict: "object"}[type(value)]
+
+
+def _wrong_type(draw, obj):
+    path = draw(st.sampled_from(list(_paths(obj))))
+    here = _at(obj, path)
+    value = draw(st.sampled_from([
+        v for v in ("1", True, None, [], {})
+        if _json_type(v) != _json_type(here) and not (v is None and path in _NULLABLE)
+    ]))
+    if not path:
+        return value
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+def _missing_key(draw, obj):
+    path = draw(st.sampled_from([p for p in _paths(obj) if isinstance(_at(obj, p), dict)]))
+    del _at(obj, path)[draw(st.sampled_from(sorted(_at(obj, path))))]
+    return obj
+
+
+def _nan(draw, obj):
+    path = draw(st.sampled_from([p for p in _paths(obj) if _json_type(_at(obj, p)) == "number"]))
+    _at(obj, path[:-1])[path[-1]] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return obj
+
+
+def _a_split(draw, obj):
+    """A tree of ``obj`` and one of its splits."""
+    tree, node = draw(st.sampled_from([
+        (tree, node) for tree in obj["trees"] for node, left in enumerate(tree["l"]) if left != -1
+    ]))
+    return tree, node
+
+
+def _bad_child(draw, obj):
+    tree, node = _a_split(draw, obj)
+    side = draw(st.sampled_from("lr"))
+    n = len(tree["l"])
+    tree[side][node] = draw(st.one_of(
+        st.integers(max_value=-2),  # out of range
+        st.integers(min_value=n),  # out of range
+        st.integers(0, node),  # back to this node or an earlier one: a cycle
+        st.just(tree["r" if side == "l" else "l"][node]),  # both children the same node
+    ))
+    return obj
+
+
+def _orphan(draw, obj):
+    _add_orphan(draw(st.sampled_from(obj["trees"])))
+    return obj
+
+
+def _length_mismatch(draw, obj):
+    column = draw(st.sampled_from(obj["trees"]))[draw(st.sampled_from("ftlrpn"))]
+    if draw(st.booleans()):
+        column.pop()
+    else:
+        column.append(column[-1])
+    return obj
+
+
+_ALL = [*_FORESTS, "linear"]
+_MUTATIONS = {  # name: (mutation of the parsed file, the models it applies to)
+    "wrong type": (_wrong_type, _ALL),
+    "missing key": (_missing_key, _ALL),
+    "NaN": (_nan, _ALL),
+    "bad child index": (_bad_child, _FORESTS),
+    "orphan node": (_orphan, _FORESTS),
+    "length mismatch": (_length_mismatch, _FORESTS),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A scratch directory holding the dataset the valid models were fitted on."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with open(root / "data.csv", "w", encoding="utf-8") as handle:
+        _training_data(seed=6, n=24, p=3).write_csv(handle)
+    return root
+
+
+def _refused_by_name(root, text):
+    """Save ``text`` as a model file; loading it and predicting with it must fail by name."""
+    path = root / "mutated.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_model(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(path), "--data", str(root / "data.csv"),
+                     "--out", str(root / "predicted.csv")])
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {path}: ")
+    assert "Traceback" not in err.getvalue()
+    assert not (root / "predicted.csv").exists()
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_mutated_model_file_is_refused_by_name(fuzz_dir, mutation, data):
+    mutate, names = _MUTATIONS[mutation]
+    obj = json.loads(_valid_models()[data.draw(st.sampled_from(names))])
+    _refused_by_name(fuzz_dir, json.dumps(mutate(data.draw, obj)))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_truncated_model_file_is_refused_by_name(fuzz_dir, data):
+    text = _valid_models()[data.draw(st.sampled_from(_ALL))]
+    # dropping only the final newline would leave a whole JSON document
+    _refused_by_name(fuzz_dir, text[:data.draw(st.integers(0, len(text) - 2))])
+
+
+def test_a_model_file_that_is_not_utf8_is_refused_by_name(fuzz_dir):
+    path = fuzz_dir / "latin1.json"
+    path.write_bytes(_valid_models()["linear"].replace('"x0"', '"x\u00e9"').encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        load_model(path)
+
+
+def _nested(tree, node=0):
+    """Node ``node`` of a format-2 tree object as a format-1 nested object."""
+    if tree["l"][node] == -1:
+        return {"p": tree["p"][node], "n": tree["n"][node]}
+    return {"f": tree["f"][node], "t": tree["t"][node],
+            "l": _nested(tree, tree["l"][node]), "r": _nested(tree, tree["r"][node])}
+
+
+def test_a_format_1_forest_file_exits_2_through_predict(fuzz_dir, capsys):
+    obj = json.loads(_valid_models()["forest"])
+    del obj["format"]
+    obj["trees"] = [_nested(tree) for tree in obj["trees"]]
+    path = fuzz_dir / "format1.json"
+    path.write_text(json.dumps(obj))
+    assert main(["predict", "--model", str(path), "--data", str(fuzz_dir / "data.csv"),
+                 "--out", str(fuzz_dir / "predicted.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: model file has forest format None, not 2" in err
+    assert "must be retrained" in err
+    assert not (fuzz_dir / "predicted.csv").exists()
