@@ -71,9 +71,17 @@ def _timestamp(text: str):
     return parse_timestamp(text.strip())
 
 
+def _read_text(path: str) -> str:
+    """The text of a named input file; one that is not UTF-8 is a data error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -142,16 +150,18 @@ _FOREST_SPEC = {
 }
 
 
+def _parse_source(path: str, parse):
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_sources(opts):
-    solar = ingest.solar_wind_series(
-        ingest.parse_solar_wind(Path(opts.solar_wind).read_text(encoding="utf-8"))
-    )
-    dst = ingest.to_series(
-        ingest.parse_dst(Path(opts.dst).read_text(encoding="utf-8")), "dst", 60
-    )
-    kp = ingest.to_series(
-        ingest.parse_kp(Path(opts.kp).read_text(encoding="utf-8")), "kp", 180
-    )
+    solar = ingest.solar_wind_series(_parse_source(opts.solar_wind, ingest.parse_solar_wind))
+    dst = ingest.to_series(_parse_source(opts.dst, ingest.parse_dst), "dst", 60)
+    kp = ingest.to_series(_parse_source(opts.kp, ingest.parse_kp), "kp", 180)
     return solar, dst, kp
 
 
@@ -475,6 +485,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else str(exc)
         sys.stderr.write(f"error: cannot read {name}: no such file\n")
+        return 2
+    except OSError as exc:  # a directory, no permission, ... where a file was named
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        sys.stderr.write(f"error: {where}{exc.strerror or exc}\n")
         return 2
     except DataError as exc:
         sys.stderr.write(f"error: {exc}\n")

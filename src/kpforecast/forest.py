@@ -13,11 +13,16 @@ numbered in preorder, which growth, prediction, out-of-bag scoring and the
 model file (:mod:`.modelio`) all share.  No step recurses, so a tree may be
 as deep as its data makes it.
 
-The split search runs in the compiled kernel of :mod:`.splitkernel`, which
-returns bit for bit what the numpy :func:`_best_split` returns and releases
-the interpreter lock, so ``threads`` trees search in parallel.  Where the
-kernel cannot be built (no ``cc``, no writable cache), :func:`_best_split`
-itself searches; the model is the same either way.
+Each tree grows in one call to the compiled kernel of :mod:`.splitkernel`,
+which releases the interpreter lock, so ``threads`` trees grow in parallel.
+It grows bit for bit the tree that the numpy :func:`_grow_tree` and
+:func:`_best_split` grow.  Its split search orders each candidate column by
+the column's ranks, computed once per fit: a node of 64 rows or more reads
+them off the column's bag order, presorted once per tree, and a smaller
+node sorts its own.  Each worker thread allocates its scratch once per fit,
+about ``4 * n_rows * n_features`` bytes.  Where the kernel cannot be built
+(no ``cc``, no writable cache), :func:`_grow_tree` grows the trees in numpy;
+the model is the same either way.
 
 Determinism: tree ``i`` owns a private stream seeded from
 ``(config.seed, i)``; the bootstrap is drawn first, then each node consumes
@@ -33,10 +38,9 @@ are averaged over trees and normalised to sum to one.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -226,18 +230,16 @@ def _split(X, rows, feature, lo, hi, best, total_sum, total_sq):
     return feature, float(threshold), rows[go_left], rows[~go_left], parent_sse - float(best)
 
 
-def _kernel_search(kernel, Xc: np.ndarray, y: np.ndarray):
-    """A split search for one tree: :func:`_best_split` on the compiled kernel."""
-    searcher = splitkernel.Searcher(kernel, Xc, y)
-
-    def search(rows: np.ndarray, cand: np.ndarray):
-        found = searcher.search(rows, cand)
-        if found is None:
-            return None
-        j, _, best, lo, hi, total_sum, total_sq = found
-        return _split(Xc, rows, int(cand[j]), lo, hi, best, total_sum, total_sq)
-
-    return search
+def _draw_bag(n: int, config: ForestConfig, tree_seed: int):
+    """The tree's stream after its bootstrap draw, the bag and the out-of-bag rows."""
+    rng = PortableRng(tree_seed)
+    if config.bootstrap:
+        bag = np.asarray(rng.block_below(n, n))
+        oob = np.setdiff1d(np.arange(n), bag)
+    else:
+        bag = np.arange(n)
+        oob = np.empty(0, dtype=np.int64)
+    return rng, bag, oob
 
 
 def _grow_tree(
@@ -246,22 +248,15 @@ def _grow_tree(
     config: ForestConfig,
     mtry: int,
     tree_seed: int,
-    search: Callable,
 ) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow one tree; returns (tree, unnormalised importance, oob row indices).
 
-    ``search(rows, cand)`` finds a node's split as :func:`_best_split` does.
-    The stack pops a node's left child before its right, so nodes are
-    numbered, and the stream and importances consumed, in preorder.
+    This is the reference that the compiled grower matches bit for bit.  The
+    stack pops a node's left child before its right, so nodes are numbered,
+    and the stream and importances consumed, in preorder.
     """
     n, p = X.shape
-    rng = PortableRng(tree_seed)
-    if config.bootstrap:
-        bag = np.asarray(rng.block_below(n, n))
-        oob = np.setdiff1d(np.arange(n), bag)
-    else:
-        bag = np.arange(n)
-        oob = np.empty(0, dtype=np.int64)
+    rng, bag, oob = _draw_bag(n, config, tree_seed)
     all_features = np.arange(p)
     imp = np.zeros(p)
     feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
@@ -276,7 +271,7 @@ def _grow_tree(
         found = None
         if rows.size > config.min_leaf and ysub.min() != ysub.max():
             cand = all_features if mtry == p else rng.subset(p, mtry)
-            found = search(rows, cand)
+            found = _best_split(X, y, rows, cand)
         if found is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -327,13 +322,24 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     mtry = config.resolve_mtry(data.n_features)
 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
-    kernel = splitkernel.load()
-    # One column-major copy per fit, read by every tree's searcher.
-    Xc = None if kernel is None else np.asfortranarray(X)
+    library = splitkernel.load()
+    if library is None:
+        def build(tree_seed: int):
+            return _grow_tree(X, y, config, mtry, tree_seed)
+    else:
+        # The column ranks are computed once per fit and read by every tree;
+        # each worker thread makes one grower (with its scratch) for its trees.
+        X = np.ascontiguousarray(X)
+        ranks = splitkernel.column_ranks(library, X)
+        local = threading.local()
 
-    def build(tree_seed: int):
-        search = partial(_best_split, X, y) if kernel is None else _kernel_search(kernel, Xc, y)
-        return _grow_tree(X, y, config, mtry, tree_seed, search)
+        def build(tree_seed: int):
+            grower = getattr(local, "grower", None)
+            if grower is None:
+                grower = local.grower = splitkernel.Grower(library, X, ranks, y)
+            rng, bag, oob = _draw_bag(data.n_rows, config, tree_seed)
+            arrays, imp = grower.grow(bag, rng.state, mtry, config.min_leaf)
+            return Tree(*arrays), imp, oob
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

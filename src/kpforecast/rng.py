@@ -62,6 +62,11 @@ class PortableRng:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
+    @property
+    def state(self) -> int:
+        """The 64-bit state; the next draw continues from it."""
+        return self._state
+
     # -- raw 64-bit draws --------------------------------------------------
 
     def next_u64(self) -> int:

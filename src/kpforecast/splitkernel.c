@@ -1,39 +1,152 @@
-/* Exact CART split search at one node, bit for bit equal to the numpy
- * reference ``forest._best_split``.
+/* Exact CART tree growth, bit for bit equal to the numpy reference
+ * ``forest._grow_tree`` with ``forest._best_split``.
  *
- * For each candidate column, in ``cand`` order, the node's (x, y) pairs are
- * gathered from a column-major copy of X, stably merge-sorted by x, and
- * every position between two distinct x values is scored with the numpy
- * expression in the numpy operation order:
+ * ``kp_grow_tree`` grows one whole tree.  It walks the nodes with the same
+ * explicit stack as the reference (right child pushed first, so nodes are
+ * numbered in preorder), draws each node's candidate features from the
+ * same SplitMix64 stream, applies the same stop rules, and writes the six
+ * tree arrays and the importances.  A node's rows are held as ascending
+ * positions in the bootstrap bag: a stable partition keeps them ascending,
+ * which is the order the reference keeps its row lists in.
+ *
+ * The search compares x values by their dense rank in the column (equal
+ * values, 0.0 and -0.0 included, share a rank), which ``kp_rank_columns``
+ * computes once per fit, and reads x itself from the row-major X only for
+ * the threshold and the partition.  Per candidate column in ascending
+ * order, the node's (rank, bag position, y) triples are put in (rank,
+ * position) order: gathered and sorted (small nodes), or read off the
+ * column's presorted bag positions, filtered by node membership (nodes of
+ * at least PRESORT_MIN rows).  A column is presorted once per tree, the
+ * first time a large node needs it, by a counting sort of the bag
+ * positions on rank.  Ties keep bag-position order on both paths, which
+ * is what a stable sort of the node's rows by x gives, so every y sequence
+ * is the reference's.  Every position between two distinct x values is
+ * then scored with the numpy expression in the numpy operation order:
  *
  *     (lq - ls * ls / nl) + ((tq - lq) - (ts - ls) * (ts - ls) / nr)
  *
  * where ls and lq are the running sums of y and y * y, added one row at a
  * time as ``np.cumsum`` does, and ts and tq their totals over the node.
  * The first strict minimum wins: lowest candidate column, then lowest
- * position.  Build with -ffp-contract=off so that no multiply-add is fused.
+ * position.  A NaN score voids the node, as numpy's ``min`` does.  Build
+ * with -ffp-contract=off so that no multiply-add is fused.
  *
- * The function touches no Python object, so it runs with the interpreter
- * lock released; each caller passes its own ``pairs`` and ``tmp`` buffers
- * of at least ``m`` pairs (2 * m doubles) each.
+ * The functions touch no Python object, so they run with the interpreter
+ * lock released.  Each caller passes its own scratch of
+ * ``kp_scratch_bytes(rows, columns)`` bytes; the ranks are only read.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
+/* Nodes with at least this many rows filter presorted columns instead of
+ * sorting; 32 to 128 rows time alike on 700 to 1,400-row bags. */
+#define PRESORT_MIN 64
+#define RUN 16
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+#define MIX1 0xBF58476D1CE4E5B9ULL
+#define MIX2 0x94D049BB133111EBULL
+
+/* A sort key and its target; in a node, key = rank << 32 | bag position. */
 typedef struct {
-    double x;
+    uint64_t key;
     double y;
 } pair;
 
-#define RUN 16
+#define RANK(key) ((key) >> 32)
+#define POSITION(key) ((int64_t)((key) & 0xFFFFFFFFu))
+
+/* A node waiting on the stack: its bag positions pos[start..end) and the
+ * split whose right child it is, or -1. */
+typedef struct {
+    int64_t start, end, parent;
+} pending;
+
+/* Scratch carved from one caller-owned buffer; m0 bag rows, p columns. */
+typedef struct {
+    const double *x;      /* row-major X, n rows of p */
+    const int32_t *ranks; /* p columns of n: each row's dense rank */
+    int64_t n, p;
+    const int64_t *bag; /* bag position -> row of X */
+    int64_t m0;
+    double *yb;       /* y by bag position */
+    int32_t *presort; /* p columns of m0 bag positions, in stable x order */
+    uint8_t *sorted;  /* per column: presort filled for this tree */
+    uint8_t *member;  /* per bag position: in the node being searched */
+    int32_t *count;   /* n + 1: the counting sort's rank offsets */
+    pair *pairs;      /* m0 */
+    pair *tmp;        /* m0 */
+    double *ys;       /* m0: a leaf's targets in node order */
+    int32_t *pos;     /* m0: every node's positions, a segment per node */
+    int32_t *part;    /* m0: partition buffer */
+    pending *stack;   /* m0: at most one pending node per bag position */
+    uint64_t *keys;   /* p */
+    uint64_t *work;   /* p */
+    int64_t *cand;    /* p */
+} grower;
+
+static size_t align16(size_t size)
+{
+    return (size + 15) & ~(size_t)15;
+}
+
+/* Points g's buffers into the scratch at ``base``, for m0 bag rows of an
+ * n-row X with p columns, and returns the scratch's size in bytes. */
+static size_t carve(grower *g, uintptr_t base, int64_t n, int64_t p, int64_t m0)
+{
+    size_t at = 0;
+#define CARVE(field, count) \
+    (g->field = (void *)(base + at), at += align16(sizeof *g->field * (size_t)(count)))
+    CARVE(yb, m0);
+    CARVE(presort, m0 * p);
+    CARVE(sorted, p);
+    CARVE(member, m0);
+    CARVE(count, n + 1);
+    CARVE(pairs, m0);
+    CARVE(tmp, m0);
+    CARVE(ys, m0);
+    CARVE(pos, m0);
+    CARVE(part, m0);
+    CARVE(stack, m0);
+    CARVE(keys, p);
+    CARVE(work, p);
+    CARVE(cand, p);
+#undef CARVE
+    return at;
+}
+
+/* Scratch for bags of up to n rows of an n-row X with p columns. */
+int64_t kp_scratch_bytes(int64_t n, int64_t p)
+{
+    grower g;
+    return (int64_t)carve(&g, 0, n, p, n);
+}
+
+static void setup(grower *g, const double *x, const int32_t *ranks, int64_t n, int64_t p,
+                  const int64_t *bag, int64_t m0, void *scratch)
+{
+    g->x = x;
+    g->ranks = ranks;
+    g->n = n;
+    g->p = p;
+    g->bag = bag;
+    g->m0 = m0;
+    carve(g, (uintptr_t)scratch, n, p, m0);
+    memset(g->sorted, 0, p);
+    memset(g->member, 0, m0);
+}
+
+/* ---------------------------------------------------------------- sorting */
 
 static void insertion_sort(pair *a, int64_t m)
 {
     for (int64_t i = 1; i < m; i++) {
         pair v = a[i];
         int64_t j = i;
-        while (j > 0 && v.x < a[j - 1].x) {
+        while (j > 0 && v.key < a[j - 1].key) {
             a[j] = a[j - 1];
             j--;
         }
@@ -41,7 +154,7 @@ static void insertion_sort(pair *a, int64_t m)
     }
 }
 
-/* Stable sort of a[0..m) by x; returns whichever of a and tmp holds it. */
+/* Stable sort of a[0..m) by key; returns whichever of a and tmp holds it. */
 static pair *sort_pairs(pair *a, pair *tmp, int64_t m)
 {
     for (int64_t lo = 0; lo < m; lo += RUN)
@@ -53,7 +166,7 @@ static pair *sort_pairs(pair *a, pair *tmp, int64_t m)
             int64_t hi = lo + 2 * width < m ? lo + 2 * width : m;
             int64_t i = lo, j = mid, k = lo;
             while (i < mid && j < hi)
-                dst[k++] = src[j].x < src[i].x ? src[j++] : src[i++];
+                dst[k++] = src[j].key < src[i].key ? src[j++] : src[i++];
             while (i < mid)
                 dst[k++] = src[i++];
             while (j < hi)
@@ -66,30 +179,103 @@ static pair *sort_pairs(pair *a, pair *tmp, int64_t m)
     return src;
 }
 
-/* Returns the index into ``cand`` of the winning column, or -1 when no
- * candidate separates the rows (or the best score is not finite).  On a
- * win, ``*pos_out`` is the sorted position of the last row that goes left
- * and ``out`` holds the best score, the x values at ``pos`` and ``pos + 1``,
- * and the winning column's total sum and sum of squares of y. */
-int64_t kp_best_split(const double *xc, int64_t n, const double *y,
-                      const int64_t *rows, int64_t m,
-                      const int64_t *cand, int64_t k,
-                      double *pairs, double *tmp,
-                      int64_t *pos_out, double *out)
+/* Each column's dense ranks of the finite row-major X: rank r holds the
+ * rows with the (r+1)-th smallest distinct value, and values that compare
+ * equal (0.0 and -0.0) share a rank.  ``pairs`` holds 2 * n pairs. */
+void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t *ranks)
+{
+    pair *a = pairs;
+    for (int64_t f = 0; f < p; f++) {
+        for (int64_t i = 0; i < n; i++) {
+            const double v = x[i * p + f] + 0.0; /* -0.0 + 0.0 is 0.0 */
+            uint64_t bits;
+            memcpy(&bits, &v, sizeof bits);
+            /* unsigned order of these keys is the order of the doubles */
+            a[i].key = bits >> 63 ? ~bits : bits | 1ULL << 63;
+            a[i].y = (double)i; /* exact: n < 2**31 */
+        }
+        const pair *s = sort_pairs(a, a + n, n);
+        int32_t *rank = ranks + f * n, r = 0;
+        for (int64_t i = 0; i < n; i++) {
+            r += i > 0 && s[i].key != s[i - 1].key;
+            rank[(int64_t)s[i].y] = r;
+        }
+    }
+}
+
+/* Column f's bag positions in stable x order: ties keep position order.
+ * A counting sort on rank visits the positions in ascending order. */
+static const int32_t *presorted(grower *g, int64_t f)
+{
+    int32_t *order = g->presort + f * g->m0;
+    if (!g->sorted[f]) {
+        const int32_t *rank = g->ranks + f * g->n;
+        int32_t *count = g->count;
+        memset(count, 0, sizeof(int32_t) * (g->n + 1));
+        for (int64_t i = 0; i < g->m0; i++)
+            count[rank[g->bag[i]] + 1]++;
+        for (int64_t r = 1; r < g->n; r++)
+            count[r] += count[r - 1];
+        for (int64_t i = 0; i < g->m0; i++)
+            order[count[rank[g->bag[i]]]++] = (int32_t)i;
+        g->sorted[f] = 1;
+    }
+    return order;
+}
+
+/* --------------------------------------------------------------- searching */
+
+/* The node's pairs of column f in (rank, bag position) order. */
+static const pair *column_pairs(grower *g, int64_t f, const int32_t *pos, int64_t m)
+{
+    const int32_t *rank = g->ranks + f * g->n;
+    pair *p = g->pairs;
+    if (m < PRESORT_MIN) {
+        for (int64_t i = 0; i < m; i++) {
+            p[i].key = (uint64_t)rank[g->bag[pos[i]]] << 32 | (uint64_t)pos[i];
+            p[i].y = g->yb[pos[i]];
+        }
+        return sort_pairs(p, g->tmp, m);
+    }
+    const int32_t *order = presorted(g, f);
+    int64_t k = 0;
+    for (int64_t i = 0; i < g->m0; i++) {
+        const int32_t at = order[i];
+        if (g->member[at]) {
+            p[k].key = (uint64_t)rank[g->bag[at]] << 32 | (uint64_t)at;
+            p[k].y = g->yb[at];
+            k++;
+        }
+    }
+    return p;
+}
+
+/* x of column f at bag position ``at``. */
+static double x_at(const grower *g, int64_t f, int64_t at)
+{
+    return g->x[g->bag[at] * g->p + f];
+}
+
+/* Searches the m rows at ascending bag positions ``pos`` over the k
+ * ascending columns ``cand``.  Returns the index into ``cand`` of the
+ * winning column, or -1 when no candidate separates the rows (or the best
+ * score is not finite).  On a win ``out`` holds the best score, the x
+ * values either side of the cut, and the winning column's total sum and
+ * sum of squares of y. */
+static int64_t best_split(grower *g, const int32_t *pos, int64_t m,
+                          const int64_t *cand, int64_t k, double *out)
 {
     double best = INFINITY;
-    int64_t best_j = -1, best_pos = -1;
+    int64_t best_j = -1;
     int nan_seen = 0;
     const double nm = (double)m;
 
+    if (m >= PRESORT_MIN)
+        for (int64_t i = 0; i < m; i++)
+            g->member[pos[i]] = 1;
     for (int64_t j = 0; j < k; j++) {
-        const double *col = xc + cand[j] * n;
-        pair *p = (pair *)pairs;
-        for (int64_t i = 0; i < m; i++) {
-            p[i].x = col[rows[i]];
-            p[i].y = y[rows[i]];
-        }
-        p = sort_pairs(p, (pair *)tmp, m);
+        const int64_t f = cand[j];
+        const pair *p = column_pairs(g, f, pos, m);
 
         double ts = p[0].y, tq = p[0].y * p[0].y;
         for (int64_t i = 1; i < m; i++) {
@@ -97,17 +283,17 @@ int64_t kp_best_split(const double *xc, int64_t n, const double *y,
             tq = tq + p[i].y * p[i].y;
         }
 
+        int64_t cut = -1;
         double ls = p[0].y, lq = p[0].y * p[0].y;
         for (int64_t i = 0; i < m - 1; i++) {
-            if (p[i + 1].x != p[i].x) {
+            if (RANK(p[i + 1].key) != RANK(p[i].key)) {
                 const double nl = (double)(i + 1);
                 const double nr = nm - nl;
                 const double rs = ts - ls;
                 const double score = (lq - ls * ls / nl) + ((tq - lq) - rs * rs / nr);
                 if (score < best) {
                     best = score;
-                    best_j = j;
-                    best_pos = i;
+                    cut = i;
                 } else if (score != score) {
                     nan_seen = 1;
                 }
@@ -115,16 +301,208 @@ int64_t kp_best_split(const double *xc, int64_t n, const double *y,
             ls = ls + p[i + 1].y;
             lq = lq + p[i + 1].y * p[i + 1].y;
         }
-        if (best_j == j) {
-            out[1] = p[best_pos].x;
-            out[2] = p[best_pos + 1].x;
+        if (cut >= 0) {
+            best_j = j;
+            out[0] = best;
+            out[1] = x_at(g, f, POSITION(p[cut].key));
+            out[2] = x_at(g, f, POSITION(p[cut + 1].key));
             out[3] = ts;
             out[4] = tq;
         }
     }
+    if (m >= PRESORT_MIN)
+        for (int64_t i = 0; i < m; i++)
+            g->member[pos[i]] = 0;
     if (best_j < 0 || nan_seen || !isfinite(best))
         return -1;
-    *pos_out = best_pos;
-    out[0] = best;
     return best_j;
+}
+
+/* The node-level search on its own: ``rows`` (m rows of X, repeats
+ * allowed) act as the bag, and every bag position is in the node. */
+int64_t kp_best_split(const double *x, const int32_t *ranks, int64_t n, int64_t p,
+                      const double *y, const int64_t *rows, int64_t m,
+                      const int64_t *cand, int64_t k,
+                      void *scratch, double *out)
+{
+    grower g;
+    setup(&g, x, ranks, n, p, rows, m, scratch);
+    for (int64_t i = 0; i < m; i++) {
+        g.yb[i] = y[rows[i]];
+        g.pos[i] = (int32_t)i;
+    }
+    return best_split(&g, g.pos, m, cand, k, out);
+}
+
+/* ----------------------------------------------------------------- drawing */
+
+static uint64_t next_u64(uint64_t *state)
+{
+    uint64_t z = *state += GOLDEN;
+    z = (z ^ (z >> 30)) * MIX1;
+    z = (z ^ (z >> 27)) * MIX2;
+    return z ^ (z >> 31);
+}
+
+/* The k-th smallest (0-based) of a[0..n), reordering a. */
+static uint64_t kth_smallest(uint64_t *a, int64_t n, int64_t k)
+{
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        const uint64_t pivot = a[lo + (hi - lo) / 2];
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot)
+                i++;
+            while (a[j] > pivot)
+                j--;
+            if (i <= j) {
+                uint64_t t = a[i];
+                a[i++] = a[j];
+                a[j--] = t;
+            }
+        }
+        if (k <= j)
+            hi = j;
+        else if (k >= i)
+            lo = i;
+        else
+            break;
+    }
+    return a[k];
+}
+
+/* The indices of the k smallest of p keys, ascending; of equal keys the
+ * lower indices are kept, as a stable argsort keeps them.  ``work`` holds
+ * p keys of scratch.  This is ``rng.PortableRng.subset`` after its draw. */
+void kp_smallest_keys(const uint64_t *keys, int64_t p, int64_t k,
+                      uint64_t *work, int64_t *out)
+{
+    if (k <= 0)
+        return;
+    memcpy(work, keys, sizeof(uint64_t) * p);
+    const uint64_t last = kth_smallest(work, p, k - 1);
+    int64_t ties = k;
+    for (int64_t i = 0; i < p; i++)
+        ties -= keys[i] < last;
+    int64_t j = 0;
+    for (int64_t i = 0; i < p; i++)
+        if (keys[i] < last || (keys[i] == last && ties-- > 0))
+            out[j++] = i;
+}
+
+/* ----------------------------------------------------------------- growing */
+
+/* numpy's pairwise sum (``np.add.reduce`` on a contiguous float64 array):
+ * eight accumulators up to 128 values, halves cut at a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Grows one tree on the n rows of ``bag`` (a row of X per bag position;
+ * its length is X's row count).  ``state`` is the tree's SplitMix64 state
+ * after the bag was drawn.  Writes each node's six arrays in preorder,
+ * adds each split's importance to ``imp`` (p zeros on entry) and returns
+ * the node count, at most 2 * n - 1. */
+int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p,
+                     const double *y, const int64_t *bag, uint64_t state,
+                     int64_t mtry, int64_t min_leaf, void *scratch,
+                     int64_t *feature, double *threshold, int64_t *left, int64_t *right,
+                     double *value, int64_t *n_samples, double *imp)
+{
+    grower g;
+    setup(&g, x, ranks, n, p, bag, n, scratch);
+    for (int64_t i = 0; i < n; i++) {
+        g.yb[i] = y[bag[i]];
+        g.pos[i] = (int32_t)i;
+    }
+    for (int64_t f = 0; f < p; f++)
+        g.cand[f] = f;
+
+    int64_t nodes = 0, top = 0;
+    g.stack[top++] = (pending){0, n, -1};
+    while (top > 0) {
+        const pending at = g.stack[--top];
+        int32_t *pos = g.pos + at.start;
+        const int64_t m = at.end - at.start;
+        const int64_t node = nodes++;
+        if (at.parent >= 0)
+            right[at.parent] = node;
+
+        int64_t j = -1;
+        double out[5];
+        int varies = 0;
+        for (int64_t i = 1; i < m && !varies; i++)
+            varies = g.yb[pos[i]] != g.yb[pos[0]];
+        if (m > min_leaf && varies) {
+            if (mtry < p) {
+                for (int64_t f = 0; f < p; f++)
+                    g.keys[f] = next_u64(&state);
+                kp_smallest_keys(g.keys, p, mtry, g.work, g.cand);
+            }
+            j = best_split(&g, pos, m, g.cand, mtry, out);
+        }
+        if (j < 0) {
+            for (int64_t i = 0; i < m; i++)
+                g.ys[i] = g.yb[pos[i]];
+            feature[node] = -1;
+            threshold[node] = 0.0;
+            left[node] = -1;
+            right[node] = -1;
+            /* numpy's mean: the pairwise sum added to the reduction's 0.0 */
+            value[node] = (0.0 + pairwise_sum(g.ys, m)) / (double)m;
+            n_samples[node] = m;
+            continue;
+        }
+
+        const int64_t f = g.cand[j];
+        const double lo = out[1], hi = out[2];
+        double t = (lo + hi) / 2.0;
+        if (t == hi) /* midpoint rounded up to hi: keep the right side non-empty */
+            t = lo;
+        const double parent_sse = out[4] - out[3] * out[3] / (double)m;
+        imp[f] += (parent_sse - out[0]) / (double)n;
+        feature[node] = f;
+        threshold[node] = t;
+        left[node] = node + 1;
+        right[node] = -1; /* set when the right child is numbered */
+        value[node] = 0.0;
+        n_samples[node] = 0;
+
+        /* Stable partition: x <= t to the left, both sides stay ascending. */
+        int64_t nl = 0, nr = 0;
+        for (int64_t i = 0; i < m; i++) {
+            if (x_at(&g, f, pos[i]) <= t)
+                pos[nl++] = pos[i];
+            else
+                g.part[nr++] = pos[i];
+        }
+        memcpy(pos + nl, g.part, sizeof(int32_t) * nr);
+
+        g.stack[top++] = (pending){at.start + nl, at.end, node};
+        g.stack[top++] = (pending){at.start, at.start + nl, -1};
+    }
+    return nodes;
 }

@@ -1,8 +1,8 @@
-"""The compiled split search: build, cache and call ``splitkernel.c``.
+"""The compiled tree grower: build, cache and call ``splitkernel.c``.
 
-The kernel returns exactly what the numpy ``forest._best_split`` computes
-(see the C source for how), and ``ctypes`` releases the interpreter lock for
-the call, so trees grown on a thread pool search their splits in parallel.
+The kernel grows a whole tree exactly as the numpy ``forest._grow_tree``
+grows it (see the C source for how), and ``ctypes`` releases the interpreter
+lock for the call, so trees grown on a thread pool grow in parallel.
 
 :func:`load` compiles the source with the system ``cc`` the first time a
 process needs it and caches the library in this package's ``__pycache__``,
@@ -10,7 +10,7 @@ keyed by the sha256 of the source and compiler flags and by the
 interpreter's cache tag.  Each build writes a temporary file and renames it
 into place, so concurrent first builds leave one complete library.  When no
 ``cc`` exists, the cache directory is not writable or the build fails,
-:func:`load` returns None and the forest uses the numpy search instead.
+:func:`load` returns None and the forest grows its trees in numpy instead.
 """
 
 from __future__ import annotations
@@ -27,16 +27,29 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 # Never -ffast-math, -march=native or FMA: the scores must round as numpy's do.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,  # xc, n, y
-    ctypes.c_void_p, ctypes.c_int64,  # rows, m
-    ctypes.c_void_p, ctypes.c_int64,  # cand, k
-    ctypes.c_void_p, ctypes.c_void_p,  # pairs, tmp
-    ctypes.c_void_p, ctypes.c_void_p,  # pos_out, out
-]
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+# fit calls kp_rank_columns and kp_grow_tree; kp_best_split (one node) and
+# kp_smallest_keys (one subset draw) are there for the differential tests.
+_SIGNATURES = {
+    "kp_scratch_bytes": (_I64, [_I64, _I64]),  # rows, columns
+    "kp_rank_columns": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # x, n, p, pairs, ranks
+    "kp_grow_tree": (_I64, [
+        _PTR, _PTR, _I64, _I64, _PTR,  # x, ranks, n, p, y
+        _PTR, ctypes.c_uint64, _I64, _I64,  # bag, state, mtry, min_leaf
+        _PTR,  # scratch
+        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,  # the six tree arrays
+        _PTR,  # imp
+    ]),
+    "kp_best_split": (_I64, [
+        _PTR, _PTR, _I64, _I64, _PTR,  # x, ranks, n, p, y
+        _PTR, _I64, _PTR, _I64,  # rows, m, cand, k
+        _PTR, _PTR,  # scratch, out
+    ]),
+    "kp_smallest_keys": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # keys, p, k, work, out
+}
 
-#: (index into cand, sorted position, best score, lo, hi, total sum, total sum of squares)
-KernelSplit = tuple[int, int, float, float, float, float, float]
+#: (index into cand, best score, lo, hi, total sum, total sum of squares)
+KernelSplit = tuple[int, float, float, float, float, float]
 
 
 def library_path(source: bytes) -> Path:
@@ -68,7 +81,7 @@ def _build(cc: str, source: Path, target: Path) -> None:
 
 
 def load():
-    """The kernel's C function, built on first use; None when it cannot be built or loaded."""
+    """The kernel's library, built on first use; None when it cannot be built or loaded."""
     import shutil
 
     try:
@@ -78,48 +91,95 @@ def load():
             if cc is None:
                 return None
             _build(cc, SOURCE, path)
-        function = ctypes.CDLL(str(path)).kp_best_split
+        library = ctypes.CDLL(str(path))
     except OSError:
         return None
-    function.argtypes = _ARGTYPES
-    function.restype = ctypes.c_int64
-    return function
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        function = getattr(library, name)
+        function.restype = restype
+        function.argtypes = argtypes
+    return library
 
 
-class Searcher:
-    """The kernel over one column-major matrix, with its own scratch buffers.
+def _check_matrix(x: np.ndarray) -> None:
+    if x.dtype != np.float64 or x.ndim != 2 or not x.flags.c_contiguous:
+        raise ValueError("x must be a row-major 2-D float64 array")
+    n, p = x.shape
+    if not 1 <= n < 2**31 or p < 1:
+        raise ValueError(f"x must have 1 to 2**31 - 1 rows and a column, got {x.shape}")
 
-    ``search(rows, cand)`` expects every row index below ``xc.shape[0]`` and
-    every candidate column below ``xc.shape[1]``.  It returns a
-    :data:`KernelSplit`, or None when no candidate separates the rows.  The
-    instance holds every array whose address it passes, so they outlive the
-    call; one instance serves one thread at a time.
+
+def column_ranks(library, x: np.ndarray) -> np.ndarray:
+    """Each column's dense ranks, one row of the result per column of ``x``.
+
+    ``x`` must be finite.  Rows whose values compare equal (0.0 and -0.0
+    too) share a rank, and the smallest value has rank 0.  A grower orders
+    a column's rows by rank, and presorts a column by counting sort on it.
+    """
+    _check_matrix(x)
+    n, p = x.shape
+    ranks = np.empty((p, n), dtype=np.int32)
+    pairs = np.empty(4 * n)
+    library.kp_rank_columns(x.ctypes.data, n, p, pairs.ctypes.data, ranks.ctypes.data)
+    return ranks
+
+
+#: The six tree arrays, in ``kp_grow_tree``'s argument order.
+_TREE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
+
+
+class Grower:
+    """The kernel over one matrix and its ranks, with its own scratch.
+
+    ``grow`` grows one tree; ``best_split`` searches one node on its own,
+    as the numpy ``forest._best_split`` does.  The instance holds every
+    array whose address it passes, so they outlive the call; one instance
+    serves one thread at a time.
     """
 
-    def __init__(self, kernel, xc: np.ndarray, y: np.ndarray) -> None:
-        if xc.dtype != np.float64 or xc.ndim != 2 or not xc.flags.f_contiguous:
-            raise ValueError("xc must be a column-major 2-D float64 array")
-        self.n = n = xc.shape[0]
-        self.xc = xc
+    def __init__(self, library, x: np.ndarray, ranks: np.ndarray, y: np.ndarray) -> None:
+        _check_matrix(x)
+        self.n, self.p = n, p = x.shape
+        if (ranks.dtype != np.int32 or ranks.shape != (p, n) or not ranks.flags.c_contiguous
+                or ranks.min() < 0 or ranks.max() >= n):
+            raise ValueError("ranks must be column_ranks(library, x)")
+        self.x = x
+        self.ranks = ranks
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         if self.y.shape != (n,):
-            raise ValueError("y must hold one target per row of xc")
-        self.kernel = kernel
-        self.pairs = np.empty(2 * n)
-        self.tmp = np.empty(2 * n)
-        self.pos = np.empty(1, dtype=np.int64)
+            raise ValueError("y must hold one target per row of x")
+        self.library = library
+        self.scratch = np.empty(library.kp_scratch_bytes(n, p), dtype=np.uint8)
+        self.nodes = tuple(np.empty(2 * n - 1, dtype=dtype) for dtype in _TREE_DTYPES)
         self.out = np.empty(5)
-        self.fixed = (xc.ctypes.data, n, self.y.ctypes.data)
-        self.scratch = (self.pairs.ctypes.data, self.tmp.ctypes.data,
-                        self.pos.ctypes.data, self.out.ctypes.data)
+        self.fixed = (x.ctypes.data, ranks.ctypes.data, n, p, self.y.ctypes.data)
 
-    def search(self, rows: np.ndarray, cand: np.ndarray) -> KernelSplit | None:
+    def grow(self, bag: np.ndarray, state: int, mtry: int, min_leaf: int):
+        """One tree on the rows of ``bag`` (one per row of x), drawing from
+        the SplitMix64 ``state``: its six arrays and its unnormalised importances."""
+        bag = np.ascontiguousarray(bag, dtype=np.int64)
+        if bag.shape != (self.n,) or bag.min() < 0 or bag.max() >= self.n:
+            raise ValueError(f"a bag holds {self.n} rows of x")
+        if not 1 <= mtry <= self.p or min_leaf < 1:
+            raise ValueError(f"need 1 <= mtry <= {self.p} and min_leaf >= 1")
+        imp = np.zeros(self.p)
+        count = self.library.kp_grow_tree(
+            *self.fixed, bag.ctypes.data, state, mtry, min_leaf, self.scratch.ctypes.data,
+            *(array.ctypes.data for array in self.nodes), imp.ctypes.data)
+        return tuple(array[:count] for array in self.nodes), imp
+
+    def best_split(self, rows: np.ndarray, cand: np.ndarray) -> KernelSplit | None:
+        """The best split of the node ``rows`` (repeats allowed) over the
+        ascending columns ``cand``; None when no candidate separates the rows."""
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         cand = np.ascontiguousarray(cand, dtype=np.int64)
-        if not 1 <= rows.size <= self.n:
-            raise ValueError(f"a node holds 1 to {self.n} rows, got {rows.size}")
-        j = self.kernel(*self.fixed, rows.ctypes.data, rows.size,
-                        cand.ctypes.data, cand.size, *self.scratch)
+        if not 1 <= rows.size <= self.n or rows.min() < 0 or rows.max() >= self.n:
+            raise ValueError(f"a node holds 1 to {self.n} rows of x")
+        if cand.ndim != 1 or not 1 <= cand.size <= self.p or cand.min() < 0 or cand.max() >= self.p:
+            raise ValueError(f"candidates are 1 to {self.p} columns of x")
+        j = self.library.kp_best_split(*self.fixed, rows.ctypes.data, rows.size,
+                                       cand.ctypes.data, cand.size,
+                                       self.scratch.ctypes.data, self.out.ctypes.data)
         if j < 0:
             return None
-        return (int(j), int(self.pos[0]), *self.out.tolist())
+        return (int(j), *self.out.tolist())

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpforecast import cli
 from kpforecast.cli import main
@@ -219,7 +225,8 @@ def test_data_errors_exit_2(sources, tmp_path, capsys):
     assert main(["fuse", "--solar-wind", str(sources["solar"]),
                  "--dst", str(corrupt), "--kp", str(sources["kp"]),
                  "--out", str(tmp_path / "o.csv")]) == 2
-    assert "line 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 1" in err and "corrupt.csv" in err
     # malformed fused dataset
     broken = tmp_path / "broken.csv"
     broken.write_text("bogus header\n")
@@ -332,3 +339,124 @@ def test_console_script_is_installed():
     )
     assert result.returncode == 0
     assert "synth" in result.stdout and "compare" in result.stdout
+
+
+# -- fuzzing main() over file flags and config files -------------------------
+
+FILE_FLAGS = ("--solar-wind", "--dst", "--kp", "--data", "--model", "--config", "--out")
+FAULTS = ("missing", "directory", "non-UTF-8", "empty", "truncated")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid file for every file flag, shared by the fuzz examples."""
+    root = tmp_path_factory.mktemp("valid")
+    files = {"src": root / "src", "data": root / "data.csv", "forest": root / "forest.json",
+             "linear": root / "linear.json", "config": root / "comments.conf"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "4", "--days", "4", "--out", str(files["src"])]) == 0
+        assert main(["fuse", *_sources(files), *SMALL_LAGS, "--out", str(files["data"])]) == 0
+        assert main(["train", "--data", str(files["data"]), "--trees", "2", "--threads", "1",
+                     "--out", str(files["forest"])]) == 0
+        assert main(["train", "--data", str(files["data"]), "--model-kind", "linear",
+                     "--out", str(files["linear"])]) == 0
+    files["config"].write_text("# nothing to set\n")
+    for command in cli._COMMANDS:  # each fuzz example starts from a command that works
+        assert _run(_argv(command, files, root / "ok" / command)) == (0, "")
+    return files
+
+
+def _sources(files):
+    src = files["src"]
+    return ["--solar-wind", str(src / "solar_wind.csv"), "--dst", str(src / "dst.csv"),
+            "--kp", str(src / "kp.csv")]
+
+
+def _argv(command, files, out):
+    """A valid command line for ``command`` that writes to ``out``."""
+    experiment = [*_sources(files), *SMALL_LAGS, "--trees", "2", "--threads", "1",
+                  "--cutoff", "2021-01-03T00:00Z"]
+    data, model = str(files["data"]), str(files["forest"])
+    argv = {
+        "synth": ["synth", "--days", "2"],
+        "fuse": ["fuse", *_sources(files), *SMALL_LAGS],
+        "train": ["train", "--data", data, "--trees", "2", "--threads", "1"],
+        "predict": ["predict", "--model", model, "--data", data],
+        "importance": ["importance", "--model", model],
+        "evaluate": ["evaluate", *experiment],
+        "compare": ["compare", *experiment, "--ks", "4,2"],
+        "pca": ["pca", "--data", data],
+    }[command]
+    return [*argv, "--config", str(files["config"]), "--out", str(out)]
+
+
+def _run(argv):
+    """Exit code and stderr of ``main(argv)``; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _faulty_file(fault, valid: Path | None, where: Path, data):
+    """A path holding ``fault``; ``valid`` is the flag's valid file or directory."""
+    content = valid.read_bytes() if valid is not None and valid.is_file() else b"a = 1\n"
+    path = where / "faulty"
+    if fault == "missing":
+        return where / "no" / "such" / "file"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "non-UTF-8":
+        cut = data.draw(st.integers(0, len(content)), label="cut")
+        path.write_bytes(content[:cut] + b"\xff" + content[cut:])
+    elif fault == "empty":
+        path.write_bytes(b"")
+    else:
+        path.write_bytes(content[:data.draw(st.integers(0, max(len(content) - 1, 0)), label="cut")])
+    return path
+
+
+@settings(max_examples=160)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), fault=st.sampled_from(FAULTS),
+       data=st.data())
+def test_a_faulty_file_flag_never_ends_in_a_traceback(valid_files, tmp_path_factory,
+                                                      command, fault, data):
+    where = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    argv = _argv(command, valid_files, where / "out" / "result")
+    flags = [i for i, arg in enumerate(argv) if arg in FILE_FLAGS]
+    at = data.draw(st.sampled_from(flags), label="flag") + 1
+    valid = None if argv[at - 1] == "--out" else Path(argv[at])
+    argv[at] = str(_faulty_file(fault, valid, where, data))
+    code, err = _run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if valid is not None and fault in ("directory", "non-UTF-8"):
+        assert code == 2 and err.startswith(f"error: {argv[at]}: ")
+        assert err.count("\n") == 1
+    if valid is not None and fault == "missing":
+        assert code == 2 and err == f"error: cannot read {argv[at]}: no such file\n"
+
+
+def _config_lines(command):
+    keys = sorted(cli._COMMANDS[command][1])
+    # small values only: a config may raise --trees, --days or --threads
+    values = st.sampled_from(["abc", "", "-1", "0", "1", "3", "1.5", "true", "default", "all",
+                              "2,1", "2021-13-01T00:00Z", "2021-01-02T00:00Z"])
+    return st.lists(st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(keys), values),  # a bad or odd value
+        st.builds("{} = {}".format, st.sampled_from(["no_such_key", "x-y", "=", " "]), values),
+        st.sampled_from(["just some words", "key value", "# a comment", "", "   # indented"]),
+    ), max_size=4)
+
+
+@settings(max_examples=120)
+@given(command=st.sampled_from(["synth", "fuse", "train", "evaluate", "compare"]),
+       data=st.data())
+def test_any_config_file_exits_0_1_or_2(valid_files, tmp_path_factory, command, data):
+    where = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    lines = data.draw(_config_lines(command), label="config")
+    config = where / "fuzz.conf"
+    config.write_text("".join(line + "\n" for line in lines))
+    argv = _argv(command, valid_files, where / "result")
+    argv[argv.index("--config") + 1] = str(config)
+    code, err = _run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err

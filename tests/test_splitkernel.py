@@ -1,10 +1,13 @@
-"""The compiled split kernel: bit-for-bit equal to the numpy search, and built safely."""
+"""The compiled grower: bit-for-bit equal to the numpy grower, and built safely."""
 
 from __future__ import annotations
 
 import math
 import shutil
+import subprocess
 import threading
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from kpforecast import datagen, forest, modelio, splitkernel
 from kpforecast.forest import ForestConfig, fit
 from kpforecast.fusion import fuse
+from kpforecast.rng import PortableRng
 
 from conftest import make_dataset
 
@@ -28,6 +32,16 @@ def kernel():
     return found
 
 
+def _compiled_split(kernel, X, y, rows, cand):
+    """The node-level kernel's split, in :func:`forest._best_split`'s form."""
+    X = np.ascontiguousarray(X)
+    found = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y).best_split(rows, cand)
+    if found is None:
+        return None
+    j, best, lo, hi, total_sum, total_sq = found
+    return forest._split(X, rows, int(cand[j]), lo, hi, best, total_sum, total_sq)
+
+
 def _bits(found):
     """A split as comparable bits: -0.0 and 0.0 differ, NaN equals itself."""
     if found is None:
@@ -40,15 +54,14 @@ _CONSTANTS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300])
 
 
 @st.composite
-def nodes(draw):
-    """(X, y, rows, cand) of one node; rows may repeat, as a bootstrap's do.
+def _matrices(draw, n):
+    """(X, y, a generator for more draws) with n rows.
 
     Columns hold few values (so ties, equal neighbours and signed zeros are
     common), distinct values or one constant.  Targets are Kp-like thirds
     with signed zeros, generic reals whose sums round differently in another
     order, or include values whose squares overflow (inf and NaN scores).
     """
-    n = draw(st.integers(2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["ties", "distinct", "constant"]), min_size=1, max_size=5)):
@@ -67,6 +80,17 @@ def nodes(draw):
         y = rng.uniform(0.0, 9.0, n)
         if kind == "overflow":
             y[rng.random(n) < 0.2] = rng.choice([1e154, 1e155, -1e200])
+    return X, y, rng
+
+
+@st.composite
+def nodes(draw):
+    """(X, y, rows, cand) of one node; rows may repeat, as a bootstrap's do.
+
+    Nodes of 64 rows or more search presorted columns, smaller ones sort.
+    """
+    n = draw(st.integers(2, 150))
+    X, y, rng = draw(_matrices(n))
     m = draw(st.one_of(st.just(2), st.integers(2, n)))
     rows = rng.integers(0, n, m) if draw(st.booleans()) else np.sort(rng.choice(n, m, replace=False))
     cand = np.array(sorted(draw(st.sets(st.integers(0, X.shape[1] - 1), min_size=1))), dtype=np.int64)
@@ -95,8 +119,91 @@ def test_kernel_split_equals_numpy_split_bit_for_bit(kernel, node):
     X, y, rows, cand = node
     with np.errstate(all="ignore"):
         expected = forest._best_split(X, y, rows, cand)
-        got = forest._kernel_search(kernel, np.asfortranarray(X), y)(rows, cand)
+        got = _compiled_split(kernel, X, y, rows, cand)
     assert _bits(got) == _bits(expected)
+
+
+def _forest_bits(model):
+    """Every tree array, the importances and the OOB error, as bytes."""
+    arrays = [getattr(tree, name).tobytes() for tree in model.trees for name, _ in forest._TREE_ARRAYS]
+    oob = None if model.oob_mse is None else np.float64(model.oob_mse).tobytes()
+    return arrays, model.importances.tobytes(), oob
+
+
+@st.composite
+def fits(draw):
+    """(data, config): enough rows that nodes of 64 and more are presorted.
+
+    The data is duck-typed, not a ``FusedDataset``, so that targets may
+    leave [0, 9] and overflow when summed.
+    """
+    n = draw(st.integers(64, 260))
+    X, y, _ = draw(_matrices(n))
+    p = X.shape[1]
+    data = SimpleNamespace(rows=X, targets=y, n_rows=n, n_features=p,
+                           feature_names=tuple(f"x{i}" for i in range(p)))
+    config = ForestConfig(n_trees=2, mtry=draw(st.integers(1, p)), min_leaf=draw(st.integers(1, 6)),
+                          seed=draw(st.integers(0, 2**64 - 1)), bootstrap=draw(st.booleans()))
+    return data, config
+
+
+@settings(max_examples=150)
+@given(fits())
+def test_compiled_fit_equals_numpy_fit_bit_for_bit(kernel, fit_case):
+    data, config = fit_case
+    with np.errstate(all="ignore"):
+        compiled = fit(data, config)
+        with mock.patch.object(splitkernel, "load", lambda: None):
+            reference = fit(data, config)
+    assert _forest_bits(compiled) == _forest_bits(reference)
+
+
+@st.composite
+def _keys(draw):
+    p = draw(st.integers(1, 60))
+    if draw(st.booleans()):  # few distinct keys, so ties are common
+        keys = draw(st.lists(st.sampled_from([0, 1, 7, 2**63, 2**64 - 1]), min_size=p, max_size=p))
+    else:
+        keys = PortableRng(draw(st.integers(0, 2**64 - 1))).block_u64(p).tolist()
+    return np.array(keys, dtype=np.uint64), draw(st.integers(0, p))
+
+
+@settings(max_examples=300)
+@given(_keys())
+def test_kernel_subset_keeps_the_lowest_index_of_tied_keys(kernel, case):
+    keys, k = case
+    expected = np.sort(np.argsort(keys, kind="stable")[:k])  # PortableRng.subset after its draw
+    work, got = np.empty_like(keys), np.full(k, -1, dtype=np.int64)
+    kernel.kp_smallest_keys(keys.ctypes.data, keys.size, k, work.ctypes.data, got.ctypes.data)
+    assert got.tolist() == expected.tolist()
+
+
+def test_each_worker_thread_reuses_one_grower(kernel, monkeypatch):
+    data = _synthetic(days=8)
+    config = ForestConfig(n_trees=6, seed=4)
+    expected = _forest_bits(fit(data, config))
+    made = []
+
+    class Counted(splitkernel.Grower):
+        def __init__(self, *args):
+            made.append(threading.get_ident())
+            super().__init__(*args)
+
+    monkeypatch.setattr(splitkernel, "Grower", Counted)
+    for threads in (1, 4):
+        made.clear()
+        assert _forest_bits(fit(data, config, threads=threads)) == expected
+        assert 1 <= len(made) <= threads and len(set(made)) == len(made)
+
+
+@needs_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        ["cc", *splitkernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(splitkernel.SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _synthetic(days=30):
@@ -121,10 +228,11 @@ def test_model_json_is_byte_identical_on_both_paths(kernel, name, monkeypatch):
 
 @needs_cc
 def test_split_kernel_is_built_where_a_compiler_exists(monkeypatch):
-    def numpy_search(*args):
-        raise AssertionError("fit fell back to the numpy split search")
+    def numpy_grower(*args):
+        raise AssertionError("fit fell back to the numpy grower")
 
-    monkeypatch.setattr(forest, "_best_split", numpy_search)
+    monkeypatch.setattr(forest, "_grow_tree", numpy_grower)
+    monkeypatch.setattr(forest, "_best_split", numpy_grower)
     model = fit(make_dataset([[0.0], [1.0], [10.0], [11.0]], [0.0, 0.0, 5.0, 5.0]),
                 ForestConfig(n_trees=2, min_leaf=1, seed=1))
     assert all(tree.left[0] != -1 for tree in model.trees)  # every root splits
@@ -182,5 +290,5 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
     rows, cand = np.arange(4), np.arange(2)
     for kernel in loaded:
         assert kernel is not None
-        got = forest._kernel_search(kernel, np.asfortranarray(X), y)(rows, cand)
+        got = _compiled_split(kernel, X, y, rows, cand)
         assert _bits(got) == _bits(forest._best_split(X, y, rows, cand))
