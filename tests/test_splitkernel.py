@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import shutil
 import subprocess
+import sys
 import threading
 from types import SimpleNamespace
 from unittest import mock
@@ -190,10 +191,45 @@ def test_each_worker_thread_reuses_one_grower(kernel, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(splitkernel, "Grower", Counted)
-    for threads in (1, 4):
-        made.clear()
-        assert _forest_bits(fit(data, config, threads=threads)) == expected
-        assert 1 <= len(made) <= threads and len(set(made)) == len(made)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for threads in (1, 4):  # 4 workers on fewer cores share nothing writable
+            made.clear()
+            assert _forest_bits(fit(data, config, threads=threads)) == expected
+            assert 1 <= len(made) <= threads and len(set(made)) == len(made)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_grower_refuses_arrays_it_cannot_pass_to_the_kernel(kernel):
+    X = np.arange(12.0).reshape(4, 3)
+    y = np.arange(4.0)
+    ranks = splitkernel.column_ranks(kernel, X)
+    assert ranks.tolist() == [[0, 1, 2, 3]] * 3
+    with pytest.raises(ValueError):
+        splitkernel.column_ranks(kernel, np.asfortranarray(X))  # column-major
+    with pytest.raises(ValueError):
+        splitkernel.column_ranks(kernel, X.astype(np.float32))
+    for bad_ranks in (ranks.astype(np.int64), ranks.T.copy(), ranks + 1, ranks - 1):
+        with pytest.raises(ValueError):
+            splitkernel.Grower(kernel, X, bad_ranks, y)
+    with pytest.raises(ValueError):
+        splitkernel.Grower(kernel, X, ranks, y[:3])
+    grower = splitkernel.Grower(kernel, X, ranks, y)
+    for bag in (np.arange(3), np.array([0, 1, 2, 4]), np.array([0, 1, 2, -1])):
+        with pytest.raises(ValueError):
+            grower.grow(bag, 0, 1, 1)
+    for mtry, min_leaf in ((0, 1), (4, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            grower.grow(np.arange(4), 0, mtry, min_leaf)
+    for rows, cand in ((np.arange(0), np.arange(3)), (np.arange(5) % 4, np.arange(3)),
+                       (np.array([4]), np.arange(3)), (np.arange(4), np.arange(0)),
+                       (np.arange(4), np.array([3])), (np.arange(4), np.array([-1]))):
+        with pytest.raises(ValueError):
+            grower.best_split(rows, cand)
+    arrays, imp = grower.grow(np.arange(4), 0, 3, 1)
+    assert len(arrays[0]) == 7 and imp.shape == (3,)  # a full tree over 4 distinct rows
 
 
 @needs_cc
