@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -435,10 +434,7 @@ def _threads(opts) -> int:
         if opts.threads < 1:
             raise _UsageError("bad value for --threads: must be >= 1")
         return opts.threads
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+    return forest.usable_cpus()
 
 
 # --------------------------------------------------------------------------

@@ -2,26 +2,28 @@
 
 Each tree is a CART regression tree grown on a bootstrap resample: at every
 node an ``mtry``-sized feature subset is drawn, every midpoint between
-consecutive distinct sorted values of each candidate is scored, and the
-split minimising the weighted sum of child target variances wins (ties: the
-lowest feature index, then the lowest threshold).  Growth stops when a node
-has at most ``min_leaf`` rows, zero target variance, or no candidate admits
-a valid split.  A leaf predicts the mean of its routed targets; the forest
-predicts the mean over trees.  A row routes left when ``value <= threshold``.
-A fitted tree is a :class:`Tree`: six parallel arrays over its nodes,
-numbered in preorder, which growth, prediction, out-of-bag scoring and the
-model file (:mod:`.modelio`) all share.  No step recurses, so a tree may be
-as deep as its data makes it.
+consecutive distinct sorted values of each candidate is scored (the lower
+value stands in for a midpoint that rounds up to the upper or overflows),
+and the split minimising the weighted sum of child target variances wins
+(ties: the lowest feature index, then the lowest threshold).  Growth stops
+when a node has at most ``min_leaf`` rows, zero target variance, or no
+candidate admits a valid split.  A leaf predicts the mean of its routed
+targets; the forest predicts the mean over trees.  A row routes left when
+``value <= threshold``.  A fitted tree is a :class:`Tree`: six parallel
+arrays over its nodes, numbered in preorder, which growth, prediction,
+out-of-bag scoring and the model file (:mod:`.modelio`) all share.  No step
+recurses, so a tree may be as deep as its data makes it.
 
 Each tree grows in one call to the compiled kernel of :mod:`.splitkernel`,
-which releases the interpreter lock, so ``threads`` trees grow in parallel.
-It grows bit for bit the tree that the numpy :func:`_grow_tree` and
-:func:`_best_split` grow.  Its split search orders each candidate column by
-the column's ranks, computed once per fit: a node of 64 rows or more reads
-them off the column's bag order, presorted once per tree, and a smaller
-node sorts its own.  Each worker thread allocates its scratch once per fit,
-about ``4 * n_rows * n_features`` bytes.  Where the kernel cannot be built
-(no ``cc``, no writable cache), :func:`_grow_tree` grows the trees in numpy;
+which releases the interpreter lock, so up to ``threads`` trees grow in
+parallel, but no more than the process has CPUs.  It grows bit for bit the
+tree that the numpy :func:`_grow_tree` and :func:`_best_split` grow.  Its
+split search orders each candidate column by the column's ranks, computed
+once per fit: a node of 64 rows or more reads them off the column's bag
+order, presorted once per tree, and a smaller node sorts its own.  Each
+worker thread allocates its scratch once per fit, about
+``4 * n_rows * n_features`` bytes.  Where the kernel cannot be built (no
+``cc``, no writable cache), :func:`_grow_tree` grows the trees in numpy;
 the model is the same either way.
 
 Determinism: tree ``i`` owns a private stream seeded from
@@ -38,6 +40,8 @@ are averaged over trees and normalised to sum to one.
 
 from __future__ import annotations
 
+import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -222,12 +226,15 @@ def _split(X, rows, feature, lo, hi, best, total_sum, total_sq):
     """The split between sorted values ``lo`` and ``hi`` of ``feature``, as
     :func:`_best_split` returns it; ``best`` is its score and ``total_sum``
     and ``total_sq`` the node's target sums in that feature's sorted order."""
+    lo, hi = float(lo), float(hi)
     threshold = (lo + hi) / 2.0
-    if threshold == hi:  # midpoint rounded up to hi: fall back so right side stays non-empty
+    # The midpoint rounded up to hi, or lo + hi overflowed: lo < hi, so
+    # splitting at lo keeps both sides non-empty.
+    if threshold == hi or not math.isfinite(threshold):
         threshold = lo
     go_left = X[rows, feature] <= threshold
     parent_sse = float(total_sq - total_sum * total_sum / rows.size)
-    return feature, float(threshold), rows[go_left], rows[~go_left], parent_sse - float(best)
+    return feature, threshold, rows[go_left], rows[~go_left], parent_sse - float(best)
 
 
 def _draw_bag(n: int, config: ForestConfig, tree_seed: int):
@@ -311,8 +318,19 @@ def _route(tree: Tree, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int = 1) -> ForestModel:
-    """Fit a forest on the dataset; ``threads`` never changes the result."""
+    """Fit a forest on the dataset; ``threads`` never changes the result.
+
+    At most :func:`usable_cpus` trees grow at once, whatever ``threads`` is.
+    """
     if data.n_rows == 0:
         raise EmptyDataset("cannot fit a forest on zero rows")
     X = data.rows
@@ -341,8 +359,10 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
             arrays, imp = grower.grow(bag, rng.state, mtry, config.min_leaf)
             return Tree(*arrays), imp, oob
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Threads beyond the CPUs add no speed, and each would hold a grower's scratch.
+    workers = min(threads, usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             grown = list(pool.map(build, seeds))
     else:
         grown = [build(s) for s in seeds]

@@ -425,7 +425,8 @@ static double pairwise_sum(const double *a, int64_t n)
  * its length is X's row count).  ``state`` is the tree's SplitMix64 state
  * after the bag was drawn.  Writes each node's six arrays in preorder,
  * adds each split's importance to ``imp`` (p zeros on entry) and returns
- * the node count, at most 2 * n - 1. */
+ * the node count, at most 2 * n - 1; or -1, before writing out of bounds,
+ * if a split left a side empty. */
 int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p,
                      const double *y, const int64_t *bag, uint64_t state,
                      int64_t mtry, int64_t min_leaf, void *scratch,
@@ -447,6 +448,8 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
         const pending at = g.stack[--top];
         int32_t *pos = g.pos + at.start;
         const int64_t m = at.end - at.start;
+        if (nodes == 2 * n - 1)
+            return -1;
         const int64_t node = nodes++;
         if (at.parent >= 0)
             right[at.parent] = node;
@@ -480,7 +483,9 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
         const int64_t f = g.cand[j];
         const double lo = out[1], hi = out[2];
         double t = (lo + hi) / 2.0;
-        if (t == hi) /* midpoint rounded up to hi: keep the right side non-empty */
+        /* midpoint rounded up to hi, or lo + hi overflowed: lo < hi, so
+         * splitting at lo keeps both sides non-empty */
+        if (t == hi || !isfinite(t))
             t = lo;
         const double parent_sse = out[4] - out[3] * out[3] / (double)m;
         imp[f] += (parent_sse - out[0]) / (double)n;
@@ -501,6 +506,9 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
         }
         memcpy(pos + nl, g.part, sizeof(int32_t) * nr);
 
+        /* Non-empty sides bound the stack by m0 and the nodes by 2n - 1. */
+        if (nl == 0 || nr == 0 || top + 2 > g.m0)
+            return -1;
         g.stack[top++] = (pending){at.start + nl, at.end, node};
         g.stack[top++] = (pending){at.start, at.start + nl, -1};
     }

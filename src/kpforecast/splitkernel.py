@@ -156,7 +156,8 @@ class Grower:
 
     def grow(self, bag: np.ndarray, state: int, mtry: int, min_leaf: int):
         """One tree on the rows of ``bag`` (one per row of x), drawing from
-        the SplitMix64 ``state``: its six arrays and its unnormalised importances."""
+        the SplitMix64 ``state``: its six arrays (fresh copies, so the next
+        ``grow`` leaves them alone) and its unnormalised importances."""
         bag = np.ascontiguousarray(bag, dtype=np.int64)
         if bag.shape != (self.n,) or bag.min() < 0 or bag.max() >= self.n:
             raise ValueError(f"a bag holds {self.n} rows of x")
@@ -166,7 +167,9 @@ class Grower:
         count = self.library.kp_grow_tree(
             *self.fixed, bag.ctypes.data, state, mtry, min_leaf, self.scratch.ctypes.data,
             *(array.ctypes.data for array in self.nodes), imp.ctypes.data)
-        return tuple(array[:count] for array in self.nodes), imp
+        if count < 0:
+            raise RuntimeError("the kernel split a node into an empty side")
+        return tuple(array[:count].copy() for array in self.nodes), imp
 
     def best_split(self, rows: np.ndarray, cand: np.ndarray) -> KernelSplit | None:
         """The best split of the node ``rows`` (repeats allowed) over the

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -320,15 +321,15 @@ def test_threads_default_is_the_cpus_this_process_may_use(monkeypatch):
     def threads(value):
         return cli._threads(SimpleNamespace(threads=value))
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
                         raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert threads(None) == 3
     assert threads(7) == 7  # an explicit count is kept as given
     # platforms without an affinity API fall back to the CPU count
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert threads(None) == 64
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert threads(None) == 1
 
 

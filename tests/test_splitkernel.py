@@ -52,6 +52,7 @@ def _bits(found):
 
 
 _CONSTANTS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300])
+_HUGE_PAIRS = ((1e308, 1.7e308), (-1.7e308, -1e308))  # lo + hi is +inf or -inf
 
 
 @st.composite
@@ -59,14 +60,18 @@ def _matrices(draw, n):
     """(X, y, a generator for more draws) with n rows.
 
     Columns hold few values (so ties, equal neighbours and signed zeros are
-    common), distinct values or one constant.  Targets are Kp-like thirds
+    common), distinct values, one constant, or two values of one sign whose
+    sum overflows (so the midpoint is infinite).  Targets are Kp-like thirds
     with signed zeros, generic reals whose sums round differently in another
     order, or include values whose squares overflow (inf and NaN scores).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for kind in draw(st.lists(st.sampled_from(["ties", "distinct", "constant"]), min_size=1, max_size=5)):
-        if kind == "ties":
+    kinds = st.sampled_from(["ties", "distinct", "constant", "huge"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "huge":
+            columns.append(rng.choice(draw(st.sampled_from(_HUGE_PAIRS)), n))
+        elif kind == "ties":
             columns.append(rng.choice([-0.0, 0.0, 1.0, 2.5], n))
         elif kind == "distinct":
             columns.append(rng.normal(size=n))
@@ -159,6 +164,37 @@ def test_compiled_fit_equals_numpy_fit_bit_for_bit(kernel, fit_case):
     assert _forest_bits(compiled) == _forest_bits(reference)
 
 
+@pytest.mark.parametrize("n", [10, 100])  # sorted and presorted nodes
+@pytest.mark.parametrize("lo, hi", _HUGE_PAIRS)
+def test_an_overflowing_midpoint_splits_at_lo(kernel, n, lo, hi):
+    """Columns whose two values sum past the largest float split at the
+    lower value, so both children keep rows, on both paths."""
+    rng = np.random.default_rng(n)
+    X = np.column_stack([rng.choice([lo, hi], n), rng.choice([lo, hi], n)])
+    y = np.where(X[:, 0] == lo, 1.0, 7.0) + rng.choice([0.0, 1 / 3], n)
+    data = make_dataset(X.tolist(), y.tolist())
+    for config in (ForestConfig(n_trees=3, mtry=1, min_leaf=1, seed=3),
+                   ForestConfig(n_trees=2, mtry=2, min_leaf=2, seed=4, bootstrap=False)):
+        compiled = fit(data, config)
+        with mock.patch.object(splitkernel, "load", lambda: None):
+            assert _forest_bits(fit(data, config)) == _forest_bits(compiled)
+        for tree in compiled.trees:
+            splits = tree.left >= 0
+            assert splits.any() and (tree.threshold[splits] == lo).all()
+            assert np.isfinite(tree.value).all() and (tree.n_samples[~splits] > 0).all()
+        modelio.model_from_json(modelio.model_to_json(compiled))  # a savable model
+
+
+def test_a_grown_tree_outlives_the_next_grow(kernel):
+    X = np.arange(12.0).reshape(4, 3)
+    y = np.array([0.0, 1.0, 5.0, 9.0])
+    grower = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y)
+    first, _ = grower.grow(np.arange(4), 0, 3, 1)
+    kept = [array.copy() for array in first]
+    grower.grow(np.array([3, 3, 3, 0]), 0, 3, 1)  # a smaller tree over the same buffers
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
 @st.composite
 def _keys(draw):
     p = draw(st.integers(1, 60))
@@ -194,10 +230,13 @@ def test_each_worker_thread_reuses_one_grower(kernel, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for threads in (1, 4):  # 4 workers on fewer cores share nothing writable
+        # 4 workers on fewer cores share nothing writable; a pool never
+        # holds more workers, nor growers, than the CPUs it may use.
+        for threads, cpus in ((1, 4), (4, 4), (8, 2)):
+            monkeypatch.setattr(forest, "usable_cpus", lambda: cpus)
             made.clear()
             assert _forest_bits(fit(data, config, threads=threads)) == expected
-            assert 1 <= len(made) <= threads and len(set(made)) == len(made)
+            assert 1 <= len(made) <= min(threads, cpus) and len(set(made)) == len(made)
     finally:
         sys.setswitchinterval(interval)
 
