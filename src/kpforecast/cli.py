@@ -66,7 +66,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in items)
 
 
-def _timestamp(text: str):
+def _timestamp(text: str) -> int:
     return parse_timestamp(text.strip())
 
 
@@ -302,8 +302,8 @@ def _cmd_predict(args) -> int:
         predicted = baseline.predict_linear_batch(model, data.rows)
     lines = ["row_time,predicted"]
     lines += [
-        f"{ingest.format_timestamp(t)},{float(v)!r}"
-        for t, v in zip(data.row_times, predicted)
+        f"{time},{float(v)!r}"
+        for time, v in zip(ingest.format_minutes(data.row_minutes), predicted)
     ]
     _write(opts.out, "".join(line + "\n" for line in lines))
     return 0
@@ -345,7 +345,7 @@ _EVALUATE_SPEC = {
 
 def _plan(opts, **overrides) -> evaluate.ExperimentPlan:
     fields = dict(
-        cutoff=opts.cutoff,
+        cutoff_minute=opts.cutoff,
         lag_spec=_lag_spec(opts),
         forest_config=_forest_config(opts),
     )

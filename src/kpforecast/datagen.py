@@ -17,8 +17,8 @@ bit-identical series on every platform.  With ``storm_rate_per_day=0`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,8 @@ from .rng import PortableRng, derive_seed
 
 __all__ = ["SynthConfig", "generate", "write_csv", "EPOCH"]
 
-EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
+#: The minute every generated series starts at.
+EPOCH = ingest.parse_timestamp("2021-01-01T00:00Z")
 
 _TICKS_PER_DAY = 288  # 5-minute ticks
 _TICKS_PER_HOUR = 12
@@ -52,10 +53,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_days < 1:
             raise ValueError("n_days must be >= 1")
-        if self.storm_rate_per_day < 0:
-            raise ValueError("storm rate must be non-negative")
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be non-negative")
+        for name, value in (("storm rate", self.storm_rate_per_day),
+                            ("noise scale", self.noise_scale)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _drivers(config: SynthConfig, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:

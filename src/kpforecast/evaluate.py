@@ -20,8 +20,9 @@ once.  Nothing derived from test rows ever reaches a fit.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _report(predicted: np.ndarray, actual: np.ndarray, config_echo: dict) -> Eva
 class ExperimentPlan:
     """Everything one experiment needs besides the measurement series."""
 
-    cutoff: datetime
+    cutoff_minute: int  # rows before this minute since 1970-01-01T00:00Z train
     lag_spec: LagSpec = LagSpec()
     forest_config: forest.ForestConfig = forest.ForestConfig()
     model_kind: str = "forest"  # "forest" | "linear"
@@ -147,10 +148,13 @@ class ExperimentPlan:
     downsample_seed: int | None = None  # None: derived from the forest seed
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cutoff_minute", operator.index(self.cutoff_minute))
         if self.model_kind not in ("forest", "linear"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.downsample < 1:
             raise ValueError("downsample factor must be >= 1")
+        if math.isnan(self.downsample_threshold):
+            raise ValueError("downsample threshold must be a number, got nan")
         if self.k_features is not None and self.k_features < 1:
             raise ValueError("k_features must be >= 1 when given")
 
@@ -174,7 +178,7 @@ class ExperimentPlan:
         return {
             "label": self.label(),
             "model_kind": self.model_kind,
-            "cutoff": format_timestamp(self.cutoff),
+            "cutoff": format_timestamp(self.cutoff_minute),
             "lag_spec": {
                 "solar_wind_lookback_minutes": self.lag_spec.solar_wind_lookback_minutes,
                 "solar_wind_step_minutes": self.lag_spec.solar_wind_step_minutes,
@@ -206,11 +210,11 @@ def _full_width_fit(
 ) -> forest.ForestModel:
     """The forest fitted on the whole, un-downsampled training split.
 
-    ``fits`` maps ``(lag_spec, cutoff, forest_config)`` to that forest.  The
+    ``fits`` maps ``(lag_spec, cutoff_minute, forest_config)`` to that forest.  The
     key leaves out the sources, so one dict must only ever see one set of
     them; it leaves out ``threads``, which never changes a model.
     """
-    key = (plan.lag_spec, plan.cutoff, plan.forest_config)
+    key = (plan.lag_spec, plan.cutoff_minute, plan.forest_config)
     if key not in fits:
         fits[key] = forest.fit(train, plan.forest_config, threads)
     return fits[key]
@@ -229,11 +233,11 @@ def run_plan(
     plain RF plan's model and every top-k plan's ranking forest.
     """
     fits = {} if fits is None else fits
-    train, test = split_by_time(data, plan.cutoff)
+    train, test = split_by_time(data, plan.cutoff_minute)
     if test.n_rows == 0:
-        raise EmptyTestSet(f"no rows at or after {format_timestamp(plan.cutoff)}")
+        raise EmptyTestSet(f"no rows at or after {format_timestamp(plan.cutoff_minute)}")
     if train.n_rows == 0:
-        raise EmptyDataset(f"no rows before {format_timestamp(plan.cutoff)}")
+        raise EmptyDataset(f"no rows before {format_timestamp(plan.cutoff_minute)}")
 
     if plan.model_kind == "forest" and plan.k_features is not None:
         ranking = forest.importance(_full_width_fit(train, plan, threads, fits))

@@ -13,7 +13,8 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 ``fma_m0 ... fma_m535, ..., dst_m0, dst_m60, dst_m120, kp_m0, ..., kp_m1260``
 (``_m<minutes>`` is the lag).
 
-A :class:`FusedDataset` is saved as the dataset CSV: a header of the feature
+A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
+:mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
 by ``repr`` (an exact round-trip).  ``write_csv`` and ``read_csv`` stream it a
 block of rows at a time, so the file's text is never held whole; ``to_csv``
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -46,7 +46,10 @@ from .ingest import (
     SOLAR_WIND_FIELDS,
     MeasurementSeries,
     _number_fault,
+    _stamp_digits,
+    format_minutes,
     format_timestamp,
+    minutes_from_digits,
     parse_timestamp,
 )
 from .rng import PortableRng
@@ -62,6 +65,8 @@ __all__ = [
 ]
 
 _KP_CADENCE = 180
+
+_FIRST_MINUTE, _LAST_MINUTE = -1_035_593_280, 4_223_371_679  # 0001-01-01T00:00Z, 9999-12-31T23:59Z
 
 #: Rows per block of the dataset CSV, written or read.
 _BLOCK_ROWS = 256
@@ -121,35 +126,37 @@ class LagSpec:
 class FusedDataset:
     """Feature matrix plus aligned targets and prediction instants.
 
-    Every cell is finite (gapped windows never become rows) and targets lie
-    in [0, 9].  Arrays are frozen read-only; all transformations return new
-    datasets.  :meth:`write_csv` and :meth:`read_csv` save and load the
-    dataset CSV in blocks of rows; a fault in a file names its line.
+    Row ``i`` predicts from minute ``row_minutes[i]``.  Every cell is finite
+    (gapped windows never become rows) and targets lie in [0, 9].  Arrays are
+    frozen read-only; all transformations return new datasets.
+    :meth:`write_csv` and :meth:`read_csv` save and load the dataset CSV in
+    blocks of rows; a fault in a file names its line.
     """
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
     targets: np.ndarray
-    row_times: tuple[datetime, ...]
+    row_minutes: np.ndarray
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.float64)
+        minutes = np.asarray(self.row_minutes, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.feature_names):
             raise ValueError("rows must be 2-D with one column per feature name")
-        if targets.shape != (rows.shape[0],) or len(self.row_times) != rows.shape[0]:
-            raise ValueError("targets and row_times must match the row count")
+        if targets.shape != (rows.shape[0],) or minutes.shape != (rows.shape[0],):
+            raise ValueError("targets and row_minutes must match the row count")
+        if minutes.size and not _FIRST_MINUTE <= minutes.min() <= minutes.max() <= _LAST_MINUTE:
+            raise ValueError("row minutes must lie in the years 1 to 9999")
         if not np.isfinite(rows).all() or not np.isfinite(targets).all():
             raise NonFiniteValue("fused dataset must be entirely finite")
         outside = (targets < 0.0) | (targets > 9.0)
         if outside.any():  # no file here, so no line to name
             raise DataError(f"targets must lie in [0, 9], got {float(targets[outside][0])}")
-        rows.setflags(write=False)
-        targets.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "targets", targets)
+        for name, array in (("rows", rows), ("targets", targets), ("row_minutes", minutes)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "row_times", tuple(self.row_times))
 
     @property
     def n_rows(self) -> int:
@@ -175,7 +182,7 @@ class FusedDataset:
             distinct, inverse = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
             text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
             lines = text[inverse].reshape(cells.shape).tolist()
-            times = map(format_timestamp, self.row_times[start:stop])
+            times = format_minutes(self.row_minutes[start:stop])
             yield "".join(",".join(line) + "," + time + "\n" for line, time in zip(lines, times))
 
     def to_csv(self) -> str:
@@ -217,13 +224,13 @@ class FusedDataset:
             raise MalformedLine(header_no, "dataset CSV header must end with target,row_time")
         names = tuple(header[:-2])
         rows, targets = [np.empty((0, len(names)))], [np.empty(0)]
-        times: list[datetime] = []
+        minutes = [np.empty(0, dtype=np.int64)]
         while block := list(islice(numbered, _BLOCK_ROWS)):
-            values, stamps = _parse_block(block, len(header))
+            values, block_minutes = _parse_block(block, len(header))
             rows.append(values[:, :-1])
             targets.append(values[:, -1])
-            times += stamps
-        return cls(names, np.concatenate(rows), np.concatenate(targets), tuple(times))
+            minutes.append(block_minutes)
+        return cls(names, np.concatenate(rows), np.concatenate(targets), np.concatenate(minutes))
 
 
 def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:
@@ -243,8 +250,8 @@ def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:
     return None
 
 
-def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, list[datetime]]:
-    """``[rows | target]`` and the row times of numbered dataset lines.
+def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``[rows | target]`` and the row minutes of numbered dataset lines.
 
     The whole block converts at once; only if that fails, or a value or time
     is out of place, are its lines checked one by one for the first fault.
@@ -254,8 +261,12 @@ def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, 
         if all(len(cells) == width for cells in split):
             values = np.array([cells[:-1] for cells in split], dtype=np.float64)
             targets = values[:, -1]
-            if np.isfinite(values).all() and targets.min() >= 0.0 and targets.max() <= 9.0:
-                return values, [parse_timestamp(cells[-1]) for cells in split]
+            digits = [_stamp_digits(cells[-1]) for cells in split]
+            if (np.isfinite(values).all() and targets.min() >= 0.0 and targets.max() <= 9.0
+                    and None not in digits):
+                minutes, valid = minutes_from_digits(np.array(digits, dtype=np.int64))
+                if valid.all():
+                    return values, minutes
     except ValueError:
         pass
     for (line_no, _), cells in zip(block, split):
@@ -282,12 +293,8 @@ class FeatureSubset:
             raise ValueError("subset indices must be unique")
 
 
-def _minutes_between(later: datetime, earlier: datetime) -> int:
-    return (later - earlier) // timedelta(minutes=1)
-
-
 def _check_source(series: MeasurementSeries, expected_name: str,
-                  expected_cadence: int, kp_start: datetime) -> None:
+                  expected_cadence: int, kp_start_minute: int) -> None:
     if series.name != expected_name:
         raise ValueError(f"expected series {expected_name!r}, got {series.name!r}")
     if series.cadence_minutes != expected_cadence:
@@ -295,9 +302,9 @@ def _check_source(series: MeasurementSeries, expected_name: str,
             f"{series.name}: cadence {series.cadence_minutes} min, "
             f"expected {expected_cadence}"
         )
-    if _minutes_between(kp_start, series.start) % expected_cadence:
+    if (kp_start_minute - series.start_minute) % expected_cadence:
         raise CadenceMismatch(
-            f"{series.name}: grid anchored at {format_timestamp(series.start)} "
+            f"{series.name}: grid anchored at {format_timestamp(series.start_minute)} "
             "never lines up with the 3-hour prediction instants"
         )
 
@@ -323,9 +330,9 @@ def fuse(
             "solar-wind lag step must be a multiple of the 5-minute cadence"
         )
     for series, name in zip(solar, SOLAR_WIND_FIELDS):
-        _check_source(series, name, 5, kp.start)
-    _check_source(dst, "dst", 60, kp.start)
-    _check_source(kp, "kp", _KP_CADENCE, kp.start)
+        _check_source(series, name, 5, kp.start_minute)
+    _check_source(dst, "dst", 60, kp.start_minute)
+    _check_source(kp, "kp", _KP_CADENCE, kp.start_minute)
 
     n_instants = len(kp)
     instant_idx = np.arange(n_instants)
@@ -340,7 +347,7 @@ def fuse(
 
     columns = []
     for series, lags in sources:
-        base = _minutes_between(kp.start, series.start)
+        base = kp.start_minute - series.start_minute
         for lag in lags:
             idx = (base + instant_idx * _KP_CADENCE - lag) // series.cadence_minutes
             ok = (idx >= 0) & (idx < len(series))
@@ -356,8 +363,7 @@ def fuse(
         )
     rows = np.stack(columns, axis=1)[keep]
     targets = kp.values[target_idx[keep]]
-    times = tuple(kp.time_at(int(i)) for i in keep)
-    return FusedDataset(spec.feature_names(), rows, targets, times)
+    return FusedDataset(spec.feature_names(), rows, targets, kp.start_minute + _KP_CADENCE * keep)
 
 
 def downsample_low_kp(
@@ -372,6 +378,8 @@ def downsample_low_kp(
     """
     if downsample < 1:
         raise ValueError("downsample factor must be >= 1")
+    if math.isnan(threshold):
+        raise ValueError("downsample threshold must be a number, got nan")
     if downsample == 1:
         return data
     low = np.flatnonzero(data.targets <= threshold)
@@ -380,13 +388,8 @@ def downsample_low_kp(
     keep = np.ones(data.n_rows, dtype=bool)
     keep[low] = False
     keep[low[chosen]] = True
-    idx = np.flatnonzero(keep)
-    return FusedDataset(
-        data.feature_names,
-        data.rows[idx],
-        data.targets[idx],
-        tuple(data.row_times[i] for i in idx),
-    )
+    return FusedDataset(data.feature_names, data.rows[keep], data.targets[keep],
+                        data.row_minutes[keep])
 
 
 def select_features(data: FusedDataset, subset: FeatureSubset) -> FusedDataset:
@@ -402,24 +405,15 @@ def select_features(data: FusedDataset, subset: FeatureSubset) -> FusedDataset:
                 f"dataset has {data.feature_names[i]!r}"
             )
     idx = np.asarray(subset.indices, dtype=np.intp)
-    return FusedDataset(
-        subset.names, data.rows[:, idx], data.targets, data.row_times
-    )
+    return FusedDataset(subset.names, data.rows[:, idx], data.targets, data.row_minutes)
 
 
 def split_by_time(
-    data: FusedDataset, cutoff: datetime
+    data: FusedDataset, cutoff_minute: int
 ) -> tuple[FusedDataset, FusedDataset]:
-    """Chronological split: rows before ``cutoff`` train, the rest test."""
-    mask = np.array([t < cutoff for t in data.row_times], dtype=bool)
-
-    def _take(sel: np.ndarray) -> FusedDataset:
-        idx = np.flatnonzero(sel)
-        return FusedDataset(
-            data.feature_names,
-            data.rows[idx],
-            data.targets[idx],
-            tuple(data.row_times[i] for i in idx),
-        )
-
-    return _take(mask), _take(~mask)
+    """Chronological split: rows before ``cutoff_minute`` train, the rest test."""
+    train = data.row_minutes < cutoff_minute
+    return tuple(
+        FusedDataset(data.feature_names, data.rows[sel], data.targets[sel], data.row_minutes[sel])
+        for sel in (train, ~train)
+    )

@@ -16,7 +16,8 @@ Formats:
 * Kp — ``t,kp`` every 3 hours on 00/03/06/... UTC boundaries, value in [0, 9]
 
 A parser returns a :class:`MeasurementTable`, the records column by column:
-int64 minute times, a 2-D float64 value array and a ``present`` mask.  One
+int64 minute times (every instant in the package counts minutes from
+1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  One
 pass over the lines splits the fields, matches the timestamp pattern (keeping
 its digits) and converts numbers with Python's ``float``.  Every other check
 (calendar validity, strictly increasing time, finiteness, alignment and
@@ -25,17 +26,20 @@ order, with the error that checking each line as it is read would raise there.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
-writes a table back in its canonical format.
+writes a table back in its canonical format.  The package's one timestamp
+codec is here too: ``minutes_from_digits`` and ``format_minutes`` for arrays,
+``parse_timestamp`` and ``format_timestamp`` for one instant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,6 +59,8 @@ __all__ = [
     "MeasurementSeries",
     "parse_timestamp",
     "format_timestamp",
+    "minutes_from_digits",
+    "format_minutes",
     "parse_solar_wind",
     "parse_dst",
     "parse_kp",
@@ -70,39 +76,57 @@ _TIMESTAMP_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2})(?::00)?Z$"
 )
 
-#: Table times count minutes from this instant.
-_MINUTE_ZERO = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MINUTE = timedelta(minutes=1)
+
+def _stamp_digits(text: str) -> int | None:
+    """YYYYMMDDHHMM of a timestamp of the canonical pattern, or None."""
+    m = _TIMESTAMP_RE.match(text)
+    return None if m is None else int("".join(m.groups()))
 
 
-def _instant(minute: int) -> datetime:
-    return _MINUTE_ZERO + int(minute) * _MINUTE
+def minutes_from_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minutes of YYYYMMDDHHMM values, and which are calendar instants (year 1 on).
+
+    The minutes of a value that is not a calendar instant mean nothing.
+    """
+    year, month, day = digits // 10**8, digits // 10**6 % 100, digits // 10**4 % 100
+    hour, minute = digits // 100 % 100, digits % 100
+    months = (year - 1970) * 12 + month - 1
+    first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    next_first_day = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+             & (day <= next_first_day - first_day) & (hour <= 23) & (minute <= 59))
+    return (first_day + day - 1) * 1440 + hour * 60 + minute, valid
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse a canonical minute-resolution UTC timestamp.
+def format_minutes(minutes) -> list[str]:
+    """The canonical text (``YYYY-MM-DDTHH:MMZ``) of each minute since 1970-01-01T00:00Z."""
+    stamps = np.datetime_as_string(np.asarray(minutes, dtype=np.int64).astype("datetime64[m]"),
+                                   unit="m")
+    return [stamp + "Z" for stamp in stamps.tolist()]
+
+
+def parse_timestamp(text: str) -> int:
+    """The minute since 1970-01-01T00:00Z of a canonical UTC timestamp.
 
     Accepts ``YYYY-MM-DDTHH:MMZ`` (canonical) and ``YYYY-MM-DDTHH:MM:00Z``;
-    anything else — offsets, sub-minute precision, missing ``Z`` — raises
-    ``ValueError``.
+    anything else — offsets, sub-minute precision, missing ``Z``, a date
+    the calendar lacks — raises ``ValueError``.
     """
     m = _TIMESTAMP_RE.match(text)
     if m is None:
         raise ValueError(f"not a minute-resolution UTC timestamp: {text!r}")
-    year, month, day, hour, minute = (int(g) for g in m.groups())
-    try:
-        return datetime(year, month, day, hour, minute, tzinfo=timezone.utc)
-    except ValueError as exc:
-        raise ValueError(f"invalid calendar instant {text!r}: {exc}") from None
+    minutes, valid = minutes_from_digits(np.array([int("".join(m.groups()))]))
+    if not valid[0]:
+        try:  # for datetime's account of what is wrong
+            datetime(*map(int, m.groups()))
+        except ValueError as exc:
+            raise ValueError(f"invalid calendar instant {text!r}: {exc}") from None
+    return int(minutes[0])
 
 
-def format_timestamp(t: datetime) -> str:
-    """Inverse of :func:`parse_timestamp` (requires an aligned UTC instant)."""
-    if t.tzinfo is None or t.utcoffset() != timedelta(0):
-        raise ValueError("timestamp must be UTC-aware")
-    if t.second or t.microsecond:
-        raise ValueError("timestamp must have minute resolution")
-    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}Z"
+def format_timestamp(minute: int) -> str:
+    """Inverse of :func:`parse_timestamp`."""
+    return format_minutes([minute])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +160,13 @@ class MeasurementTable:
     def from_series(cls, series: Sequence[MeasurementSeries]) -> MeasurementTable:
         """One record per grid slot of series that share a grid (inverse of :func:`to_series`)."""
         first = series[0]
-        if any((s.start, s.cadence_minutes, len(s)) != (first.start, first.cadence_minutes,
-                                                        len(first)) for s in series):
+        grid = (first.start_minute, first.cadence_minutes, len(first))
+        if any((s.start_minute, s.cadence_minutes, len(s)) != grid for s in series):
             raise ValueError("series must share start, cadence and length")
-        origin = (first.start - _MINUTE_ZERO) // _MINUTE
         present = np.column_stack([s.present for s in series])
         return cls(
             tuple(s.name for s in series),
-            origin + first.cadence_minutes * np.arange(len(first), dtype=np.int64),
+            first.start_minute + first.cadence_minutes * np.arange(len(first), dtype=np.int64),
             np.where(present, np.column_stack([s.values for s in series]), np.nan),
             present,
         )
@@ -151,30 +174,28 @@ class MeasurementTable:
     def __len__(self) -> int:
         return self.minutes.size
 
-    def time_at(self, index: int) -> datetime:
-        return _instant(self.minutes[index])
-
 
 @dataclass(frozen=True)
 class MeasurementSeries:
     """One quantity regularised onto its cadence grid.
 
-    ``values[i]`` is the sample at ``start + i * cadence_minutes``.  A slot
-    is data only where ``present[i]`` is True; the mask is the authoritative
-    gap marker (missing slots hold NaN purely as poison, never read as
-    data).  Arrays are frozen read-only so a series can be shared across
-    threads safely.
+    ``values[i]`` is the sample at minute ``start_minute + i * cadence_minutes``.
+    A slot is data only where ``present[i]`` is True; the mask is the
+    authoritative gap marker (missing slots hold NaN purely as poison, never
+    read as data).  Arrays are frozen read-only so a series can be shared
+    across threads safely.
     """
 
     name: str
     cadence_minutes: int
-    start: datetime
+    start_minute: int
     values: np.ndarray
     present: np.ndarray
 
     def __post_init__(self) -> None:
         if self.cadence_minutes not in (5, 60, 180):
             raise ValueError(f"unsupported cadence: {self.cadence_minutes}")
+        object.__setattr__(self, "start_minute", operator.index(self.start_minute))
         values = np.asarray(self.values, dtype=np.float64)
         present = np.asarray(self.present, dtype=bool)
         if values.shape != present.shape or values.ndim != 1:
@@ -186,19 +207,6 @@ class MeasurementSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def time_at(self, index: int) -> datetime:
-        return self.start + timedelta(minutes=self.cadence_minutes * index)
-
-    def value_at(self, t: datetime) -> float | None:
-        """Sample at instant ``t``, or ``None`` for a gap / off-series instant."""
-        offset = (t - self.start) // timedelta(minutes=1)
-        if offset % self.cadence_minutes:
-            return None
-        index = offset // self.cadence_minutes
-        if not 0 <= index < len(self.values) or not self.present[index]:
-            return None
-        return float(self.values[index])
 
 
 # --------------------------------------------------------------------------
@@ -259,12 +267,12 @@ class _Scan:
                 self.faults.append((record, _SHAPE, partial(
                     MalformedLine, line_no, f"expected {n + 1} fields, got {len(parts)}")))
                 break
-            m = _TIMESTAMP_RE.match(parts[0])
-            if m is None:
+            digits = _stamp_digits(parts[0])
+            if digits is None:
                 self.faults.append((record, _SHAPE, partial(_timestamp_error, line_no, parts[0])))
                 break
             self.line_nos.append(line_no)
-            stamps.append(int("".join(m.groups())))
+            stamps.append(digits)
             try:
                 values.extend(map(float, parts[1:]))
             except ValueError:  # a gap, or a field that is not a number
@@ -289,21 +297,14 @@ class _Scan:
 
     def _times(self, digits: np.ndarray) -> None:
         """Minute times from YYYYMMDDHHMM, checked for calendar and order."""
-        year, month, day = digits // 10**8, digits // 10**6 % 100, digits // 10**4 % 100
-        hour, minute = digits // 100 % 100, digits % 100
-        months = (year - 1970) * 12 + month - 1
-        first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-        next_first_day = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-        valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                 & (day <= next_first_day - first_day) & (hour <= 23) & (minute <= 59))
+        self.minutes, valid = minutes_from_digits(digits)
         self.check(~valid, _CALENDAR,
                    lambda r: _timestamp_error(self.line_nos[r], self._line(r)[0]))
-        self.minutes = (first_day + day - 1) * 1440 + hour * 60 + minute
         stalled = np.zeros(self.minutes.size, dtype=bool)
         stalled[1:] = self.minutes[1:] <= self.minutes[:-1]
         self.check(stalled, _ORDER, lambda r: NonMonotonicTime(
             self.line_nos[r],
-            f"{format_timestamp(_instant(self.minutes[r]))} does not advance past previous record"))
+            f"{format_timestamp(self.minutes[r])} does not advance past previous record"))
 
     def _line(self, record: int) -> list[str]:
         return self.content.splitlines()[self.line_nos[record] - 1].rstrip().split(",")
@@ -368,8 +369,7 @@ def parse_kp(content: str) -> MeasurementTable:
 
 def format_table(table: MeasurementTable) -> str:
     """The table in its canonical format, one line per record, gaps empty."""
-    stamps = np.datetime_as_string(table.minutes.astype("datetime64[m]"), unit="m")
-    columns = [[stamp + "Z" for stamp in stamps.tolist()]]
+    columns = [format_minutes(table.minutes)]
     for values, present in zip(table.values.T.tolist(), table.present.T.tolist()):
         columns.append([repr(v) if p else "" for v, p in zip(values, present)])
     return "".join(",".join(cells) + "\n" for cells in zip(*columns))
@@ -395,8 +395,8 @@ def to_series(table: MeasurementTable, field: str, cadence_minutes: int) -> Meas
     if off_grid.any():
         bad = -1 if off_grid[-1] else int(np.flatnonzero(off_grid)[0])
         raise CadenceMismatch(
-            f"{field}: record at {format_timestamp(table.time_at(bad))} is off the "
-            f"{cadence_minutes}-minute grid anchored at {format_timestamp(table.time_at(0))}"
+            f"{field}: record at {format_timestamp(table.minutes[bad])} is off the "
+            f"{cadence_minutes}-minute grid anchored at {format_timestamp(table.minutes[0])}"
         )
     slots = offsets // cadence_minutes
     present = table.present[:, j]
@@ -404,7 +404,7 @@ def to_series(table: MeasurementTable, field: str, cadence_minutes: int) -> Meas
     values[slots[present]] = table.values[present, j]
     on_grid = np.zeros(values.size, dtype=bool)
     on_grid[slots[present]] = True
-    return MeasurementSeries(field, cadence_minutes, table.time_at(0), values, on_grid)
+    return MeasurementSeries(field, cadence_minutes, table.minutes[0], values, on_grid)
 
 
 def solar_wind_series(table: MeasurementTable) -> tuple[MeasurementSeries, ...]:

@@ -2,32 +2,30 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from kpforecast.fusion import FusedDataset
+from kpforecast.ingest import parse_timestamp
 
 # Every run draws the same examples, so a property test cannot pass on one
 # run and fail on the next; no deadline, since timings vary between hosts.
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
 
-EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
+EPOCH = parse_timestamp("2021-01-01T00:00Z")
 
 
 def make_dataset(rows, targets, names=None) -> FusedDataset:
-    """Wrap plain arrays in a FusedDataset with synthetic 3-hourly row times."""
+    """Wrap plain arrays in a FusedDataset with 3-hourly row minutes from EPOCH."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows.reshape(-1, 1)
     targets = np.asarray(targets, dtype=np.float64)
     if names is None:
         names = tuple(f"x{i}" for i in range(rows.shape[1]))
-    times = tuple(EPOCH + timedelta(hours=3 * i) for i in range(rows.shape[0]))
-    return FusedDataset(tuple(names), rows, targets, times)
+    return FusedDataset(tuple(names), rows, targets, EPOCH + 180 * np.arange(rows.shape[0]))
 
 
 @pytest.fixture

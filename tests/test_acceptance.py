@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +75,7 @@ def sweep():
     forest fits, not three.
     """
     lag = LagSpec()
-    cutoff = EPOCH + timedelta(days=30)
+    cutoff = EPOCH + 30 * 1440
     results = []
     for seed in range(20):
         solar, dst, kp = datagen.generate(SynthConfig(seed=seed, n_days=45))
@@ -84,26 +83,26 @@ def sweep():
         cfg = forest.ForestConfig(n_trees=50, seed=seed)
 
         fits: dict = {}
-        full = run_plan(data, ExperimentPlan(cutoff=cutoff, lag_spec=lag,
+        full = run_plan(data, ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag,
                                              forest_config=cfg), fits=fits)
         top = run_plan(
             data,
-            ExperimentPlan(cutoff=cutoff, lag_spec=lag, forest_config=cfg,
+            ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag, forest_config=cfg,
                            k_features=50),
             fits=fits,
         )
-        lin = run_plan(data, ExperimentPlan(cutoff=cutoff, lag_spec=lag,
+        lin = run_plan(data, ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag,
                                             forest_config=cfg,
                                             model_kind="linear"))
 
-        plan_l2 = ExperimentPlan(cutoff=cutoff, lag_spec=lag,
+        plan_l2 = ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag,
                                  forest_config=cfg, downsample=2)
         train, _ = split_by_time(data, cutoff)
         kept = downsample_low_kp(train, 2, plan_l2.downsample_threshold,
                                  plan_l2.resolved_downsample_seed())
-        high_before = {t for t, y in zip(train.row_times, train.targets)
+        high_before = {t for t, y in zip(train.row_minutes, train.targets)
                        if y > 4.0}
-        high_after = {t for t, y in zip(kept.row_times, kept.targets)
+        high_after = {t for t, y in zip(kept.row_minutes, kept.targets)
                       if y > 4.0}
 
         imp = full.model.importances
@@ -412,7 +411,7 @@ def test_c10_serialization_bit_exact(tmp_path):
         feature_names=data.feature_names,
         rows=data.rows / 3.0 + 1e-9,
         targets=data.targets,
-        row_times=data.row_times,
+        row_minutes=data.row_minutes,
     )
     back = FusedDataset.from_csv(awkward.to_csv())
     csv_ok = (np.array_equal(back.rows, awkward.rows)

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpforecast import cli
@@ -461,3 +462,62 @@ def test_any_config_file_exits_0_1_or_2(valid_files, tmp_path_factory, command, 
     argv[argv.index("--config") + 1] = str(config)
     code, err = _run(argv)
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+# -- fuzzing main() over the values of every other flag ----------------------
+
+_FILE_KEYS = {"solar_wind", "dst", "kp", "data", "model", "out"}
+VALUE_FLAGS = [(command, f"--{cli._flag(key)}") for command, (_, spec, _) in cli._COMMANDS.items()
+               for key in spec if key not in _FILE_KEYS]
+# small values only: a flag may set --days, --trees, --threads or a lookback
+FLAG_VALUES = ["", " ", "\t", "+1", "-1", "-0", "+0", "nan", "-nan", "inf", "-inf", "1e400",
+               "0x10", "1_0", "٣", "２", "1.5", "2,1", "1,", ",", " 2 , 1 ", "true",
+               "default", "all", "2021-01-03T00:00:00Z", "2021-01-03T00:00Z"]
+
+
+def _small(value: str) -> bool:
+    """Whether no comma-separated part of ``value`` reads as a number above 12."""
+    for part in value.split(","):
+        try:
+            number = float(part)
+        except ValueError:
+            continue
+        if math.isfinite(number) and abs(number) > 12:
+            return False
+    return True
+
+
+_ODD_VALUES = st.lists(st.sampled_from(
+    ["", " ", "+", "-", "0", "1", "2", "_", ".", ",", "e", "nan", "inf", "x", "٣", "２",
+     "T", ":00", "Z", "2021-01-03T00:00"]), max_size=4).map("".join).filter(_small)
+
+
+def _with_each_flag_value(test):
+    for value in FLAG_VALUES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("command, flag", VALUE_FLAGS)
+@settings(max_examples=4)
+@_with_each_flag_value
+@given(value=_ODD_VALUES)
+def test_any_flag_value_exits_0_1_or_2(valid_files, tmp_path_factory, command, flag, value):
+    out = tmp_path_factory.getbasetemp() / "flag-values" / command / "result"
+    code, err = _run([*_argv(command, valid_files, out), f"{flag}={value}"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--noise-scale", "inf"), ("synth", "--noise-scale", "nan"),
+    ("synth", "--noise-scale", "1e400"), ("synth", "--storm-rate", "nan"),
+    ("synth", "--storm-rate", "-inf"), ("compare", "--downsample-threshold", "nan"),
+    ("evaluate", "--downsample-threshold", "nan"),
+])
+def test_non_finite_rates_and_thresholds_are_usage_errors(valid_files, tmp_path, command,
+                                                          flag, value):
+    # each of these once exited 0: synth wrote cells its own parsers refuse or
+    # drew no storms, and a NaN threshold silently turned downsampling off
+    code, err = _run([*_argv(command, valid_files, tmp_path / "out"), f"{flag}={value}"])
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -29,12 +29,12 @@ def test_shapes_cadences_and_alignment():
     assert tuple(s.name for s in solar) == ingest.SOLAR_WIND_FIELDS
     for s in solar:
         assert s.cadence_minutes == 5
-        assert s.start == EPOCH
+        assert s.start_minute == EPOCH
         assert len(s.values) == 3 * 288
         assert s.present.all()
     assert dst.cadence_minutes == 60 and len(dst.values) == 3 * 24
     assert kp.cadence_minutes == 180 and len(kp.values) == 3 * 8
-    assert dst.start == kp.start == EPOCH
+    assert dst.start_minute == kp.start_minute == EPOCH
 
 
 def test_value_ranges_are_physical():
@@ -117,7 +117,7 @@ def test_write_csv_round_trips_through_the_parsers(tmp_path):
     parsed = ingest.solar_wind_series(table)
     for expect, got in zip(solar, parsed):
         assert got.name == expect.name
-        assert got.start == expect.start
+        assert got.start_minute == expect.start_minute
         assert np.array_equal(got.values[got.present],
                               expect.values[expect.present])
         assert np.array_equal(got.present, expect.present)
@@ -139,3 +139,12 @@ def test_config_validation():
         SynthConfig(storm_rate_per_day=-1.0)
     with pytest.raises(ValueError):
         SynthConfig(noise_scale=-0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), float("1e400")])
+@pytest.mark.parametrize("field", ["storm_rate_per_day", "noise_scale"])
+def test_config_refuses_non_finite_rates_and_scales(field, value):
+    # an infinite noise scale wrote -inf/inf cells that the parsers refuse;
+    # a NaN one wrote nan Kp values, and a NaN storm rate drew no storms
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        SynthConfig(**{field: value})

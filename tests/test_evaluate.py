@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import timedelta
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ def _sources(seed=0, n_days=16):
 
 
 def _cutoff(n_days):
-    return EPOCH + timedelta(days=n_days)
+    return EPOCH + n_days * 1440
 
 
 # -- metric ----------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_metric_input_validation():
 
 def _plan(**kwargs):
     defaults = dict(
-        cutoff=_cutoff(12), lag_spec=SMALL_SPEC, forest_config=FAST_FOREST
+        cutoff_minute=_cutoff(12), lag_spec=SMALL_SPEC, forest_config=FAST_FOREST
     )
     defaults.update(kwargs)
     return ExperimentPlan(**defaults)
@@ -135,6 +135,23 @@ def test_plan_validation():
         _plan(k_features=0)
 
 
+def test_a_nan_downsample_threshold_is_refused():
+    # every comparison with NaN is False, so no row would count as low and
+    # the "downsampled" fit would silently be the un-thinned one
+    with pytest.raises(ValueError, match="threshold"):
+        _plan(downsample=2, downsample_threshold=float("nan"))
+    with pytest.raises(ValueError, match="threshold"):
+        downsample_low_kp(make_dataset(np.arange(4.0), [1.0, 2.0, 5.0, 6.0]), 2,
+                          float("nan"))
+
+
+def test_a_datetime_cutoff_fails_at_construction():
+    with pytest.raises(TypeError):
+        _plan(cutoff_minute=datetime(2021, 1, 13, tzinfo=timezone.utc))
+    with pytest.raises(TypeError):
+        _plan(cutoff=_cutoff(12))
+
+
 def test_downsample_seed_resolution():
     assert _plan(downsample_seed=42).resolved_downsample_seed() == 42
     derived = _plan().resolved_downsample_seed()
@@ -151,7 +168,7 @@ def test_run_plan_matches_manual_forest_pipeline():
     data = fuse(solar, dst, kp, SMALL_SPEC)
     result = run_plan(data, plan)
 
-    train, test = split_by_time(data, plan.cutoff)
+    train, test = split_by_time(data, plan.cutoff_minute)
     ranking = forest.importance(forest.fit(train, FAST_FOREST))
     subset = forest.top_k(ranking, 12)
     train = select_features(train, subset)
@@ -173,7 +190,7 @@ def test_run_plan_matches_manual_linear_pipeline():
     data = fuse(solar, dst, kp, SMALL_SPEC)
     result = run_plan(data, plan)
 
-    train, test = split_by_time(data, plan.cutoff)
+    train, test = split_by_time(data, plan.cutoff_minute)
     model = baseline.fit_linear(train)
     predicted = baseline.predict_linear_batch(model, test.rows)
     assert modelio.model_to_json(result.model) == modelio.model_to_json(model)
@@ -206,9 +223,9 @@ def test_removing_a_test_row_cannot_change_the_model():
         feature_names=data.feature_names,
         rows=data.rows[keep].copy(),
         targets=data.targets[keep].copy(),
-        row_times=data.row_times[keep],
+        row_minutes=data.row_minutes[keep],
     )
-    assert trimmed.row_times[-1] >= plan.cutoff  # still a non-empty test split
+    assert trimmed.row_minutes[-1] >= plan.cutoff_minute  # still a non-empty test split
     again = run_plan(trimmed, plan)
     assert modelio.model_to_json(full.model) == modelio.model_to_json(again.model)
 
@@ -216,9 +233,9 @@ def test_removing_a_test_row_cannot_change_the_model():
 def test_empty_splits_raise():
     data = make_dataset(np.arange(5.0), np.ones(5))
     with pytest.raises(EmptyTestSet):
-        run_plan(data, _plan(cutoff=EPOCH + timedelta(days=400)))
+        run_plan(data, _plan(cutoff_minute=EPOCH + 400 * 1440))
     with pytest.raises(EmptyDataset):
-        run_plan(data, _plan(cutoff=EPOCH - timedelta(days=1)))
+        run_plan(data, _plan(cutoff_minute=EPOCH - 1440))
 
 
 # -- comparison table ----------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,7 @@ def test_fuse_toy_worked_example():
     # t=00:00 lacks the 5-minute solar lag; the last instant lacks a target.
     assert data.n_rows == 3
     assert data.n_features == 16
-    assert data.row_times == tuple(EPOCH + timedelta(hours=h) for h in (3, 6, 9))
+    assert data.row_minutes.tolist() == [EPOCH + 60 * h for h in (3, 6, 9)]
     row = data.rows[0]
     names = data.feature_names
     # at t=03:00 the solar index is 36: value = 1000*q + 36, lag 5 -> 35
@@ -140,7 +140,7 @@ def test_fuse_multi_lag_kp_and_dst_history():
     data = fuse(solar, dst, kp, spec)
     names = data.feature_names
     # first instant needs kp lag 180: t=03:00 works, dst lags 0,60,120 exist
-    assert data.row_times[0] == EPOCH + timedelta(hours=3)
+    assert data.row_minutes[0] == EPOCH + 180
     row = data.rows[0]
     assert row[names.index("kp_m0")] == 2.0
     assert row[names.index("kp_m180")] == 1.0
@@ -157,20 +157,20 @@ def test_fuse_gap_in_window_drops_exactly_that_instant():
     present[35] = False
     solar = (
         *solar[:4],
-        ingest.MeasurementSeries("speed", 5, speed.start, speed.values, present),
+        ingest.MeasurementSeries("speed", 5, speed.start_minute, speed.values, present),
         *solar[5:],
     )
     data = fuse(solar, dst, kp, TOY_SPEC)
-    assert data.row_times == tuple(EPOCH + timedelta(hours=h) for h in (6, 9))
+    assert data.row_minutes.tolist() == [EPOCH + 60 * h for h in (6, 9)]
 
 
 def test_fuse_missing_target_drops_instant():
     solar, dst, kp = _toy_sources()
     present = kp.present.copy()
     present[2] = False  # kp at 06:00 gone: kills t=03:00 (target) and t=06:00 (lag 0)
-    kp = ingest.MeasurementSeries("kp", 180, kp.start, kp.values, present)
+    kp = ingest.MeasurementSeries("kp", 180, kp.start_minute, kp.values, present)
     data = fuse(solar, dst, kp, TOY_SPEC)
-    assert data.row_times == (EPOCH + timedelta(hours=9),)
+    assert data.row_minutes.tolist() == [EPOCH + 9 * 60]
 
 
 def test_fuse_no_coverage_raises_empty_intersection():
@@ -182,7 +182,7 @@ def test_fuse_no_coverage_raises_empty_intersection():
 def test_fuse_misaligned_solar_grid_raises():
     solar, dst, kp = _toy_sources()
     shifted = ingest.MeasurementSeries(
-        "fma", 5, EPOCH + timedelta(minutes=2), solar[0].values, solar[0].present
+        "fma", 5, EPOCH + 2, solar[0].values, solar[0].present
     )
     with pytest.raises(CadenceMismatch):
         fuse((shifted, *solar[1:]), dst, kp, TOY_SPEC)
@@ -190,7 +190,7 @@ def test_fuse_misaligned_solar_grid_raises():
 
 def test_fuse_wrong_cadence_raises():
     solar, dst, kp = _toy_sources()
-    bad_dst = ingest.MeasurementSeries("dst", 180, dst.start, kp.values, kp.present)
+    bad_dst = ingest.MeasurementSeries("dst", 180, dst.start_minute, kp.values, kp.present)
     with pytest.raises(CadenceMismatch):
         fuse(solar, bad_dst, kp, TOY_SPEC)
 
@@ -199,12 +199,12 @@ def test_fuse_sources_offset_from_each_other_still_align():
     # solar/dst series that start 3 h before the kp series
     solar, dst, kp = _toy_sources()
     late_kp = ingest.MeasurementSeries(
-        "kp", 180, EPOCH + timedelta(hours=3), kp.values[:-1], kp.present[:-1]
+        "kp", 180, EPOCH + 180, kp.values[:-1], kp.present[:-1]
     )
     data = fuse(solar, dst, late_kp, TOY_SPEC)
     names = data.feature_names
     # first prediction instant on the new grid with full coverage: 03:00
-    assert data.row_times[0] == EPOCH + timedelta(hours=3)
+    assert data.row_minutes[0] == EPOCH + 180
     assert data.rows[0][names.index("fma_m0")] == 36.0
     assert data.rows[0][names.index("kp_m0")] == 1.0
 
@@ -212,7 +212,7 @@ def test_fuse_sources_offset_from_each_other_still_align():
 def test_row_times_strictly_increasing_and_rows_finite():
     solar, dst, kp = _toy_sources(n_kp=9)
     data = fuse(solar, dst, kp, TOY_SPEC)
-    assert all(a < b for a, b in zip(data.row_times, data.row_times[1:]))
+    assert (np.diff(data.row_minutes) > 0).all()
     assert np.isfinite(data.rows).all()
 
 
@@ -221,6 +221,25 @@ def test_in_memory_target_out_of_range_names_no_line():
         make_dataset([[1.0]], [12.0])
     assert not isinstance(caught.value, ValueOutOfRange)  # which names a line
     assert str(caught.value) == "targets must lie in [0, 9], got 12.0"
+
+
+def test_row_minutes_are_frozen_int64_within_the_timestamp_years():
+    data = make_dataset([[1.0], [2.0]], [1.0, 2.0])
+    assert data.row_minutes.dtype == np.int64
+    with pytest.raises(ValueError):
+        data.row_minutes[0] = 0
+    # an old caller that passes instants as datetimes fails at construction
+    with pytest.raises(TypeError):
+        FusedDataset(("x0",), [[1.0]], [1.0], (datetime(2021, 1, 1, tzinfo=UTC),))
+    with pytest.raises(TypeError):
+        ingest.MeasurementSeries("kp", 180, datetime(2021, 1, 1, tzinfo=UTC), [1.0], [True])
+    # a minute no timestamp can name would be written as a row_time the reader refuses
+    first = ingest.parse_timestamp("0001-01-01T00:00Z")
+    last = ingest.parse_timestamp("9999-12-31T23:59Z")
+    assert FusedDataset(("x0",), [[1.0], [2.0]], [1.0, 2.0], [first, last]).n_rows == 2
+    for minute in (first - 1, last + 1):
+        with pytest.raises(ValueError, match="years 1 to 9999"):
+            FusedDataset(("x0",), [[1.0]], [1.0], [minute])
 
 
 # -- downsampling ---------------------------------------------------------------
@@ -235,8 +254,8 @@ def _graded_dataset(n=40, seed=0):
 def test_downsample_keeps_every_high_row_and_thins_low():
     data = _graded_dataset()
     out = downsample_low_kp(data, 2, threshold=4.0, seed=5)
-    high_before = {t for t, y in zip(data.row_times, data.targets) if y > 4.0}
-    high_after = {t for t, y in zip(out.row_times, out.targets) if y > 4.0}
+    high_before = {t for t, y in zip(data.row_minutes, data.targets) if y > 4.0}
+    high_after = {t for t, y in zip(out.row_minutes, out.targets) if y > 4.0}
     assert high_before == high_after
     low_before = int((data.targets <= 4.0).sum())
     low_after = int((out.targets <= 4.0).sum())
@@ -246,7 +265,7 @@ def test_downsample_keeps_every_high_row_and_thins_low():
 def test_downsample_preserves_row_order_and_content():
     data = _graded_dataset()
     out = downsample_low_kp(data, 3, seed=9)
-    kept = [data.row_times.index(t) for t in out.row_times]
+    kept = [data.row_minutes.tolist().index(t) for t in out.row_minutes]
     assert kept == sorted(kept)
     for j, i in enumerate(kept):
         assert np.array_equal(out.rows[j], data.rows[i])
@@ -264,8 +283,8 @@ def test_downsample_deterministic_per_seed():
     a = downsample_low_kp(data, 2, seed=7)
     b = downsample_low_kp(data, 2, seed=7)
     c = downsample_low_kp(data, 2, seed=8)
-    assert a.row_times == b.row_times
-    assert a.row_times != c.row_times  # overwhelmingly likely for this data
+    assert np.array_equal(a.row_minutes, b.row_minutes)
+    assert not np.array_equal(a.row_minutes, c.row_minutes)  # overwhelmingly likely for this data
 
 
 def test_downsample_rejects_bad_factor():
@@ -297,13 +316,13 @@ def test_select_features_rejects_bad_indices_and_names():
 
 def test_split_by_time_partitions_chronologically():
     data = make_dataset(np.arange(10.0), np.linspace(0, 9, 10))
-    cutoff = EPOCH + timedelta(hours=3 * 6)
+    cutoff = EPOCH + 180 * 6
     train, test = split_by_time(data, cutoff)
     assert train.n_rows == 6 and test.n_rows == 4
-    assert all(t < cutoff for t in train.row_times)
-    assert all(t >= cutoff for t in test.row_times)
+    assert all(t < cutoff for t in train.row_minutes)
+    assert all(t >= cutoff for t in test.row_minutes)
     # boundary row (== cutoff) lands in test
-    assert test.row_times[0] == cutoff
+    assert test.row_minutes[0] == cutoff
 
 
 # -- CSV round-trip --------------------------------------------------------------
@@ -314,14 +333,14 @@ def test_dataset_csv_round_trip_is_bit_exact():
     # make values awkward: thirds and tiny offsets stress the formatting
     solar = tuple(
         ingest.MeasurementSeries(
-            s.name, 5, s.start, s.values / 3.0 + 1e-9, s.present
+            s.name, 5, s.start_minute, s.values / 3.0 + 1e-9, s.present
         )
         for s in solar
     )
     data = fuse(solar, dst, kp, TOY_SPEC)
     back = FusedDataset.from_csv(data.to_csv())
     assert back.feature_names == data.feature_names
-    assert back.row_times == data.row_times
+    assert np.array_equal(back.row_minutes, data.row_minutes)
     assert np.array_equal(back.rows, data.rows)  # bit-exact
     assert np.array_equal(back.targets, data.targets)
     assert FusedDataset.from_csv(back.to_csv()).to_csv() == data.to_csv()
@@ -367,11 +386,10 @@ def _fill(draw, pool_strategy, shape):
 def datasets(draw, sizes=(0, 1, 255, 256, 257, 513)):
     n, p = draw(st.sampled_from(sizes)), draw(st.integers(1, 3))
     rows = _fill(draw, _FINITE_CELLS, (n, p))
-    start = draw(st.datetimes(max_value=datetime(9000, 1, 1), timezones=st.just(UTC)))
-    start = start.replace(second=0, microsecond=0)
-    times = tuple(start + timedelta(hours=3 * i) for i in range(n))
+    start = draw(st.integers(ingest.parse_timestamp("0001-01-01T00:00Z"),
+                             ingest.parse_timestamp("9000-01-01T00:00Z")))
     names = tuple(f"x{j}_m{5 * j}" for j in range(p))
-    return FusedDataset(names, rows, _fill(draw, _TARGETS, n), times)
+    return FusedDataset(names, rows, _fill(draw, _TARGETS, n), start + 180 * np.arange(n))
 
 
 def _written_and_read(data):
@@ -384,7 +402,7 @@ def _written_and_read(data):
 
 def _assert_same_bits(a, b):
     assert a.feature_names == b.feature_names
-    assert a.row_times == b.row_times
+    assert np.array_equal(a.row_minutes, b.row_minutes)
     assert a.rows.shape == b.rows.shape
     assert np.array_equal(a.rows.view(np.int64), b.rows.view(np.int64))
     assert np.array_equal(a.targets.view(np.int64), b.targets.view(np.int64))

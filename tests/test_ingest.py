@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpforecast import ingest
+from kpforecast.fusion import FusedDataset
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -23,19 +24,24 @@ from kpforecast.rng import PortableRng
 UTC = timezone.utc
 
 
+def _minute(t: datetime) -> int:
+    """Minutes from 1970-01-01T00:00Z to ``t``, by ``datetime`` arithmetic."""
+    return (t - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(minutes=1)
+
+
 # -- timestamps --------------------------------------------------------------
 
 
 def test_parse_timestamp_minute_form():
-    assert ingest.parse_timestamp("2021-01-01T00:05Z") == datetime(
+    assert ingest.parse_timestamp("2021-01-01T00:05Z") == _minute(datetime(
         2021, 1, 1, 0, 5, tzinfo=UTC
-    )
+    ))
 
 
 def test_parse_timestamp_accepts_explicit_zero_seconds():
-    assert ingest.parse_timestamp("2021-06-30T23:59:00Z") == datetime(
+    assert ingest.parse_timestamp("2021-06-30T23:59:00Z") == _minute(datetime(
         2021, 6, 30, 23, 59, tzinfo=UTC
-    )
+    ))
 
 
 @pytest.mark.parametrize(
@@ -56,7 +62,7 @@ def test_parse_timestamp_rejects_deviations(bad):
 
 
 def test_format_timestamp_round_trip():
-    t = datetime(2022, 2, 3, 21, 0, tzinfo=UTC)
+    t = _minute(datetime(2022, 2, 3, 21, 0, tzinfo=UTC))
     assert ingest.parse_timestamp(ingest.format_timestamp(t)) == t
 
 
@@ -64,7 +70,7 @@ def test_format_timestamp_round_trip():
     (1, "0001-03-04T05:06Z"), (999, "0999-03-04T05:06Z"), (2021, "2021-03-04T05:06Z"),
 ])
 def test_format_timestamp_pads_every_year_to_four_digits(year, text):
-    t = datetime(year, 3, 4, 5, 6, tzinfo=UTC)
+    t = _minute(datetime(year, 3, 4, 5, 6, tzinfo=UTC))
     assert ingest.format_timestamp(t) == text
     assert ingest.parse_timestamp(text) == t
 
@@ -72,8 +78,64 @@ def test_format_timestamp_pads_every_year_to_four_digits(year, text):
 @settings(max_examples=300)
 @given(st.datetimes(timezones=st.just(UTC)))
 def test_parse_timestamp_inverts_format_timestamp(t):
-    t = t.replace(second=0, microsecond=0)
+    t = _minute(t.replace(second=0, microsecond=0))
     assert ingest.parse_timestamp(ingest.format_timestamp(t)) == t
+
+
+def _reference_text(minute: int) -> str:
+    """``format_timestamp`` as it was written on ``datetime``: the reference."""
+    t = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(minutes=minute)
+    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}Z"
+
+
+_FIRST_MINUTE = _minute(datetime(1, 1, 1, tzinfo=UTC))
+_LAST_MINUTE = _minute(datetime(9999, 12, 31, 23, 59, tzinfo=UTC))
+_LEAP_DAYS = [datetime(y, 2, 29, tzinfo=UTC) for y in (4, 400, 1600, 1904, 1968, 2000, 2024, 9996)]
+_INSTANTS = (
+    st.integers(_FIRST_MINUTE, _LAST_MINUTE)  # pre-1970 instants are most of the range
+    | st.builds(lambda day, m: _minute(day) + m, st.sampled_from(_LEAP_DAYS), st.integers(0, 1439))
+    | st.sampled_from([_FIRST_MINUTE, _LAST_MINUTE, -1, 0, 1])
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_INSTANTS, min_size=1, max_size=20), st.booleans())
+def test_vectorised_and_scalar_timestamp_codecs_agree(minutes, zero_seconds):
+    texts = ingest.format_minutes(minutes)
+    assert texts == [ingest.format_timestamp(m) for m in minutes]
+    assert texts == [_reference_text(m) for m in minutes]
+    if zero_seconds:
+        texts = [text[:-1] + ":00Z" for text in texts]
+    assert [ingest.parse_timestamp(text) for text in texts] == minutes
+    digits = np.array([int("".join(filter(str.isdigit, text[:16]))) for text in texts])
+    parsed, valid = ingest.minutes_from_digits(digits)
+    assert valid.all() and parsed.tolist() == minutes
+    # both array parsers: a measurement file (strictly increasing) and a dataset CSV
+    by_minute = dict(zip(minutes, texts))
+    ordered = sorted(by_minute)
+    table = ingest.parse_solar_wind("".join(f"{by_minute[m]},1,1,1,1,1,1,1\n" for m in ordered))
+    assert table.minutes.tolist() == ordered
+    dataset = FusedDataset.from_csv("x0,target,row_time\n"
+                                    + "".join(f"1.0,2.0,{text}\n" for text in texts))
+    assert dataset.row_minutes.tolist() == minutes
+
+
+@pytest.mark.parametrize("text", [
+    "1900-02-29T00:00Z", "2100-02-29T12:00Z", "0001-02-29T00:00Z", "2021-04-31T00:00Z",
+    "2021-00-10T00:00Z", "2021-01-00T00:00Z", "0000-01-01T00:00Z", "2021-01-01T24:00Z",
+    "2021-01-01T23:60:00Z",
+])
+def test_a_date_the_calendar_lacks_is_refused_by_every_parser(text):
+    with pytest.raises(ValueError, match="invalid calendar instant") as scalar:
+        ingest.parse_timestamp(text)
+    digits = int("".join(filter(str.isdigit, text[:16])))
+    assert not ingest.minutes_from_digits(np.array([digits]))[1][0]
+    with pytest.raises(BadTimestamp) as in_file:
+        ingest.parse_dst(f"2021-01-01T00:00Z,1\n{text},2\n")
+    assert str(in_file.value) == f"line 2: {scalar.value}"
+    with pytest.raises(BadTimestamp) as in_dataset:
+        FusedDataset.from_csv(f"x0,target,row_time\n1.0,2.0,{text}\n")
+    assert str(in_dataset.value) == f"line 2: {scalar.value}"
 
 
 # -- solar wind ----------------------------------------------------------------
@@ -93,7 +155,7 @@ def test_parse_solar_wind_values_and_gaps():
     assert table.values[0, FIELD["speed"]] == 372.0
     assert not table.present[1, FIELD["bx"]] and not table.present[1, FIELD["speed"]]
     assert table.present.sum() == 12
-    assert table.time_at(1) == datetime(2021, 1, 1, 0, 5, tzinfo=UTC)
+    assert table.minutes[1] == _minute(datetime(2021, 1, 1, 0, 5, tzinfo=UTC))
     assert table.minutes[1] - table.minutes[0] == 5
 
 
@@ -198,7 +260,7 @@ def test_kp_boundaries_are_legal():
 
 def _table(fields, start, step_minutes, rows):
     """A table of records ``step_minutes`` apart; ``None`` marks a gap."""
-    origin = (start - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(minutes=1)
+    origin = _minute(start)
     present = [[v is not None for v in row] for row in rows]
     values = [[np.nan if v is None else v for v in row] for row in rows]
     return ingest.MeasurementTable(
@@ -245,7 +307,7 @@ def test_table_from_series_is_the_inverse_of_to_series():
     _assert_same_table(ingest.MeasurementTable.from_series(series), table)
     with pytest.raises(ValueError):
         ingest.MeasurementTable.from_series((series[0], ingest.to_series(
-            _table(("dst",), series[0].start, 60, [[1.0]]), "dst", 60)))
+            _table(("dst",), datetime(2021, 3, 1, tzinfo=UTC), 60, [[1.0]]), "dst", 60)))
 
 
 # -- to_series -----------------------------------------------------------------
@@ -260,18 +322,15 @@ def test_to_series_marks_missing_slots_and_field_gaps():
     series = ingest.to_series(table, "dst", 60)
     assert len(series) == 4
     assert series.present.tolist() == [True, False, False, True]
-    assert series.value_at(base) == -10.0
-    assert series.value_at(base + timedelta(hours=1)) is None
-    assert series.value_at(base + timedelta(hours=2)) is None
-    assert series.value_at(base + timedelta(minutes=30)) is None  # off-grid
-    assert series.time_at(3) == base + timedelta(hours=3)
+    assert series.start_minute == _minute(base) and series.cadence_minutes == 60
+    assert series.values[0] == -10.0 and series.values[3] == -12.0
 
 
 def test_to_series_single_record():
     base = datetime(2021, 1, 1, tzinfo=UTC)
     series = ingest.to_series(_table(("kp",), base, 180, [[2.0]]), "kp", 180)
     assert len(series) == 1 and series.values[0] == 2.0
-    assert series.start == base
+    assert series.start_minute == _minute(base)
 
 
 def test_to_series_off_grid_record_raises():
@@ -354,8 +413,7 @@ def canonical_files(draw):
         minute += cadence * draw(st.integers(1, 3))
         values = [None if draw(st.booleans()) and draw(st.booleans()) else _value(draw, f)
                   for f in fields]
-        stamp = ingest.format_timestamp(datetime(2021, 1, 1, tzinfo=UTC)
-                                        + timedelta(minutes=minute))
+        stamp = ingest.format_timestamp(_minute(datetime(2021, 1, 1, tzinfo=UTC)) + minute)
         cells = [stamp] + ["" if v is None else repr(v) for v in values]
         data_lines.append(len(lines))
         lines.append(",".join(cells) + draw(st.sampled_from(["", " ", "\t ", "  "])))
