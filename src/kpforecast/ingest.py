@@ -98,7 +98,7 @@ def minutes_from_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (first_day + day - 1) * 1440 + hour * 60 + minute, valid
 
 
-def format_minutes(minutes) -> list[str]:
+def format_minutes(minutes: np.ndarray | Sequence[int]) -> list[str]:
     """The canonical text (``YYYY-MM-DDTHH:MMZ``) of each minute since 1970-01-01T00:00Z."""
     stamps = np.datetime_as_string(np.asarray(minutes, dtype=np.int64).astype("datetime64[m]"),
                                    unit="m")

@@ -470,9 +470,9 @@ _FILE_KEYS = {"solar_wind", "dst", "kp", "data", "model", "out"}
 VALUE_FLAGS = [(command, f"--{cli._flag(key)}") for command, (_, spec, _) in cli._COMMANDS.items()
                for key in spec if key not in _FILE_KEYS]
 # small values only: a flag may set --days, --trees, --threads or a lookback
-FLAG_VALUES = ["", " ", "\t", "+1", "-1", "-0", "+0", "nan", "-nan", "inf", "-inf", "1e400",
-               "0x10", "1_0", "٣", "２", "1.5", "2,1", "1,", ",", " 2 , 1 ", "true",
-               "default", "all", "2021-01-03T00:00:00Z", "2021-01-03T00:00Z"]
+FLAG_VALUES = ["", " ", "+1", "-1", "-0", "nan", "inf", "-inf", "1e400", "0x10", "1_0", "٣",
+               "２", "1.5", "2,1", "1,", ",", "true", "default", "all", "2021-01-03T00:00:00Z",
+               "2021-01-03T00:00Z"]
 
 
 def _small(value: str) -> bool:
@@ -499,7 +499,7 @@ def _with_each_flag_value(test):
 
 
 @pytest.mark.parametrize("command, flag", VALUE_FLAGS)
-@settings(max_examples=4)
+@settings(max_examples=2)
 @_with_each_flag_value
 @given(value=_ODD_VALUES)
 def test_any_flag_value_exits_0_1_or_2(valid_files, tmp_path_factory, command, flag, value):

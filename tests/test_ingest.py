@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpforecast import ingest
-from kpforecast.fusion import FusedDataset
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -19,6 +18,7 @@ from kpforecast.errors import (
     NonMonotonicTime,
     ValueOutOfRange,
 )
+from kpforecast.fusion import FusedDataset
 from kpforecast.rng import PortableRng
 
 UTC = timezone.utc
