@@ -17,7 +17,6 @@ bit-identical series on every platform.  With ``storm_rate_per_day=0`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +54,7 @@ class SynthConfig:
             raise ValueError("n_days must be >= 1")
         for name, value in (("storm rate", self.storm_rate_per_day),
                             ("noise scale", self.noise_scale)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 

@@ -20,7 +20,6 @@ once.  Nothing derived from test rows ever reaches a fit.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 
@@ -153,7 +152,7 @@ class ExperimentPlan:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.downsample < 1:
             raise ValueError("downsample factor must be >= 1")
-        if math.isnan(self.downsample_threshold):
+        if np.isnan(self.downsample_threshold):
             raise ValueError("downsample threshold must be a number, got nan")
         if self.k_features is not None and self.k_features < 1:
             raise ValueError("k_features must be >= 1 when given")

@@ -466,9 +466,8 @@ def test_any_config_file_exits_0_1_or_2(valid_files, tmp_path_factory, command, 
 
 # -- fuzzing main() over the values of every other flag ----------------------
 
-_FILE_KEYS = {"solar_wind", "dst", "kp", "data", "model", "out"}
-VALUE_FLAGS = [(command, f"--{cli._flag(key)}") for command, (_, spec, _) in cli._COMMANDS.items()
-               for key in spec if key not in _FILE_KEYS]
+VALUE_FLAGS = [(command, flag) for command, (_, spec, _) in cli._COMMANDS.items()
+               for flag in (f"--{cli._flag(key)}" for key in spec) if flag not in FILE_FLAGS]
 # small values only: a flag may set --days, --trees, --threads or a lookback
 FLAG_VALUES = ["", " ", "+1", "-1", "-0", "nan", "inf", "-inf", "1e400", "0x10", "1_0", "٣",
                "２", "1.5", "2,1", "1,", ",", "true", "default", "all", "2021-01-03T00:00:00Z",
