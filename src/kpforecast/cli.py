@@ -387,7 +387,7 @@ def _cmd_compare(args) -> int:
     threads = _threads(opts)  # validate before touching the filesystem
     plans = [_plan(opts)]
     plans += [_plan(opts, k_features=k) for k in opts.ks]
-    if opts.downsample > 1 and opts.ks:
+    if opts.downsample != 1:  # the plan refuses a factor below 1, as evaluate's does
         plans.append(
             _plan(
                 opts,

@@ -154,6 +154,8 @@ class ExperimentPlan:
             raise ValueError("downsample factor must be >= 1")
         if np.isnan(self.downsample_threshold):
             raise ValueError("downsample threshold must be a number, got nan")
+        if self.downsample_threshold < 0.0:  # Kp is never negative: no row would be low
+            raise ValueError(f"downsample threshold must be >= 0, got {self.downsample_threshold}")
         if self.k_features is not None and self.k_features < 1:
             raise ValueError("k_features must be >= 1 when given")
 

@@ -16,21 +16,29 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
-by ``repr`` (an exact round-trip).  ``write_csv`` and ``read_csv`` stream it a
-block of rows at a time, so the file's text is never held whole; ``to_csv``
-and ``from_csv`` are the same code on a string.
+by ``repr`` (an exact round-trip).  ``write_csv`` streams it a block of rows
+at a time.  ``read_csv`` reads the file's bytes a chunk at a time through the
+compiled scanner ``csvscan.c`` (built by :func:`.splitkernel.load`), so the
+file is never held whole.  A file the scanner does not read (no compiler, a
+line outside its strict form, or any fault) is read again by the Python
+reader, a block of lines at a time: it is the scanner's test reference and
+words every error.  ``to_csv`` and ``from_csv`` are the same code on a
+string.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
+from . import splitkernel
 from .errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -68,8 +76,12 @@ _KP_CADENCE = 180
 
 _FIRST_MINUTE, _LAST_MINUTE = -1_035_593_280, 4_223_371_679  # 0001-01-01T00:00Z, 9999-12-31T23:59Z
 
-#: Rows per block of the dataset CSV, written or read.
+#: Rows per block of the dataset CSV, written or read by the Python reader.
 _BLOCK_ROWS = 256
+#: Bytes per read of the compiled reader.
+_CHUNK_BYTES = 1 << 20
+#: A line of printable ASCII, the only bytes the compiled reader accepts.
+_PRINTABLE = re.compile(rb"[ -~]*")
 
 
 @dataclass(frozen=True)
@@ -196,11 +208,12 @@ class FusedDataset:
     @classmethod
     def from_csv(cls, content: str) -> "FusedDataset":
         """Parse the text :meth:`to_csv` writes (see :meth:`read_csv`)."""
-        return cls._parse(content.splitlines())
+        scanned = _scan_csv(io.BytesIO(content.encode("ascii"))) if content.isascii() else None
+        return cls._parse(content.splitlines()) if scanned is None else scanned
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FusedDataset":
-        """Read a dataset CSV file a block of rows at a time.
+        """Read a dataset CSV file a chunk of lines at a time.
 
         Blank and ``#`` lines are skipped, as is trailing whitespace.  A fault
         raises a :class:`~kpforecast.errors.DataError` subtype that names the
@@ -209,6 +222,10 @@ class FusedDataset:
         that is not a finite number, :class:`ValueOutOfRange` for a target
         outside [0, 9] and :class:`BadTimestamp` for a bad ``row_time``.
         """
+        with open(path, "rb") as handle:
+            scanned = _scan_csv(handle)
+        if scanned is not None:
+            return scanned
         with open(path, encoding="utf-8") as handle:
             return cls._parse(handle)
 
@@ -231,6 +248,66 @@ class FusedDataset:
             targets.append(values[:, -1])
             minutes.append(block_minutes)
         return cls(names, np.concatenate(rows), np.concatenate(targets), np.concatenate(minutes))
+
+
+def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
+    """The dataset in a binary file, read by the compiled scanner of ``csvscan.c``.
+
+    The rows are scanned a chunk of ``_CHUNK_BYTES`` at a time, so the file's
+    bytes are never held whole.  None when the scanner cannot be loaded, or
+    when the file leaves its strict grammar (see the C source) or holds a
+    fault; :meth:`FusedDataset._parse` then reads the file again, as the
+    reference, and raises the fault.
+    """
+    library = splitkernel.load("csvscan")
+    if library is None:
+        return None
+    for line in handle:  # the header, after blank and comment lines
+        text = line.removesuffix(b"\n")
+        if not _PRINTABLE.fullmatch(text):
+            return None
+        if text and not text.startswith(b"#"):
+            break
+    else:
+        return None
+    header = text.decode("ascii").split(",")
+    if len(header) < 3 or header[-2:] != ["target", "row_time"]:
+        return None
+    width = len(header)
+    parts, tail = [], b""
+    while chunk := handle.read(_CHUNK_BYTES):
+        buf = tail + chunk
+        end = buf.rfind(b"\n") + 1
+        parts.append(_scan_rows(library, buf, end, width))
+        if parts[-1] is None:
+            return None
+        tail = buf[end:]
+    parts.append(_scan_rows(library, tail, len(tail), width))
+    if parts[-1] is None:
+        return None
+    rows = np.concatenate([np.empty((0, width - 2))] + [values[:, :-1] for values, _ in parts])
+    targets = np.concatenate([np.empty(0)] + [values[:, -1] for values, _ in parts])
+    minutes = np.concatenate([np.empty(0, dtype=np.int64)] + [minutes for _, minutes in parts])
+    return FusedDataset(tuple(header[:-2]), rows, targets, minutes)
+
+
+def _scan_rows(library, buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``[rows | target]`` and the row minutes of the lines in ``buf[:end]``,
+    which end in a newline or at the end of ``buf``; None if the scanner
+    refuses a line or a target or time is out of place."""
+    capacity = buf.count(b"\n", 0, end) + 1
+    values = np.empty((capacity, width - 1))
+    stamps = np.empty(capacity, dtype=np.int64)
+    count = library.kp_scan_dataset(buf, end, width, capacity, values.ctypes.data,
+                                    stamps.ctypes.data)
+    if count < 0:
+        return None
+    values = values[:count]
+    minutes, valid = minutes_from_digits(stamps[:count])
+    targets = values[:, -1]
+    if not (valid.all() and (targets >= 0.0).all() and (targets <= 9.0).all()):
+        return None
+    return values, minutes
 
 
 def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:
@@ -380,6 +457,8 @@ def downsample_low_kp(
         raise ValueError("downsample factor must be >= 1")
     if math.isnan(threshold):
         raise ValueError("downsample threshold must be a number, got nan")
+    if threshold < 0.0:  # targets lie in [0, 9], so no row would be low
+        raise ValueError(f"downsample threshold must be >= 0, got {threshold}")
     if downsample == 1:
         return data
     low = np.flatnonzero(data.targets <= threshold)

@@ -19,8 +19,13 @@ A parser returns a :class:`MeasurementTable`, the records column by column:
 int64 minute times (every instant in the package counts minutes from
 1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  One
 pass over the lines splits the fields, matches the timestamp pattern (keeping
-its digits) and converts numbers with Python's ``float``.  Every other check
-(calendar validity, strictly increasing time, finiteness, alignment and
+its digits) and converts the numbers.  The compiled scanner ``csvscan.c``
+(built by :func:`.splitkernel.load`) makes that pass over a file in its
+strict form: ``\n`` line ends, printable ASCII, plain decimal numbers that
+``strtod`` converts to the value ``float`` gives.  Any other file, and every
+file where the scanner cannot be built, takes the Python pass, which
+converts with ``float`` and is the scanner's test reference.  Every other
+check (calendar validity, strictly increasing time, finiteness, alignment and
 physical ranges) runs on the arrays and reports the first faulty line in file
 order, with the error that checking each line as it is read would raise there.
 
@@ -44,6 +49,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import splitkernel
 from .errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -236,6 +242,32 @@ def _number_fault(fields: Iterable[str]) -> str | None:
     return None
 
 
+def _scan_compiled(content: str, n: int):
+    """``_Scan._scan_lines``'s arrays from the compiled scanner of ``csvscan.c``.
+
+    None when the scanner cannot be loaded or the file leaves its strict
+    grammar (see the C source); the Python pass then reads the file.
+    """
+    if not content.isascii():
+        return None
+    library = splitkernel.load("csvscan")
+    if library is None:
+        return None
+    data = content.encode("ascii")
+    capacity = data.count(b"\n") + 1  # lines, so at least the records
+    line_nos = array("q", bytes(8 * capacity))
+    stamps = np.empty(capacity, dtype=np.int64)
+    values = np.empty((capacity, n))
+    present = np.empty((capacity, n), dtype=bool)
+    records = library.kp_scan_measurements(
+        data, len(data), n, capacity, line_nos.buffer_info()[0],
+        stamps.ctypes.data, values.ctypes.data, present.ctypes.data)
+    if records < 0:
+        return None
+    del line_nos[records:]
+    return line_nos, stamps[:records], values[:records], present[:records]
+
+
 class _Scan:
     """One pass over a file's lines, then every other check on whole arrays.
 
@@ -251,9 +283,21 @@ class _Scan:
         self.fields = fields
         self.faults: list[tuple[int, int, Callable[[], Exception]]] = []  # (record, rank, error)
         n = len(fields)
+        scanned = _scan_compiled(content, n)
+        if scanned is None:
+            scanned = self._scan_lines(content, n)
+        self.line_nos, stamps, self.values, self.present = scanned
+        self.check((self.present & ~np.isfinite(self.values)).any(axis=1), _NUMBER,
+                   lambda r: MalformedLine(self.line_nos[r],
+                                           _number_fault(filter(None, self._line(r)[1:]))))
+        self._times(stamps)
+
+    def _scan_lines(self, content: str, n: int):
+        """The Python pass over the lines: the reference for the compiled
+        scanner, and the parser of every file it does not read."""
         # Packed arrays, not lists: a list holds a Python object per cell,
         # four times the memory of a packed number.
-        self.line_nos = array("q")
+        line_nos = array("q")
         stamps = array("q")  # YYYYMMDDHHMM of each record
         values = array("d")  # every value of every record, record after record
         gaps: list[int] = []  # positions in ``values`` of empty fields
@@ -262,7 +306,7 @@ class _Scan:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            record = len(self.line_nos)
+            record = len(line_nos)
             if len(parts) != n + 1:
                 self.faults.append((record, _SHAPE, partial(
                     MalformedLine, line_no, f"expected {n + 1} fields, got {len(parts)}")))
@@ -271,7 +315,7 @@ class _Scan:
             if digits is None:
                 self.faults.append((record, _SHAPE, partial(_timestamp_error, line_no, parts[0])))
                 break
-            self.line_nos.append(line_no)
+            line_nos.append(line_no)
             stamps.append(digits)
             try:
                 values.extend(map(float, parts[1:]))
@@ -286,14 +330,11 @@ class _Scan:
                         MalformedLine, line_no, _number_fault(filter(None, parts[1:])))))
                     break
                 gaps += (record * n + j for j, f in enumerate(parts[1:]) if f == "")
-        records = len(self.line_nos)
-        self.values = np.frombuffer(values, dtype=np.float64).reshape(records, n)
-        self.present = np.ones((records, n), dtype=bool)
-        self.present.flat[gaps] = False
-        self.check((self.present & ~np.isfinite(self.values)).any(axis=1), _NUMBER,
-                   lambda r: MalformedLine(self.line_nos[r],
-                                           _number_fault(filter(None, self._line(r)[1:]))))
-        self._times(np.frombuffer(stamps, dtype=np.int64))
+        records = len(line_nos)
+        present = np.ones((records, n), dtype=bool)
+        present.flat[gaps] = False
+        return (line_nos, np.frombuffer(stamps, dtype=np.int64),
+                np.frombuffer(values, dtype=np.float64).reshape(records, n), present)
 
     def _times(self, digits: np.ndarray) -> None:
         """Minute times from YYYYMMDDHHMM, checked for calendar and order."""

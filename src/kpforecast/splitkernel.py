@@ -1,16 +1,19 @@
-"""The compiled tree grower: build, cache and call ``splitkernel.c``.
+"""The compiled kernels: build, cache and call ``splitkernel.c`` and ``csvscan.c``.
 
-The kernel grows a whole tree exactly as the numpy ``forest._grow_tree``
-grows it (see the C source for how), and ``ctypes`` releases the interpreter
-lock for the call, so trees grown on a thread pool grow in parallel.
+``splitkernel.c`` grows a whole tree exactly as the numpy
+``forest._grow_tree`` grows it (see the C source for how), and ``ctypes``
+releases the interpreter lock for the call, so trees grown on a thread pool
+grow in parallel.  ``csvscan.c`` reads the canonical CSV files for
+:mod:`.ingest` and :mod:`.fusion`.
 
-:func:`load` compiles the source with the system ``cc`` the first time a
-process needs it and caches the library in this package's ``__pycache__``,
-keyed by the sha256 of the source and compiler flags and by the
-interpreter's cache tag.  Each build writes a temporary file and renames it
-into place, so concurrent first builds leave one complete library.  When no
-``cc`` exists, the cache directory is not writable or the build fails,
-:func:`load` returns None and the forest grows its trees in numpy instead.
+:func:`load` compiles a kernel's source with the system ``cc`` the first
+time a process needs it and caches the library in this package's
+``__pycache__``, keyed by the sha256 of the source and compiler flags and by
+the interpreter's cache tag.  Each build writes a temporary file and renames
+it into place, so concurrent first builds leave one complete library.  When
+no ``cc`` exists, the cache directory is not writable or the build fails,
+:func:`load` returns None and the caller falls back to its Python code: the
+forest grows its trees in numpy, and the parsers read in Python.
 """
 
 from __future__ import annotations
@@ -22,15 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("splitkernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 # Never -ffast-math, -march=native or FMA: the scores must round as numpy's do.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_I64, _PTR, _BYTES = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p
 # fit calls kp_rank_columns and kp_grow_tree; kp_best_split (one node) and
 # kp_smallest_keys (one subset draw) are there for the differential tests.
-_SIGNATURES = {
+_SPLITKERNEL = {
     "kp_scratch_bytes": (_I64, [_I64, _I64]),  # rows, columns
     "kp_rank_columns": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # x, n, p, pairs, ranks
     "kp_grow_tree": (_I64, [
@@ -48,22 +50,55 @@ _SIGNATURES = {
     "kp_smallest_keys": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # keys, p, k, work, out
 }
 
+_CSVSCAN = {
+    "kp_scan_measurements": (_I64, [
+        _BYTES, _I64, _I64, _I64,  # buf, len, fields, capacity
+        _PTR, _PTR, _PTR, _PTR,  # line_nos, stamps, values, present
+    ]),
+    "kp_scan_dataset": (_I64, [
+        _BYTES, _I64, _I64, _I64,  # buf, len, width, capacity
+        _PTR, _PTR,  # values, stamps
+    ]),
+}
+
+#: Each kernel's functions, by the name of its source in this package.
+_SIGNATURES = {"splitkernel": _SPLITKERNEL, "csvscan": _CSVSCAN}
+
 #: (index into cand, best score, lo, hi, total sum, total sum of squares)
 KernelSplit = tuple[int, float, float, float, float, float]
 
 
-def library_path(source: bytes) -> Path:
-    """Where the library built from ``source`` is cached."""
-    # Only a fit needs this module's imports beyond ctypes, so they are made
-    # here and in _build and load: hashlib alone (OpenSSL) adds 3.6 MB of RSS
-    # to a process, and predict, fuse and synth never fit.
+def source_path(name: str) -> Path:
+    """The C source of the kernel ``name``."""
+    return Path(__file__).with_name(f"{name}.c")
+
+
+def _sha256():
+    """CPython's own sha256 where the build has one, else hashlib's.
+
+    hashlib's loads OpenSSL, which adds 3.7 MB to the peak RSS of ``fuse``;
+    the digests are the same.
+    """
+    import importlib
+
+    for module in ("_sha256", "_sha2"):  # _sha2 from Python 3.12
+        try:
+            return importlib.import_module(module).sha256
+        except ImportError:
+            pass
     import hashlib
 
-    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
-    return CACHE_DIR / f"splitkernel.{sys.implementation.cache_tag}-{digest}.so"
+    return hashlib.sha256
+
+
+def library_path(name: str, source: bytes) -> Path:
+    """Where the library of the kernel ``name`` built from ``source`` is cached."""
+    digest = _sha256()(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    return CACHE_DIR / f"{name}.{sys.implementation.cache_tag}-{digest}.so"
 
 
 def _build(cc: str, source: Path, target: Path) -> None:
+    # Only a build needs these, so they are imported here.
     import subprocess
     import tempfile
 
@@ -80,22 +115,24 @@ def _build(cc: str, source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def load():
-    """The kernel's library, built on first use; None when it cannot be built or loaded."""
+def load(name: str = "splitkernel"):
+    """The library of the kernel ``name`` (``splitkernel`` or ``csvscan``),
+    built on first use; None when it cannot be built or loaded."""
     import shutil
 
+    source = source_path(name)
     try:
-        path = library_path(SOURCE.read_bytes())
+        path = library_path(name, source.read_bytes())
         if not path.exists():
             cc = shutil.which("cc")
             if cc is None:
                 return None
-            _build(cc, SOURCE, path)
+            _build(cc, source, path)
         library = ctypes.CDLL(str(path))
     except OSError:
         return None
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(library, name)
+    for function_name, (restype, argtypes) in _SIGNATURES[name].items():
+        function = getattr(library, function_name)
         function.restype = restype
         function.argtypes = argtypes
     return library

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpforecast import cli
+from kpforecast import cli, splitkernel
 from kpforecast.cli import main
 
 SMALL_LAGS = [
@@ -318,6 +318,13 @@ def test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd):
     assert digests == PINNED_DIGESTS
 
 
+def test_the_pinned_bytes_hold_without_the_csv_scanner(tmp_cwd, monkeypatch):
+    load = splitkernel.load
+    monkeypatch.setattr(splitkernel, "load",
+                        lambda name="splitkernel": None if name == "csvscan" else load(name))
+    test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd)
+
+
 def test_threads_default_is_the_cpus_this_process_may_use(monkeypatch):
     def threads(value):
         return cli._threads(SimpleNamespace(threads=value))
@@ -520,3 +527,30 @@ def test_non_finite_rates_and_thresholds_are_usage_errors(valid_files, tmp_path,
     code, err = _run([*_argv(command, valid_files, tmp_path / "out"), f"{flag}={value}"])
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("compare", "--downsample", "0", "downsample factor must be >= 1"),
+    ("compare", "--downsample", "-1", "downsample factor must be >= 1"),
+    ("compare", "--downsample-threshold", "-1", "downsample threshold must be >= 0, got -1.0"),
+    ("compare", "--downsample-threshold", "-inf", "downsample threshold must be >= 0, got -inf"),
+    ("evaluate", "--downsample-threshold", "-0.5",
+     "downsample threshold must be >= 0, got -0.5"),
+])
+def test_a_downsample_that_thins_nothing_is_a_usage_error(valid_files, tmp_path, command, flag,
+                                                           value, message):
+    # each once exited 0: compare dropped its L=N row, and a negative
+    # threshold marked no row as low, so the L=N row was the un-thinned fit
+    argv = _argv(command, valid_files, tmp_path / "out")
+    argv[argv.index("--solar-wind") + 1] = str(tmp_path / "missing.csv")  # never read
+    code, err = _run([*argv, f"{flag}={value}"])
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_keeps_its_downsampled_row_at_threshold_0(valid_files, tmp_path):
+    code, _ = _run([*_argv("compare", valid_files, tmp_path / "table.csv"),
+                    "--downsample-threshold=0"])
+    assert code == 0
+    labels = [line.split(",")[0] for line in (tmp_path / "table.csv").read_text().splitlines()]
+    assert labels == ["label", "RF", "RF top-4", "RF top-2", "RF top-2 L=2", "Linear"]

@@ -145,6 +145,21 @@ def test_a_nan_downsample_threshold_is_refused():
                           float("nan"))
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("-inf")])
+def test_a_negative_downsample_threshold_is_refused(threshold):
+    # targets lie in [0, 9]: no row would count as low, as with NaN
+    with pytest.raises(ValueError, match="downsample threshold must be >= 0"):
+        _plan(downsample=2, downsample_threshold=threshold)
+    with pytest.raises(ValueError, match="downsample threshold must be >= 0"):
+        downsample_low_kp(make_dataset(np.arange(4.0), [1.0, 2.0, 5.0, 6.0]), 2, threshold)
+
+
+def test_a_zero_downsample_threshold_thins_the_zero_rows():
+    data = make_dataset(np.arange(6.0), [0.0, -0.0, 0.0, 0.0, 5.0, 6.0])
+    assert _plan(downsample=2, downsample_threshold=-0.0).downsample_threshold == 0.0
+    assert downsample_low_kp(data, 2, 0.0, seed=1).n_rows == 4  # 2 of 4 zeros, both highs
+
+
 def test_a_datetime_cutoff_fails_at_construction():
     with pytest.raises(TypeError):
         _plan(cutoff_minute=datetime(2021, 1, 13, tzinfo=timezone.utc))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpforecast import datagen, forest, modelio, splitkernel
+from kpforecast import datagen, forest, ingest, modelio, splitkernel
+from kpforecast.cli import main
 from kpforecast.forest import ForestConfig, fit
 from kpforecast.fusion import fuse
 from kpforecast.rng import PortableRng
@@ -271,14 +275,28 @@ def test_grower_refuses_arrays_it_cannot_pass_to_the_kernel(kernel):
     assert len(arrays[0]) == 7 and imp.shape == (3,)  # a full tree over 4 distinct rows
 
 
+_SOURCES = sorted(Path(splitkernel.__file__).parent.glob("*.c"))
+
+
 @needs_cc
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    done = subprocess.run(
-        ["cc", *splitkernel.FLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "kernel.so"), str(splitkernel.SOURCE)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    assert [source.stem for source in _SOURCES] == ["csvscan", "splitkernel"]
+    for source in _SOURCES:  # every kernel of the package
+        done = subprocess.run(
+            ["cc", *splitkernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def test_every_kernel_source_is_package_data():
+    # an installed copy without a source would fall back to Python unseen
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    listed = tomllib.loads(pyproject.read_text(encoding="utf-8"))["tool"]["setuptools"][
+        "package-data"]["kpforecast"]
+    assert sorted(source.name for source in _SOURCES) == sorted(listed)
 
 
 def _synthetic(days=30):
@@ -313,11 +331,11 @@ def test_split_kernel_is_built_where_a_compiler_exists(monkeypatch):
     assert all(tree.left[0] != -1 for tree in model.trees)  # every root splits
 
 
-@pytest.mark.parametrize("missing", ["compiler", "working compiler", "writable cache"])
-def test_fit_without_the_kernel_fits_the_same_model(missing, monkeypatch, tmp_path):
-    data = _synthetic(days=8)
-    config = ForestConfig(n_trees=3, seed=2)
-    expected = modelio.model_to_json(fit(data, config))
+_MISSING = ["compiler", "working compiler", "writable cache"]
+
+
+def _break_the_build(missing, monkeypatch, tmp_path):
+    """Point the loader at an empty cache it cannot fill for lack of ``missing``."""
     if missing == "compiler":
         monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(shutil, "which", lambda name: None)
@@ -330,13 +348,55 @@ def test_fit_without_the_kernel_fits_the_same_model(missing, monkeypatch, tmp_pa
     else:
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path / "file" / "cache")
+
+
+def _cache_is_empty(tmp_path):
+    return not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+@pytest.mark.parametrize("missing", _MISSING)
+def test_fit_without_the_kernel_fits_the_same_model(missing, monkeypatch, tmp_path):
+    data = _synthetic(days=8)
+    config = ForestConfig(n_trees=3, seed=2)
+    expected = modelio.model_to_json(fit(data, config))
+    _break_the_build(missing, monkeypatch, tmp_path)
     assert splitkernel.load() is None
-    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+    assert _cache_is_empty(tmp_path)
     assert modelio.model_to_json(fit(data, config)) == expected
 
 
-@needs_cc
-def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_path):
+def _fuse_and_predict(tmp_path, out):
+    """The bytes that ``fuse`` and ``predict`` write for a 3-day archive."""
+    src = tmp_path / "src"
+    if not src.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--seed", "3", "--days", "3", "--out", str(src)]) == 0
+            assert main(["fuse", "--solar-wind", str(src / "solar_wind.csv"),
+                         "--dst", str(src / "dst.csv"), "--kp", str(src / "kp.csv"),
+                         "--out", str(tmp_path / "train.csv")]) == 0
+            assert main(["train", "--data", str(tmp_path / "train.csv"), "--trees", "3",
+                         "--threads", "1", "--out", str(tmp_path / "model.json")]) == 0
+    out.mkdir()
+    assert main(["fuse", "--solar-wind", str(src / "solar_wind.csv"),
+                 "--dst", str(src / "dst.csv"), "--kp", str(src / "kp.csv"),
+                 "--out", str(out / "data.csv")]) == 0
+    assert main(["predict", "--model", str(tmp_path / "model.json"),
+                 "--data", str(out / "data.csv"), "--out", str(out / "pred.csv")]) == 0
+    return (out / "data.csv").read_bytes(), (out / "pred.csv").read_bytes()
+
+
+@pytest.mark.parametrize("missing", _MISSING)
+def test_fuse_and_predict_without_the_scanner_write_the_same_bytes(missing, monkeypatch,
+                                                                     tmp_path):
+    expected = _fuse_and_predict(tmp_path, tmp_path / "compiled")
+    _break_the_build(missing, monkeypatch, tmp_path)
+    assert splitkernel.load("csvscan") is None
+    assert _fuse_and_predict(tmp_path, tmp_path / "python") == expected
+    assert _cache_is_empty(tmp_path)
+
+
+def _load_twice_at_once(name, monkeypatch, tmp_path):
+    """Two threads load the kernel ``name`` into an empty cache, both compiling it."""
     monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path)
     together = threading.Barrier(2, timeout=60)
     build = splitkernel._build
@@ -349,7 +409,7 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
     loaded = [None, None]
 
     def load(i):
-        loaded[i] = splitkernel.load()
+        loaded[i] = splitkernel.load(name)
 
     threads = [threading.Thread(target=load, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -357,8 +417,14 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
     for thread in threads:
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
-    library = splitkernel.library_path(splitkernel.SOURCE.read_bytes())
+    library = splitkernel.library_path(name, splitkernel.source_path(name).read_bytes())
     assert [path.name for path in tmp_path.iterdir()] == [library.name]
+    return loaded
+
+
+@needs_cc
+def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_path):
+    loaded = _load_twice_at_once("splitkernel", monkeypatch, tmp_path)
 
     X = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
     y = np.array([4.0, 1.0, 2.0, 0.0])
@@ -367,3 +433,16 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
         assert kernel is not None
         got = _compiled_split(kernel, X, y, rows, cand)
         assert _bits(got) == _bits(forest._best_split(X, y, rows, cand))
+
+
+@needs_cc
+def test_concurrent_first_builds_of_the_scanner_leave_one_library(monkeypatch, tmp_path):
+    loaded = _load_twice_at_once("csvscan", monkeypatch, tmp_path)
+    text = "2021-01-01T00:00Z,1.5\n# a comment\n\n2021-01-01T03:00:00Z,\n"
+    for scanner in loaded:
+        assert scanner is not None
+        monkeypatch.setattr(splitkernel, "load", lambda name, scanner=scanner: scanner)
+        line_nos, stamps, values, present = ingest._scan_compiled(text, 1)
+        assert list(line_nos) == [1, 4] and stamps.tolist() == [202101010000, 202101010300]
+        assert values.tobytes() == np.array([[1.5], [math.nan]]).tobytes()
+        assert present.tolist() == [[True], [False]]
