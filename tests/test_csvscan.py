@@ -77,7 +77,7 @@ _RANGE_EDITS = ["-1", "-0.0", "-1e-300", "9.000000000000002", "9.5", "12", "1e30
 _LINE_EDITS = ["crlf", "cr", "trailing spaces", "comment", "blank", "spaces line",
                "cell", "range", "stamp", ":00", "drop cell", "add cell", "control",
                "non-UTF-8"]
-_INSERTS = ["\t", "\x0c", "\x1c", "\x85", " ", "\x7f", "\x00", "é", "\\"]
+_INSERTS = ["\t", "\x0c", "\x1c", "\x85", "\u2028", "\x7f", "\x00", "é", "\\"]
 
 
 @st.composite
