@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import shutil
 from unittest import mock
 
 import pytest
@@ -15,9 +14,14 @@ from kpforecast.errors import DataError
 from kpforecast.fusion import FusedDataset
 from kpforecast.ingest import SOLAR_WIND_FIELDS, format_minutes
 
-needs_scanner = pytest.mark.skipif(
-    shutil.which("cc") is None or splitkernel.load("csvscan") is None,
-    reason="the CSV scanner cannot be built here")
+
+@pytest.fixture(scope="module")
+def scanner():
+    found = splitkernel.load("csvscan")
+    if found is None:
+        pytest.skip("the CSV scanner cannot be built here")
+    return found
+
 
 _PARSERS = {"solar wind": ingest.parse_solar_wind, "dst": ingest.parse_dst,
             "kp": ingest.parse_kp}
@@ -174,10 +178,9 @@ def _dataset_text(content: bytes):
         return exc
 
 
-@needs_scanner
 @settings(max_examples=500, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(_PARSERS)))
-def test_measurement_parsers_agree_on_both_paths(data, kind):
+def test_measurement_parsers_agree_on_both_paths(scanner, data, kind):
     lines = data.draw(measurement_lines(kind), label="lines")
     content = data.draw(one_edit(lines, 0), label="content")
     compiled = _bits(_measurement(kind, content))
@@ -185,11 +188,10 @@ def test_measurement_parsers_agree_on_both_paths(data, kind):
         assert _bits(_measurement(kind, content)) == compiled
 
 
-@needs_scanner
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), chunk=st.sampled_from([1, 2, 7, 64, 1 << 20]))
-def test_dataset_readers_agree_on_both_paths(tmp_path, data, chunk):
+def test_dataset_readers_agree_on_both_paths(scanner, tmp_path, data, chunk):
     lines = data.draw(dataset_lines(), label="lines")
     content = data.draw(one_edit(lines, -1), label="content")
     path = tmp_path / "data.csv"
@@ -201,9 +203,8 @@ def test_dataset_readers_agree_on_both_paths(tmp_path, data, chunk):
         assert _bits(_dataset_text(content)) == from_text
 
 
-@needs_scanner
 @given(data=st.data())
-def test_the_scanner_reads_every_clean_file(data):
+def test_the_scanner_reads_every_clean_file(scanner, data):
     """A clean file never falls back, so the differential tests compare two paths."""
     for kind in sorted(_PARSERS):
         text = "\n".join(data.draw(measurement_lines(kind))) + "\n"
@@ -212,8 +213,7 @@ def test_the_scanner_reads_every_clean_file(data):
     assert fusion._scan_csv(io.BytesIO(text.encode("ascii"))) is not None
 
 
-@needs_scanner
-def test_the_scanner_reads_the_synthetic_archive(tmp_path):
+def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
     datagen.write_csv(datagen.SynthConfig(seed=2, n_days=3), tmp_path)
     for kind, name in (("solar wind", "solar_wind.csv"), ("dst", "dst.csv"), ("kp", "kp.csv")):
         text = (tmp_path / name).read_text(encoding="utf-8")
