@@ -271,7 +271,8 @@ def _scan_compiled(content: str, n: int):
 class _Scan:
     """One pass over a file's lines, then every other check on whole arrays.
 
-    The pass stops at the first line whose fields, timestamp pattern or
+    The pass is the compiled scanner's where it reads the file, else
+    :meth:`_scan_lines`.  The Python pass stops at the first line whose fields, timestamp pattern or
     numbers cannot be read.  Each check notes the first record it fails on,
     and :meth:`table` raises the fault of the earliest line and, within that
     line, of the lowest rank, so the error names the same line and problem as
