@@ -80,7 +80,7 @@ def _read_text(path: str) -> str:
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, raw in enumerate(_read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

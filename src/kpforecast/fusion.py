@@ -1,4 +1,4 @@
-"""Fusing multi-cadence series into lagged feature rows on the Kp grid.
+r"""Fusing multi-cadence series into lagged feature rows on the Kp grid.
 
 A prediction instant is a 3-hour Kp boundary ``t``.  Its feature row is the
 concatenation of lagged values, most recent first, for each solar-wind
@@ -17,13 +17,17 @@ A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
 by ``repr`` (an exact round-trip).  ``write_csv`` streams it a block of rows
-at a time.  ``read_csv`` reads the file's bytes a chunk at a time through the
-compiled scanner ``csvscan.c`` (built by :func:`.splitkernel.load`), so the
-file is never held whole.  A file the scanner does not read (no compiler, a
-line outside its strict form, or any fault) is read again by the Python
-reader, a block of lines at a time: it is the scanner's test reference and
-words every error.  ``to_csv`` and ``from_csv`` are the same code on a
-string.
+at a time, and ``to_csv`` returns the same text as a string.
+
+Both readers take one entry point over the file's bytes: ``read_csv`` opens
+the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
+agree on every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
+universal newlines of ``open()``) and nowhere else.  The bytes are read a
+chunk at a time through the compiled scanner ``csvscan.c`` (built by
+:func:`.splitkernel.load`), so the file is never held whole.  A file the
+scanner does not read (no compiler, a line outside its strict form, or any
+fault) is read again by the Python reader, a block of lines at a time: it is
+the scanner's test reference and words every error.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .errors import (
 from .ingest import (
     SOLAR_WIND_FIELDS,
     MeasurementSeries,
+    _data_lines,
     _number_fault,
     _stamp_digits,
     format_minutes,
@@ -207,9 +212,8 @@ class FusedDataset:
 
     @classmethod
     def from_csv(cls, content: str) -> "FusedDataset":
-        """Parse the text :meth:`to_csv` writes (see :meth:`read_csv`)."""
-        scanned = _scan_csv(io.BytesIO(content.encode("ascii"))) if content.isascii() else None
-        return cls._parse(content.splitlines()) if scanned is None else scanned
+        """Parse the text :meth:`to_csv` writes, as :meth:`read_csv` reads its bytes."""
+        return cls._read(io.BytesIO(content.encode("utf-8")))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FusedDataset":
@@ -221,18 +225,26 @@ class FusedDataset:
         :class:`MalformedLine` for a bad header, a wrong cell count or a cell
         that is not a finite number, :class:`ValueOutOfRange` for a target
         outside [0, 9] and :class:`BadTimestamp` for a bad ``row_time``.
+        Bytes that are not UTF-8 raise ``UnicodeDecodeError``.
         """
         with open(path, "rb") as handle:
-            scanned = _scan_csv(handle)
+            return cls._read(handle)
+
+    @classmethod
+    def _read(cls, handle: BinaryIO) -> "FusedDataset":
+        """The dataset in a binary file: the compiled scanner's, else the
+        Python reader's, which reads the file again from the start and
+        closes ``handle``."""
+        scanned = _scan_csv(handle)
         if scanned is not None:
             return scanned
-        with open(path, encoding="utf-8") as handle:
-            return cls._parse(handle)
+        handle.seek(0)
+        with io.TextIOWrapper(handle, encoding="utf-8") as text:
+            return cls._parse(text)
 
     @classmethod
     def _parse(cls, lines: Iterable[str]) -> "FusedDataset":
-        numbered = ((n, line) for n, line in enumerate(map(str.rstrip, lines), start=1)
-                    if line and not line.startswith("#"))
+        numbered = _data_lines(lines)
         first = next(numbered, None)
         if first is None:
             raise EmptyDataset("dataset CSV has no header line")

@@ -1,11 +1,13 @@
-"""Readers and writers for the three canonical measurement formats.
+r"""Readers and writers for the three canonical measurement formats.
 
 All three formats share the same shape: UTF-8 text, comma-separated, no
 header, ``#``-prefixed comment lines ignored, one record per line, an empty
-field meaning "gap".  Timestamps are ISO-8601 UTC at minute resolution with
-a trailing ``Z`` (``2021-01-01T00:05Z``).  Trailing whitespace on a line is
-tolerated; any other deviation raises a :class:`~kpforecast.errors.DataError`
-subtype carrying the offending line number.
+field meaning "gap".  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
+universal newlines of ``open()``) and nowhere else.  Timestamps are ISO-8601
+UTC at minute resolution with a trailing ``Z`` (``2021-01-01T00:05Z``).
+Trailing whitespace on a line is tolerated; any other deviation raises a
+:class:`~kpforecast.errors.DataError` subtype carrying the offending line
+number.
 
 Formats:
 
@@ -17,17 +19,18 @@ Formats:
 
 A parser returns a :class:`MeasurementTable`, the records column by column:
 int64 minute times (every instant in the package counts minutes from
-1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  One
-pass over the lines splits the fields, matches the timestamp pattern (keeping
-its digits) and converts the numbers.  The compiled scanner ``csvscan.c``
-(built by :func:`.splitkernel.load`) makes that pass over a file in its
-strict form: ``\n`` line ends, printable ASCII, plain decimal numbers that
-``strtod`` converts to the value ``float`` gives.  Any other file, and every
-file where the scanner cannot be built, takes the Python pass, which
-converts with ``float`` and is the scanner's test reference.  Every other
-check (calendar validity, strictly increasing time, finiteness, alignment and
-physical ranges) runs on the arrays and reports the first faulty line in file
-order, with the error that checking each line as it is read would raise there.
+1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  The
+parser first turns ``\r\n`` and ``\r`` into ``\n``.  One pass over the
+lines then splits the fields, matches the timestamp pattern (keeping its
+digits) and converts the numbers.  The compiled scanner ``csvscan.c`` (built
+by :func:`.splitkernel.load`) makes that pass over a file in its strict form:
+printable ASCII, plain decimal numbers that ``strtod`` converts to the value
+``float`` gives.  Any other file, and every file where the scanner cannot be
+built, takes the Python pass, which converts with ``float`` and is the
+scanner's test reference.  Every other check (calendar validity, strictly
+increasing time, finiteness, alignment and physical ranges) runs on the
+arrays and reports the first faulty line in file order, with the error that
+checking each line as it is read would raise there.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
@@ -45,7 +48,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from datetime import datetime
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -242,6 +245,13 @@ def _number_fault(fields: Iterable[str]) -> str | None:
     return None
 
 
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The 1-based number and text of each line that holds data: trailing
+    whitespace stripped, blank and ``#`` lines skipped."""
+    return ((line_no, line) for line_no, line in enumerate(map(str.rstrip, lines), start=1)
+            if line and not line.startswith("#"))
+
+
 def _scan_compiled(content: str, n: int):
     """``_Scan._scan_lines``'s arrays from the compiled scanner of ``csvscan.c``.
 
@@ -280,6 +290,8 @@ class _Scan:
     """
 
     def __init__(self, content: str, fields: tuple[str, ...]) -> None:
+        if "\r" in content:  # universal newlines: \r\n and \r end a line as \n does
+            content = content.replace("\r\n", "\n").replace("\r", "\n")
         self.content = content
         self.fields = fields
         self.faults: list[tuple[int, int, Callable[[], Exception]]] = []  # (record, rank, error)
@@ -302,10 +314,7 @@ class _Scan:
         stamps = array("q")  # YYYYMMDDHHMM of each record
         values = array("d")  # every value of every record, record after record
         gaps: list[int] = []  # positions in ``values`` of empty fields
-        for line_no, raw in enumerate(content.splitlines(), start=1):
-            line = raw.rstrip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in _data_lines(content.split("\n")):
             parts = line.split(",")
             record = len(line_nos)
             if len(parts) != n + 1:
@@ -349,7 +358,7 @@ class _Scan:
             f"{format_timestamp(self.minutes[r])} does not advance past previous record"))
 
     def _line(self, record: int) -> list[str]:
-        return self.content.splitlines()[self.line_nos[record] - 1].rstrip().split(",")
+        return self.content.split("\n")[self.line_nos[record] - 1].rstrip().split(",")
 
     def check(self, bad: np.ndarray, rank: int, error) -> None:
         """Note ``error(record)`` for the first record flagged in ``bad``.

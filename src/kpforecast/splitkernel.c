@@ -318,22 +318,6 @@ static int64_t best_split(grower *g, const int32_t *pos, int64_t m,
     return best_j;
 }
 
-/* The node-level search on its own: ``rows`` (m rows of X, repeats
- * allowed) act as the bag, and every bag position is in the node. */
-int64_t kp_best_split(const double *x, const int32_t *ranks, int64_t n, int64_t p,
-                      const double *y, const int64_t *rows, int64_t m,
-                      const int64_t *cand, int64_t k,
-                      void *scratch, double *out)
-{
-    grower g;
-    setup(&g, x, ranks, n, p, rows, m, scratch);
-    for (int64_t i = 0; i < m; i++) {
-        g.yb[i] = y[rows[i]];
-        g.pos[i] = (int32_t)i;
-    }
-    return best_split(&g, g.pos, m, cand, k, out);
-}
-
 /* ----------------------------------------------------------------- drawing */
 
 static uint64_t next_u64(uint64_t *state)

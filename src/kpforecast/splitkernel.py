@@ -30,8 +30,8 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64, _PTR, _BYTES = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p
-# fit calls kp_rank_columns and kp_grow_tree; kp_best_split (one node) and
-# kp_smallest_keys (one subset draw) are there for the differential tests.
+# fit calls kp_rank_columns and kp_grow_tree; kp_smallest_keys (one subset
+# draw) is there for the differential tests.
 _SPLITKERNEL = {
     "kp_scratch_bytes": (_I64, [_I64, _I64]),  # rows, columns
     "kp_rank_columns": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # x, n, p, pairs, ranks
@@ -41,11 +41,6 @@ _SPLITKERNEL = {
         _PTR,  # scratch
         _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,  # the six tree arrays
         _PTR,  # imp
-    ]),
-    "kp_best_split": (_I64, [
-        _PTR, _PTR, _I64, _I64, _PTR,  # x, ranks, n, p, y
-        _PTR, _I64, _PTR, _I64,  # rows, m, cand, k
-        _PTR, _PTR,  # scratch, out
     ]),
     "kp_smallest_keys": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # keys, p, k, work, out
 }
@@ -63,9 +58,6 @@ _CSVSCAN = {
 
 #: Each kernel's functions, by the name of its source in this package.
 _SIGNATURES = {"splitkernel": _SPLITKERNEL, "csvscan": _CSVSCAN}
-
-#: (index into cand, best score, lo, hi, total sum, total sum of squares)
-KernelSplit = tuple[int, float, float, float, float, float]
 
 
 def source_path(name: str) -> Path:
@@ -168,10 +160,9 @@ _TREE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
 class Grower:
     """The kernel over one matrix and its ranks, with its own scratch.
 
-    ``grow`` grows one tree; ``best_split`` searches one node on its own,
-    as the numpy ``forest._best_split`` does.  The instance holds every
-    array whose address it passes, so they outlive the call; one instance
-    serves one thread at a time.
+    ``grow`` grows one tree.  The instance holds every array whose address
+    it passes, so they outlive the call; one instance serves one thread at a
+    time.
     """
 
     def __init__(self, library, x: np.ndarray, ranks: np.ndarray, y: np.ndarray) -> None:
@@ -188,7 +179,6 @@ class Grower:
         self.library = library
         self.scratch = np.empty(library.kp_scratch_bytes(n, p), dtype=np.uint8)
         self.nodes = tuple(np.empty(2 * n - 1, dtype=dtype) for dtype in _TREE_DTYPES)
-        self.out = np.empty(5)
         self.fixed = (x.ctypes.data, ranks.ctypes.data, n, p, self.y.ctypes.data)
 
     def grow(self, bag: np.ndarray, state: int, mtry: int, min_leaf: int):
@@ -207,19 +197,3 @@ class Grower:
         if count < 0:
             raise RuntimeError("the kernel split a node into an empty side")
         return tuple(array[:count].copy() for array in self.nodes), imp
-
-    def best_split(self, rows: np.ndarray, cand: np.ndarray) -> KernelSplit | None:
-        """The best split of the node ``rows`` (repeats allowed) over the
-        ascending columns ``cand``; None when no candidate separates the rows."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        if not 1 <= rows.size <= self.n or rows.min() < 0 or rows.max() >= self.n:
-            raise ValueError(f"a node holds 1 to {self.n} rows of x")
-        if cand.ndim != 1 or not 1 <= cand.size <= self.p or cand.min() < 0 or cand.max() >= self.p:
-            raise ValueError(f"candidates are 1 to {self.p} columns of x")
-        j = self.library.kp_best_split(*self.fixed, rows.ctypes.data, rows.size,
-                                       cand.ctypes.data, cand.size,
-                                       self.scratch.ctypes.data, self.out.ctypes.data)
-        if j < 0:
-            return None
-        return (int(j), *self.out.tolist())

@@ -1,4 +1,5 @@
-"""The compiled CSV scanner reads every file exactly as the Python parsers do."""
+"""The compiled CSV scanner reads every file exactly as the Python parsers do,
+and every reader ends a line where ``open()`` does: at ``\\n``, ``\\r\\n`` or ``\\r``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kpforecast import datagen, fusion, ingest, splitkernel
+from kpforecast.cli import main
 from kpforecast.errors import DataError
 from kpforecast.fusion import FusedDataset
 from kpforecast.ingest import SOLAR_WIND_FIELDS, format_minutes
@@ -81,7 +83,10 @@ _RANGE_EDITS = ["-1", "-0.0", "-1e-300", "9.000000000000002", "9.5", "12", "1e30
 _LINE_EDITS = ["crlf", "cr", "trailing spaces", "comment", "blank", "spaces line",
                "cell", "range", "stamp", ":00", "drop cell", "add cell", "control",
                "non-UTF-8"]
-_INSERTS = ["\t", "\x0c", "\x1c", "\x85", "\u2028", "\x7f", "\x00", "é", "\\"]
+# The line ends of str.splitlines that are not line ends of open(); in a
+# file they are characters like any other.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_INSERTS = ["\t", *_NOT_LINE_ENDS, "\x7f", "\x00", "é", "\\"]
 
 
 @st.composite
@@ -98,9 +103,9 @@ def one_edit(draw, lines, stamp_column):
     elif edit == "trailing spaces":
         lines[at] += draw(st.sampled_from([" ", "  ", " \t"]))
     elif edit == "comment":
-        # str.splitlines also ends a line at \x0c, \x1c and \r, so text after
-        # one of them in a comment is a record
-        breaks = [f"#{end}{lines[-1]}" for end in ("\x0c", "\x1c", "\r")]
+        # A record after \r starts a line of its own; after any other
+        # separator it is part of the comment.
+        breaks = [f"#{end}{lines[-1]}" for end in ("\r", *_NOT_LINE_ENDS)]
         lines.insert(at, draw(st.sampled_from(["#", "# a note", "#1,2,3", "# é", " # x",
                                                *breaks])))
     elif edit in ("blank", "spaces line"):
@@ -197,10 +202,14 @@ def test_dataset_readers_agree_on_both_paths(scanner, tmp_path, data, chunk):
     path = tmp_path / "data.csv"
     path.write_bytes(content)
     with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
-        from_file, from_text = _bits(_dataset_file(path)), _bits(_dataset_text(content))
+        from_file, from_text = _dataset_file(path), _dataset_text(content)
+    if isinstance(from_text, UnicodeDecodeError):  # the bytes are not text
+        assert isinstance(from_file, UnicodeDecodeError)
+    else:
+        assert _bits(from_text) == _bits(from_file)
     with mock.patch.object(splitkernel, "load", _scanner_off):
-        assert _bits(_dataset_file(path)) == from_file
-        assert _bits(_dataset_text(content)) == from_text
+        assert _bits(_dataset_file(path)) == _bits(from_file)
+        assert _bits(_dataset_text(content)) == _bits(from_text)
 
 
 @given(data=st.data())
@@ -221,3 +230,44 @@ def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
         compiled = _bits(_PARSERS[kind](text))
         with mock.patch.object(splitkernel, "load", _scanner_off):
             assert _bits(_PARSERS[kind](text)) == compiled
+        with mock.patch.object(ingest._Scan, "_scan_lines", None):  # CRLF text is scanned
+            assert _bits(_PARSERS[kind](text.replace("\n", "\r\n"))) == compiled
+
+
+def _record(kind, minute):
+    return ",".join([format_minutes([minute])[0], *["1.5"] * _WIDTHS[kind]])
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_only_universal_newlines_end_a_line(sep, tmp_path):
+    """Text after a separator that ``str.splitlines`` ends lines at, and
+    ``open()`` does not, stays in its comment for every reader."""
+    for kind, parse in _PARSERS.items():
+        text = f"{_record(kind, 0)}\n# note{sep}{_record(kind, 180)}\n"
+        assert len(parse(text)) == 1, kind
+    text = ("x0,target,row_time\n1.0,2.0,1970-01-01T00:00Z\n"
+            f"# note{sep}1.0,2.0,1970-01-01T03:00Z\n")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert FusedDataset.from_csv(text).n_rows == 1
+    assert FusedDataset.read_csv(path).n_rows == 1
+    config = tmp_path / "synth.toml"
+    config.write_bytes(f"# note{sep}bogus = 1\ndays = 1\n".encode("utf-8"))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def _faulty(kind):
+    """The lines of a measurement file whose fifth line is out of order."""
+    return [_record(kind, 0), "# a note", "", _record(kind, 180), _record(kind, 180)]
+
+
+@pytest.mark.parametrize("load", [_LOAD, _scanner_off], ids=["as built", "without scanner"])
+def test_crlf_and_cr_text_parses_as_lf_text_does(load):
+    with mock.patch.object(splitkernel, "load", load):
+        for kind in _PARSERS:
+            for lines in (_faulty(kind)[:4], _faulty(kind)):
+                expected = _bits(_measurement(kind, ("\n".join(lines) + "\n").encode()))
+                for end in ("\r\n", "\r"):
+                    got = _bits(_measurement(kind, (end.join(lines) + end).encode()))
+                    assert got == expected, (kind, end)
+            assert expected[1].startswith("line 5:")

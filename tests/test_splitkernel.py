@@ -37,24 +37,6 @@ def kernel():
     return found
 
 
-def _compiled_split(kernel, X, y, rows, cand):
-    """The node-level kernel's split, in :func:`forest._best_split`'s form."""
-    X = np.ascontiguousarray(X)
-    found = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y).best_split(rows, cand)
-    if found is None:
-        return None
-    j, best, lo, hi, total_sum, total_sq = found
-    return forest._split(X, rows, int(cand[j]), lo, hi, best, total_sum, total_sq)
-
-
-def _bits(found):
-    """A split as comparable bits: -0.0 and 0.0 differ, NaN equals itself."""
-    if found is None:
-        return None
-    feature, threshold, left, right, gain = found
-    return feature, np.float64(threshold).tobytes(), left.tolist(), right.tolist(), np.float64(gain).tobytes()
-
-
 _CONSTANTS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300])
 _HUGE_PAIRS = ((1e308, 1.7e308), (-1.7e308, -1e308))  # lo + hi is +inf or -inf
 
@@ -93,72 +75,57 @@ def _matrices(draw, n):
     return X, y, rng
 
 
-@st.composite
-def nodes(draw):
-    """(X, y, rows, cand) of one node; rows may repeat, as a bootstrap's do.
-
-    Nodes of 64 rows or more search presorted columns, smaller ones sort.
-    """
-    n = draw(st.integers(2, 150))
-    X, y, rng = draw(_matrices(n))
-    m = draw(st.one_of(st.just(2), st.integers(2, n)))
-    rows = rng.integers(0, n, m) if draw(st.booleans()) else np.sort(rng.choice(n, m, replace=False))
-    cand = np.array(sorted(draw(st.sets(st.integers(0, X.shape[1] - 1), min_size=1))), dtype=np.int64)
-    return X, y, rows, cand
+def _fit_case(X, y, config):
+    """(data, config) for :func:`fit`.  The data is duck-typed, not a
+    ``FusedDataset``, so that targets may leave [0, 9] and overflow when summed."""
+    n, p = X.shape
+    data = SimpleNamespace(rows=X, targets=y, n_rows=n, n_features=p,
+                           feature_names=tuple(f"x{i}" for i in range(p)))
+    return data, config
 
 
 def _overflow_in_one_order():
-    """A node whose sum of squared targets overflows in one column's order only.
+    """A fit whose root's sum of squared targets overflows in one column's order only.
 
     Each square of ``a`` is 2**1023 - 2 ulp and each square of ``z`` 0.4 ulp.
     Summed with the two ``a`` last, the eight ``z`` add 3 ulp first and the
     total rounds to inf, so column 0 scores NaN; with an ``a`` first, each
     ``z`` rounds away and column 1 keeps finite scores.  numpy's minimum is
-    then NaN, and the node has no split.
+    then NaN, and the root has no split: the tree is one leaf.
     """
     a, z = 9.480751908109176e153, math.sqrt(0.4 * 2.0**970)
     y = np.array([a, a] + [z] * 8)
     X = np.column_stack([[8.0, 9.0, *range(8)], [0.0, 9.0, *range(1, 9)]])
-    return X, y, np.arange(10), np.arange(2)
+    return _fit_case(X, y, ForestConfig(n_trees=1, mtry=2, min_leaf=1, bootstrap=False))
 
 
-@settings(max_examples=400)
-@given(nodes())
-@example(node=_overflow_in_one_order())
-def test_kernel_split_equals_numpy_split_bit_for_bit(kernel, node):
-    X, y, rows, cand = node
-    with np.errstate(all="ignore"):
-        expected = forest._best_split(X, y, rows, cand)
-        got = _compiled_split(kernel, X, y, rows, cand)
-    assert _bits(got) == _bits(expected)
+def _tree_bits(tree):
+    return [getattr(tree, name).tobytes() for name, _ in forest._TREE_ARRAYS]
 
 
 def _forest_bits(model):
     """Every tree array, the importances and the OOB error, as bytes."""
-    arrays = [getattr(tree, name).tobytes() for tree in model.trees for name, _ in forest._TREE_ARRAYS]
+    arrays = [_tree_bits(tree) for tree in model.trees]
     oob = None if model.oob_mse is None else np.float64(model.oob_mse).tobytes()
     return arrays, model.importances.tobytes(), oob
 
 
 @st.composite
 def fits(draw):
-    """(data, config): enough rows that nodes of 64 and more are presorted.
-
-    The data is duck-typed, not a ``FusedDataset``, so that targets may
-    leave [0, 9] and overflow when summed.
-    """
-    n = draw(st.integers(64, 260))
+    """(data, config): nodes of fewer than 64 rows sort their rows, larger
+    ones filter presorted columns, so both sizes of root are drawn.  Bags
+    repeat rows, and an mtry below the width draws candidate subsets."""
+    n = draw(st.one_of(st.integers(2, 63), st.integers(64, 260)))
     X, y, _ = draw(_matrices(n))
     p = X.shape[1]
-    data = SimpleNamespace(rows=X, targets=y, n_rows=n, n_features=p,
-                           feature_names=tuple(f"x{i}" for i in range(p)))
     config = ForestConfig(n_trees=2, mtry=draw(st.integers(1, p)), min_leaf=draw(st.integers(1, 6)),
                           seed=draw(st.integers(0, 2**64 - 1)), bootstrap=draw(st.booleans()))
-    return data, config
+    return _fit_case(X, y, config)
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(fits())
+@example(fit_case=_overflow_in_one_order())
 def test_compiled_fit_equals_numpy_fit_bit_for_bit(kernel, fit_case):
     data, config = fit_case
     with np.errstate(all="ignore"):
@@ -266,11 +233,6 @@ def test_grower_refuses_arrays_it_cannot_pass_to_the_kernel(kernel):
     for mtry, min_leaf in ((0, 1), (4, 1), (1, 0)):
         with pytest.raises(ValueError):
             grower.grow(np.arange(4), 0, mtry, min_leaf)
-    for rows, cand in ((np.arange(0), np.arange(3)), (np.arange(5) % 4, np.arange(3)),
-                       (np.array([4]), np.arange(3)), (np.arange(4), np.arange(0)),
-                       (np.arange(4), np.array([3])), (np.arange(4), np.array([-1]))):
-        with pytest.raises(ValueError):
-            grower.best_split(rows, cand)
     arrays, imp = grower.grow(np.arange(4), 0, 3, 1)
     assert len(arrays[0]) == 7 and imp.shape == (3,)  # a full tree over 4 distinct rows
 
@@ -428,11 +390,14 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
 
     X = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
     y = np.array([4.0, 1.0, 2.0, 0.0])
-    rows, cand = np.arange(4), np.arange(2)
+    config = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False)
+    tree, imp, _ = forest._grow_tree(X, y, config, 2, 7)
     for kernel in loaded:
         assert kernel is not None
-        got = _compiled_split(kernel, X, y, rows, cand)
-        assert _bits(got) == _bits(forest._best_split(X, y, rows, cand))
+        grower = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y)
+        arrays, got_imp = grower.grow(np.arange(4), PortableRng(7).state, 2, 1)
+        assert _tree_bits(forest.Tree(*arrays)) == _tree_bits(tree)
+        assert got_imp.tobytes() == imp.tobytes()
 
 
 @needs_cc
