@@ -12,6 +12,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -70,6 +71,12 @@ def _timestamp(text: str) -> int:
     return parse_timestamp(text.strip())
 
 
+def _model_kind(text: str) -> str:
+    if text not in evaluate.MODEL_KINDS:
+        raise ValueError(f"expected {' or '.join(evaluate.MODEL_KINDS)}, got {text!r}")
+    return text
+
+
 def _read_text(path: str) -> str:
     """The text of a named input file; one that is not UTF-8 is a data error naming it."""
     try:
@@ -118,6 +125,22 @@ def _flag(name: str) -> str:
     return name.replace("_", "-")
 
 
+def _field_spec(cls, options: dict) -> dict:
+    """Spec entries for flags that set fields of the dataclass ``cls``.
+
+    ``options`` maps each flag name to ``(field, convert, help)``; the flag's
+    default is the field's own, so the dataclass states it once.
+    """
+    defaults = {field.name: field.default for field in dataclasses.fields(cls)}
+    return {name: (convert, defaults[field], help_text)
+            for name, (field, convert, help_text) in options.items()}
+
+
+def _values(options: dict, opts) -> dict:
+    """The resolved values of the flags in ``options``, keyed by the fields they set."""
+    return {field: getattr(opts, name) for name, (field, _, _) in options.items()}
+
+
 def _add_options(sub: argparse.ArgumentParser, spec: dict) -> None:
     sub.add_argument("--config", help="flat key = value file mirroring the flags")
     for name, (_convert, default, help_text) in spec.items():
@@ -133,20 +156,25 @@ _SOURCE_SPEC = {
     "kp": (str, _REQUIRED, "kp CSV path"),
 }
 
-_LAG_SPEC = {
-    "solar_lookback_minutes": (int, 540, "solar-wind lookback window"),
-    "solar_step_minutes": (int, 5, "solar-wind lag step"),
-    "dst_lookback_hours": (int, 3, "dst lookback window"),
-    "kp_lookback_hours": (int, 24, "kp lookback window"),
-    "horizon_hours": (int, 3, "how far ahead to predict"),
+_LAG_OPTIONS = {
+    "solar_lookback_minutes": ("solar_wind_lookback_minutes", int, "solar-wind lookback window"),
+    "solar_step_minutes": ("solar_wind_step_minutes", int, "solar-wind lag step"),
+    "dst_lookback_hours": ("dst_lookback_hours", int, "dst lookback window"),
+    "kp_lookback_hours": ("kp_lookback_hours", int, "kp lookback window"),
+    "horizon_hours": ("horizon_hours", int, "how far ahead to predict"),
 }
+_LAG_SPEC = _field_spec(LagSpec, _LAG_OPTIONS)
 
-_FOREST_SPEC = {
-    "trees": (int, 100, "number of trees"),
-    "mtry": (_mtry, None, "features tried per split; 'default' = p//3"),
-    "min_leaf": (int, 5, "stop splitting nodes at this size"),
-    "bootstrap": (_bool, True, "draw a bootstrap sample per tree"),
+_FOREST_OPTIONS = {
+    "trees": ("n_trees", int, "number of trees"),
+    "mtry": ("mtry", _mtry, "features tried per split; 'default' = p//3"),
+    "min_leaf": ("min_leaf", int, "stop splitting nodes at this size"),
+    "bootstrap": ("bootstrap", _bool, "draw a bootstrap sample per tree"),
+    "seed": ("seed", int, "random seed"),
 }
+_FOREST_SPEC = _field_spec(forest.ForestConfig, _FOREST_OPTIONS)
+
+_THREADS_SPEC = {"threads": (int, None, "worker threads (default: the usable CPUs)")}
 
 
 def _parse_source(path: str, parse):
@@ -162,26 +190,6 @@ def _read_sources(opts):
     dst = ingest.to_series(_parse_source(opts.dst, ingest.parse_dst), "dst", 60)
     kp = ingest.to_series(_parse_source(opts.kp, ingest.parse_kp), "kp", 180)
     return solar, dst, kp
-
-
-def _lag_spec(opts) -> LagSpec:
-    return LagSpec(
-        solar_wind_lookback_minutes=opts.solar_lookback_minutes,
-        solar_wind_step_minutes=opts.solar_step_minutes,
-        dst_lookback_hours=opts.dst_lookback_hours,
-        kp_lookback_hours=opts.kp_lookback_hours,
-        horizon_hours=opts.horizon_hours,
-    )
-
-
-def _forest_config(opts) -> forest.ForestConfig:
-    return forest.ForestConfig(
-        n_trees=opts.trees,
-        mtry=opts.mtry,
-        min_leaf=opts.min_leaf,
-        seed=opts.seed,
-        bootstrap=opts.bootstrap,
-    )
 
 
 def _create(path_text: str) -> TextIO:
@@ -207,24 +215,19 @@ def _load_dataset(path: str) -> FusedDataset:
 # --------------------------------------------------------------------------
 # subcommands
 
-_SYNTH_SPEC = {
-    "seed": (int, 0, "generator seed"),
-    "days": (int, 120, "days of data"),
-    "storm_rate": (float, 0.5, "mean storm events per day"),
-    "noise_scale": (float, 1.0, "noise multiplier"),
-    "out": (str, _REQUIRED, "output directory"),
+_SYNTH_OPTIONS = {
+    "seed": ("seed", int, "generator seed"),
+    "days": ("n_days", int, "days of data"),
+    "storm_rate": ("storm_rate_per_day", float, "mean storm events per day"),
+    "noise_scale": ("noise_scale", float, "noise multiplier"),
 }
+_SYNTH_SPEC = {**_field_spec(datagen.SynthConfig, _SYNTH_OPTIONS),
+               "out": (str, _REQUIRED, "output directory")}
 
 
 def _cmd_synth(args) -> int:
     opts = _resolve(args, _SYNTH_SPEC)
-    config = datagen.SynthConfig(
-        seed=opts.seed,
-        n_days=opts.days,
-        storm_rate_per_day=opts.storm_rate,
-        noise_scale=opts.noise_scale,
-    )
-    datagen.write_csv(config, opts.out)
+    datagen.write_csv(datagen.SynthConfig(**_values(_SYNTH_OPTIONS, opts)), opts.out)
     return 0
 
 
@@ -235,28 +238,33 @@ _FUSE_SPEC = {**_SOURCE_SPEC, **_LAG_SPEC,
 def _cmd_fuse(args) -> int:
     opts = _resolve(args, _FUSE_SPEC)
     solar, dst, kp = _read_sources(opts)
-    data = fuse(solar, dst, kp, _lag_spec(opts))
+    data = fuse(solar, dst, kp, LagSpec(**_values(_LAG_OPTIONS, opts)))
     with _create(opts.out) as handle:
         data.write_csv(handle)
     return 0
 
 
+_PLAN_OPTIONS = {
+    "model_kind": ("model_kind", _model_kind, " or ".join(evaluate.MODEL_KINDS)),
+    "k_features": ("k_features", _k_features, "train on the top-k features; 'all'"),
+    "downsample": ("downsample", int, "keep 1/N of low-Kp training rows"),
+    "downsample_threshold": ("downsample_threshold", float, "Kp at or below this is 'low'"),
+}
+_PLAN_SPEC = _field_spec(evaluate.ExperimentPlan, _PLAN_OPTIONS)
+
 _TRAIN_SPEC = {
     "data": (str, _REQUIRED, "fused dataset CSV"),
-    "model_kind": (str, "forest", "forest or linear"),
+    "model_kind": _PLAN_SPEC["model_kind"],
     **_FOREST_SPEC,
-    "seed": (int, 0, "random seed"),
-    "threads": (int, None, "worker threads (default: the usable CPUs)"),
+    **_THREADS_SPEC,
     "out": (str, _REQUIRED, "output model JSON"),
 }
 
 
 def _cmd_train(args) -> int:
     opts = _resolve(args, _TRAIN_SPEC)
-    if opts.model_kind not in ("forest", "linear"):
-        raise _UsageError(f"bad value for --model-kind: {opts.model_kind!r}")
     threads = _threads(opts)  # validate before touching the filesystem
-    config = _forest_config(opts)
+    config = forest.ForestConfig(**_values(_FOREST_OPTIONS, opts))
     data = _load_dataset(opts.data)
     if opts.model_kind == "linear":
         model = baseline.fit_linear(data)
@@ -329,42 +337,29 @@ _EXPERIMENT_SPEC = {
     **_LAG_SPEC,
     **_FOREST_SPEC,
     "cutoff": (_timestamp, _REQUIRED, "train/test boundary (UTC timestamp)"),
-    "seed": (int, 0, "random seed"),
-    "threads": (int, None, "worker threads (default: the usable CPUs)"),
+    **_THREADS_SPEC,
 }
 
 _EVALUATE_SPEC = {
     **_EXPERIMENT_SPEC,
-    "model_kind": (str, "forest", "forest or linear"),
-    "k_features": (_k_features, None, "train on the top-k features; 'all'"),
-    "downsample": (int, 1, "keep 1/N of low-Kp training rows"),
-    "downsample_threshold": (float, 4.0, "Kp at or below this is 'low'"),
+    **_PLAN_SPEC,
     "out": (str, None, "optional report JSON path"),
 }
 
 
-def _plan(opts, **overrides) -> evaluate.ExperimentPlan:
-    fields = dict(
+def _plan(opts, **fields) -> evaluate.ExperimentPlan:
+    return evaluate.ExperimentPlan(
         cutoff_minute=opts.cutoff,
-        lag_spec=_lag_spec(opts),
-        forest_config=_forest_config(opts),
+        lag_spec=LagSpec(**_values(_LAG_OPTIONS, opts)),
+        forest_config=forest.ForestConfig(**_values(_FOREST_OPTIONS, opts)),
+        **fields,
     )
-    fields.update(overrides)
-    return evaluate.ExperimentPlan(**fields)
 
 
 def _cmd_evaluate(args) -> int:
     opts = _resolve(args, _EVALUATE_SPEC)
-    if opts.model_kind not in ("forest", "linear"):
-        raise _UsageError(f"bad value for --model-kind: {opts.model_kind!r}")
     threads = _threads(opts)  # validate before touching the filesystem
-    plan = _plan(
-        opts,
-        model_kind=opts.model_kind,
-        k_features=opts.k_features,
-        downsample=opts.downsample,
-        downsample_threshold=opts.downsample_threshold,
-    )
+    plan = _plan(opts, **_values(_PLAN_OPTIONS, opts))
     solar, dst, kp = _read_sources(opts)
     report = evaluate.run_experiment(plan, solar, dst, kp, threads=threads)
     sys.stdout.write(report.to_text())
@@ -377,7 +372,7 @@ _COMPARE_SPEC = {
     **_EXPERIMENT_SPEC,
     "ks": (_int_list, (100, 50), "top-k feature counts to compare"),
     "downsample": (int, 2, "low-Kp factor for the downsampled variant"),
-    "downsample_threshold": (float, 4.0, "Kp at or below this is 'low'"),
+    "downsample_threshold": _PLAN_SPEC["downsample_threshold"],
     "out": (str, None, "optional table CSV path"),
 }
 

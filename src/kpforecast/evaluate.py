@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import EmptyDataset, EmptyInput, EmptyTestSet, LengthMismatch, NonF
 from .fusion import (
     FusedDataset,
     LagSpec,
+    check_downsample,
     downsample_low_kp,
     fuse,
     split_by_time,
@@ -39,6 +40,7 @@ from .ingest import MeasurementSeries, format_timestamp
 from .rng import derive_seed
 
 __all__ = [
+    "MODEL_KINDS",
     "EvalReport",
     "ExperimentPlan",
     "PlanResult",
@@ -50,6 +52,9 @@ __all__ = [
 
 _DOWNSAMPLE_STREAM = 0x646F776E  # "down": namespaces the downsampling seed
 _STORM_KP = 4.0
+
+#: The models a plan can fit: the forest and the linear baseline.
+MODEL_KINDS = ("forest", "linear")
 
 
 def accuracy_within_1(predicted, actual) -> float:
@@ -81,15 +86,8 @@ class EvalReport:
     config_echo: dict
 
     def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "accuracy_within_1": self.accuracy_within_1,
-            "mean_abs_error": self.mean_abs_error,
-            "per_bin_hits": list(self.per_bin_hits),
-            "storm_n": self.storm_n,
-            "storm_accuracy_within_1": self.storm_accuracy_within_1,
-            "config": self.config_echo,
-        }
+        obj = asdict(self)
+        obj["config"] = obj.pop("config_echo")
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
@@ -140,24 +138,21 @@ class ExperimentPlan:
     cutoff_minute: int  # rows before this minute since 1970-01-01T00:00Z train
     lag_spec: LagSpec = LagSpec()
     forest_config: forest.ForestConfig = forest.ForestConfig()
-    model_kind: str = "forest"  # "forest" | "linear"
-    k_features: int | None = None  # None = keep all features
+    model_kind: str = "forest"  # one of MODEL_KINDS
+    k_features: int | None = None  # None = keep all features; forests only
     downsample: int = 1  # keep 1/downsample of low-Kp training rows
     downsample_threshold: float = _STORM_KP
-    downsample_seed: int | None = None  # None: derived from the forest seed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cutoff_minute", operator.index(self.cutoff_minute))
-        if self.model_kind not in ("forest", "linear"):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.downsample < 1:
-            raise ValueError("downsample factor must be >= 1")
-        if np.isnan(self.downsample_threshold):
-            raise ValueError("downsample threshold must be a number, got nan")
-        if self.downsample_threshold < 0.0:  # Kp is never negative: no row would be low
-            raise ValueError(f"downsample threshold must be >= 0, got {self.downsample_threshold}")
-        if self.k_features is not None and self.k_features < 1:
-            raise ValueError("k_features must be >= 1 when given")
+        check_downsample(self.downsample, self.downsample_threshold)
+        if self.k_features is not None:
+            if self.k_features < 1:
+                raise ValueError("k_features must be >= 1 when given")
+            if self.model_kind != "forest":  # the ranking is a forest's importances
+                raise ValueError(f"k_features needs a forest plan, not a {self.model_kind} one")
 
     def label(self) -> str:
         if self.model_kind == "linear":
@@ -170,34 +165,16 @@ class ExperimentPlan:
         return " ".join(parts)
 
     def resolved_downsample_seed(self) -> int:
-        if self.downsample_seed is not None:
-            return self.downsample_seed
+        """The seed of the low-Kp draw, derived from the forest seed."""
         return derive_seed(self.forest_config.seed, _DOWNSAMPLE_STREAM)
 
     def echo(self) -> dict:
-        cfg = self.forest_config
-        return {
-            "label": self.label(),
-            "model_kind": self.model_kind,
-            "cutoff": format_timestamp(self.cutoff_minute),
-            "lag_spec": {
-                "solar_wind_lookback_minutes": self.lag_spec.solar_wind_lookback_minutes,
-                "solar_wind_step_minutes": self.lag_spec.solar_wind_step_minutes,
-                "dst_lookback_hours": self.lag_spec.dst_lookback_hours,
-                "kp_lookback_hours": self.lag_spec.kp_lookback_hours,
-                "horizon_hours": self.lag_spec.horizon_hours,
-            },
-            "forest": {
-                "n_trees": cfg.n_trees,
-                "mtry": cfg.mtry,
-                "min_leaf": cfg.min_leaf,
-                "seed": cfg.seed,
-                "bootstrap": cfg.bootstrap,
-            },
-            "k_features": self.k_features,
-            "downsample": self.downsample,
-            "downsample_threshold": self.downsample_threshold,
-        }
+        """Every field, with the cutoff as a timestamp, plus the plan's label."""
+        obj = asdict(self)
+        obj["cutoff"] = format_timestamp(obj.pop("cutoff_minute"))
+        obj["forest"] = obj.pop("forest_config")
+        obj["label"] = self.label()
+        return obj
 
 
 @dataclass(frozen=True)
@@ -240,7 +217,7 @@ def run_plan(
     if train.n_rows == 0:
         raise EmptyDataset(f"no rows before {format_timestamp(plan.cutoff_minute)}")
 
-    if plan.model_kind == "forest" and plan.k_features is not None:
+    if plan.k_features is not None:  # a forest plan: the plan refuses a linear one
         ranking = forest.importance(_full_width_fit(train, plan, threads, fits))
         subset = forest.top_k(ranking, plan.k_features)
         train = select_features(train, subset)

@@ -219,21 +219,15 @@ def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray, cand: np.ndarray
     j = int(np.flatnonzero(tied.any(axis=0))[0])
     pos = int(np.flatnonzero(tied[:, j])[0])
 
-    return _split(X, rows, int(cand[j]), xs[pos, j], xs[pos + 1, j], best, total_sum[j], total_sq[j])
-
-
-def _split(X, rows, feature, lo, hi, best, total_sum, total_sq):
-    """The split between sorted values ``lo`` and ``hi`` of ``feature``, as
-    :func:`_best_split` returns it; ``best`` is its score and ``total_sum``
-    and ``total_sq`` the node's target sums in that feature's sorted order."""
-    lo, hi = float(lo), float(hi)
+    lo, hi = float(xs[pos, j]), float(xs[pos + 1, j])
     threshold = (lo + hi) / 2.0
     # The midpoint rounded up to hi, or lo + hi overflowed: lo < hi, so
     # splitting at lo keeps both sides non-empty.
     if threshold == hi or not math.isfinite(threshold):
         threshold = lo
+    feature = int(cand[j])
     go_left = X[rows, feature] <= threshold
-    parent_sse = float(total_sq - total_sum * total_sum / rows.size)
+    parent_sse = float(total_sq[j] - total_sum[j] * total_sum[j] / m)
     return feature, threshold, rows[go_left], rows[~go_left], parent_sse - float(best)
 
 

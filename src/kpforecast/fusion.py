@@ -72,6 +72,7 @@ __all__ = [
     "FusedDataset",
     "FeatureSubset",
     "fuse",
+    "check_downsample",
     "downsample_low_kp",
     "select_features",
     "split_by_time",
@@ -306,7 +307,11 @@ def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
 def _scan_rows(library, buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``[rows | target]`` and the row minutes of the lines in ``buf[:end]``,
     which end in a newline or at the end of ``buf``; None if the scanner
-    refuses a line or a target or time is out of place."""
+    refuses a line or a target or time is out of place.
+
+    The scanner's ``strtod`` reads past ``end`` unless a byte stops it: the
+    newline before ``end``, or the NUL after a ``bytes`` object's last byte.
+    """
     capacity = buf.count(b"\n", 0, end) + 1
     values = np.empty((capacity, width - 1))
     stamps = np.empty(capacity, dtype=np.int64)
@@ -455,6 +460,16 @@ def fuse(
     return FusedDataset(spec.feature_names(), rows, targets, kp.start_minute + _KP_CADENCE * keep)
 
 
+def check_downsample(downsample: int, threshold: float) -> None:
+    """Refuse a factor or threshold with which :func:`downsample_low_kp` would thin nothing."""
+    if downsample < 1:
+        raise ValueError("downsample factor must be >= 1")
+    if math.isnan(threshold):
+        raise ValueError("downsample threshold must be a number, got nan")
+    if threshold < 0.0:  # targets lie in [0, 9], so no row would be low
+        raise ValueError(f"downsample threshold must be >= 0, got {threshold}")
+
+
 def downsample_low_kp(
     data: FusedDataset, downsample: int, threshold: float = 4.0, seed: int = 0
 ) -> FusedDataset:
@@ -465,12 +480,7 @@ def downsample_low_kp(
     generator; surviving rows keep their original order.  ``downsample=1``
     is the identity.
     """
-    if downsample < 1:
-        raise ValueError("downsample factor must be >= 1")
-    if math.isnan(threshold):
-        raise ValueError("downsample threshold must be a number, got nan")
-    if threshold < 0.0:  # targets lie in [0, 9], so no row would be low
-        raise ValueError(f"downsample threshold must be >= 0, got {threshold}")
+    check_downsample(downsample, threshold)
     if downsample == 1:
         return data
     low = np.flatnonzero(data.targets <= threshold)

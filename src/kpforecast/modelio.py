@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -235,17 +236,10 @@ def model_to_json(model: ForestModel | LinearModel) -> str:
             "coefficients": [float(c) for c in model.coefficients],
         }
     elif isinstance(model, ForestModel):
-        cfg = model.config
         obj = {
             "kind": "forest",
             "format": FOREST_FORMAT,
-            "config": {
-                "n_trees": cfg.n_trees,
-                "mtry": cfg.mtry,
-                "min_leaf": cfg.min_leaf,
-                "seed": cfg.seed,
-                "bootstrap": cfg.bootstrap,
-            },
+            "config": asdict(model.config),
             "feature_names": list(model.feature_names),
             "importances": [float(v) for v in model.importances],
             "train_target_range": list(model.train_target_range),

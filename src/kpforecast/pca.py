@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, DimensionMismatch, KOutOfRange, NonFiniteValue
+from .errors import DegenerateData, DimensionMismatch, EmptyDataset, KOutOfRange, NonFiniteValue
 from .fusion import FusedDataset
 
 __all__ = ["PcaModel", "fit_pca", "project"]
@@ -53,8 +53,10 @@ def fit_pca(data, k: int, standardize: bool = False) -> PcaModel:
     """Top-``k`` principal components via SVD of the centred row matrix."""
     X = _as_matrix(data)
     n, p = X.shape
-    if n < 2:
-        raise ValueError("PCA needs at least 2 rows")
+    if n == 0:
+        raise EmptyDataset("PCA needs at least 2 rows, got none")
+    if n == 1:
+        raise DegenerateData("PCA needs at least 2 rows, got 1")
     if not 1 <= k <= min(n, p):
         raise KOutOfRange(f"k must lie in [1, {min(n, p)}], got {k}")
 

@@ -76,6 +76,7 @@ def sweep():
     """
     lag = LagSpec()
     cutoff = EPOCH + 30 * 1440
+    threads = forest.usable_cpus()  # C3 pins that the thread count changes no result
     results = []
     for seed in range(20):
         solar, dst, kp = datagen.generate(SynthConfig(seed=seed, n_days=45))
@@ -84,11 +85,12 @@ def sweep():
 
         fits: dict = {}
         full = run_plan(data, ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag,
-                                             forest_config=cfg), fits=fits)
+                                             forest_config=cfg), threads, fits=fits)
         top = run_plan(
             data,
             ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag, forest_config=cfg,
                            k_features=50),
+            threads,
             fits=fits,
         )
         lin = run_plan(data, ExperimentPlan(cutoff_minute=cutoff, lag_spec=lag,

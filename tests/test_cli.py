@@ -554,3 +554,23 @@ def test_compare_keeps_its_downsampled_row_at_threshold_0(valid_files, tmp_path)
     assert code == 0
     labels = [line.split(",")[0] for line in (tmp_path / "table.csv").read_text().splitlines()]
     assert labels == ["label", "RF", "RF top-4", "RF top-2", "RF top-2 L=2", "Linear"]
+
+
+def test_evaluate_refuses_k_features_on_a_linear_model(valid_files, tmp_path):
+    # it once exited 0 and echoed "k_features": 5, but fitted on every feature
+    argv = _argv("evaluate", valid_files, tmp_path / "out")
+    argv[argv.index("--solar-wind") + 1] = str(tmp_path / "missing.csv")  # never read
+    code, err = _run([*argv, "--model-kind", "linear", "--k-features", "5"])
+    assert (code, err) == (1, "error: k_features needs a forest plan, not a linear one\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, got", [(0, "none"), (1, "1")])
+def test_pca_on_fewer_than_2_rows_is_a_data_error(valid_files, tmp_path, rows, got):
+    # it once exited 1, a usage error, where train on the same file exits 2
+    lines = valid_files["data"].read_text().splitlines(keepends=True)
+    data = tmp_path / "short.csv"
+    data.write_text("".join(lines[:1 + rows]))
+    code, err = _run(["pca", "--data", str(data), "--out", str(tmp_path / "pca.csv")])
+    assert (code, err) == (2, f"error: PCA needs at least 2 rows, got {got}\n")
+    assert not (tmp_path / "pca.csv").exists()

@@ -167,8 +167,15 @@ def test_a_datetime_cutoff_fails_at_construction():
         _plan(cutoff=_cutoff(12))
 
 
+def test_a_linear_plan_refuses_k_features():
+    # run_plan ranks features by a forest's importances: a linear plan with
+    # k_features once fitted on every feature and still echoed the k
+    with pytest.raises(ValueError, match="k_features needs a forest plan, not a linear one"):
+        _plan(model_kind="linear", k_features=5)
+    assert _plan(model_kind="linear").echo()["k_features"] is None
+
+
 def test_downsample_seed_resolution():
-    assert _plan(downsample_seed=42).resolved_downsample_seed() == 42
     derived = _plan().resolved_downsample_seed()
     assert derived == derive_seed(FAST_FOREST.seed, 0x646F776E)
     assert derived != FAST_FOREST.seed

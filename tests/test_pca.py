@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kpforecast.errors import DegenerateData, DimensionMismatch, KOutOfRange
+from kpforecast.errors import DegenerateData, DimensionMismatch, EmptyDataset, KOutOfRange
 from kpforecast.pca import fit_pca, project
 from kpforecast.rng import PortableRng
 
@@ -114,8 +114,10 @@ def test_validation_errors():
         fit_pca(data, 0)
     with pytest.raises(KOutOfRange):
         fit_pca(data, 3)  # k > min(n, p)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateData, match="got 1"):
         fit_pca(make_dataset([[1.0]], [1.0]), 1)  # single row
+    with pytest.raises(EmptyDataset, match="got none"):
+        fit_pca(make_dataset(np.empty((0, 2)), np.empty(0)), 1)
     with pytest.raises(DegenerateData):
         fit_pca(make_dataset([[2.0, 2.0], [2.0, 2.0]], [1.0, 1.0]), 1)
     model = fit_pca(data, 1)
