@@ -99,12 +99,16 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, spec: dict) -> SimpleNamespace:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults.
+
+    The result's ``given`` holds the names of the options that a flag or
+    the config file set.
+    """
     file_values = _load_config(args.config) if args.config else {}
     unknown = set(file_values) - set(spec)
     if unknown:
         raise _UsageError("unknown config key(s): " + ", ".join(sorted(unknown)))
-    resolved = {}
+    resolved, given = {}, set()
     for name, (convert, default, _help) in spec.items():
         raw = getattr(args, name, None)
         if raw is None:
@@ -114,11 +118,12 @@ def _resolve(args: argparse.Namespace, spec: dict) -> SimpleNamespace:
                 raise _UsageError(f"missing required option --{_flag(name)}")
             resolved[name] = default
         else:
+            given.add(name)
             try:
                 resolved[name] = convert(raw)
             except ValueError as exc:
                 raise _UsageError(f"bad value for --{_flag(name)}: {exc}") from None
-    return SimpleNamespace(**resolved)
+    return SimpleNamespace(**resolved, given=frozenset(given))
 
 
 def _flag(name: str) -> str:
@@ -264,12 +269,14 @@ _TRAIN_SPEC = {
 def _cmd_train(args) -> int:
     opts = _resolve(args, _TRAIN_SPEC)
     threads = _threads(opts)  # validate before touching the filesystem
-    config = forest.ForestConfig(**_values(_FOREST_OPTIONS, opts))
-    data = _load_dataset(opts.data)
     if opts.model_kind == "linear":
-        model = baseline.fit_linear(data)
+        unused = [name for name in _FOREST_OPTIONS if name in opts.given]
+        if unused:
+            raise _UsageError(f"--{_flag(unused[0])} needs a forest model, not a linear one")
+        model = baseline.fit_linear(_load_dataset(opts.data))
     else:
-        model = forest.fit(data, config, threads=threads)
+        config = forest.ForestConfig(**_values(_FOREST_OPTIONS, opts))
+        model = forest.fit(_load_dataset(opts.data), config, threads=threads)
     _write(opts.out, modelio.model_to_json(model))
     return 0
 

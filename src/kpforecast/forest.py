@@ -236,7 +236,7 @@ def _draw_bag(n: int, config: ForestConfig, tree_seed: int):
     rng = PortableRng(tree_seed)
     if config.bootstrap:
         bag = np.asarray(rng.block_below(n, n))
-        oob = np.setdiff1d(np.arange(n), bag)
+        oob = np.flatnonzero(np.bincount(bag, minlength=n) == 0)
     else:
         bag = np.arange(n)
         oob = np.empty(0, dtype=np.int64)

@@ -16,8 +16,10 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
-by ``repr`` (an exact round-trip).  ``write_csv`` streams it a block of rows
-at a time, and ``to_csv`` returns the same text as a string.
+as ``repr`` writes it (an exact round-trip).  ``write_csv`` streams it a
+block of rows at a time, and ``to_csv`` returns the same text as a string.
+The compiled writer ``kp_format_rows`` of ``csvscan.c`` formats each block;
+without it, Python's ``repr`` does, and stays its test reference.
 
 Both readers take one entry point over the file's bytes: ``read_csv`` opens
 the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
@@ -187,21 +189,20 @@ class FusedDataset:
     def _csv_blocks(self) -> Iterator[str]:
         """The dataset CSV: the header line, then the lines of each block of rows.
 
-        Cells are ``repr`` of the float (an exact round-trip).  Within a block
-        each distinct bit pattern is formatted once and the strings are
-        gathered per row: a raw solar-wind sample recurs in the lag columns of
-        consecutive rows, so most cells of a block repeat another.
+        Cells are ``repr`` of the float (an exact round-trip), written by the
+        compiled ``kp_format_rows`` (see :func:`.splitkernel.format_rows`), or
+        by :func:`_format_block` where it cannot be built.
         """
+        library = splitkernel.load("csvscan")
         yield ",".join([*self.feature_names, "target", "row_time"]) + "\n"
         for start in range(0, self.n_rows, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             cells = np.column_stack([self.rows[start:stop], self.targets[start:stop]])
-            # Bit patterns, not values, so that -0.0 keeps its sign.
-            distinct, inverse = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
-            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-            lines = text[inverse].reshape(cells.shape).tolist()
             times = format_minutes(self.row_minutes[start:stop])
-            yield "".join(",".join(line) + "," + time + "\n" for line, time in zip(lines, times))
+            if library is None:
+                yield _format_block(cells, times)
+            else:
+                yield splitkernel.format_rows(library, cells, times, stamp_last=True)
 
     def to_csv(self) -> str:
         """Header plus one line per row; floats via repr (exact round-trip)."""
@@ -309,8 +310,10 @@ def _scan_rows(library, buf: bytes, end: int, width: int) -> tuple[np.ndarray, n
     which end in a newline or at the end of ``buf``; None if the scanner
     refuses a line or a target or time is out of place.
 
-    The scanner's ``strtod`` reads past ``end`` unless a byte stops it: the
-    newline before ``end``, or the NUL after a ``bytes`` object's last byte.
+    Only the scanner's ``strtod`` fallback (a number of more than 19
+    significant digits, or one Eisel-Lemire cannot round) reads past
+    ``end``, unless a byte stops it: the newline before ``end``, or the NUL
+    after a ``bytes`` object's last byte.
     """
     capacity = buf.count(b"\n", 0, end) + 1
     values = np.empty((capacity, width - 1))
@@ -325,6 +328,21 @@ def _scan_rows(library, buf: bytes, end: int, width: int) -> tuple[np.ndarray, n
     if not (valid.all() and (targets >= 0.0).all() and (targets <= 9.0).all()):
         return None
     return values, minutes
+
+
+def _format_block(cells: np.ndarray, times: list[str]) -> str:
+    """The dataset lines of ``[rows | target]`` and their times, in Python.
+
+    The reference for ``kp_format_rows``.  Each distinct bit pattern is
+    formatted once and the strings are gathered per row: a raw solar-wind
+    sample recurs in the lag columns of consecutive rows, so most cells of a
+    block repeat another.
+    """
+    # Bit patterns, not values, so that -0.0 keeps its sign.
+    distinct, inverse = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    lines = text[inverse].reshape(cells.shape).tolist()
+    return "".join(",".join(line) + "," + time + "\n" for line, time in zip(lines, times))
 
 
 def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:

@@ -24,7 +24,7 @@ parser first turns ``\r\n`` and ``\r`` into ``\n``.  One pass over the
 lines then splits the fields, matches the timestamp pattern (keeping its
 digits) and converts the numbers.  The compiled scanner ``csvscan.c`` (built
 by :func:`.splitkernel.load`) makes that pass over a file in its strict form:
-printable ASCII, plain decimal numbers that ``strtod`` converts to the value
+printable ASCII, plain decimal numbers that it converts to the value
 ``float`` gives.  Any other file, and every file where the scanner cannot be
 built, takes the Python pass, which converts with ``float`` and is the
 scanner's test reference.  Every other check (calendar validity, strictly
@@ -34,7 +34,9 @@ checking each line as it is read would raise there.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
-writes a table back in its canonical format.  The package's one timestamp
+writes a table back in its canonical format, every number as ``repr``
+writes it: through the compiled writer of ``csvscan.c`` where it can be
+built, else in Python.  The package's one timestamp
 codec is here too: ``minutes_from_digits`` and ``format_minutes`` for arrays,
 ``parse_timestamp`` and ``format_timestamp`` for one instant.
 """
@@ -419,8 +421,17 @@ def parse_kp(content: str) -> MeasurementTable:
 
 
 def format_table(table: MeasurementTable) -> str:
-    """The table in its canonical format, one line per record, gaps empty."""
-    columns = [format_minutes(table.minutes)]
+    """The table in its canonical format, one line per record, gaps empty.
+
+    The compiled ``kp_format_rows`` writes it (see
+    :func:`.splitkernel.format_rows`); where it cannot be built, Python does.
+    """
+    times = format_minutes(table.minutes)
+    library = splitkernel.load("csvscan")
+    if library is not None:
+        return splitkernel.format_rows(library, table.values, times, table.present,
+                                       stamp_last=False)
+    columns = [times]
     for values, present in zip(table.values.T.tolist(), table.present.T.tolist()):
         columns.append([repr(v) if p else "" for v, p in zip(values, present)])
     return "".join(",".join(cells) + "\n" for cells in zip(*columns))

@@ -565,6 +565,26 @@ def test_evaluate_refuses_k_features_on_a_linear_model(valid_files, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("trees", "0"), ("trees", "3"), ("mtry", "2"),
+                                         ("min-leaf", "5"), ("bootstrap", "false"),
+                                         ("seed", "0")])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_train_refuses_forest_options_on_a_linear_model(tmp_path, flag, value, where):
+    # each once exited 0 and was ignored, and --trees 0 failed a check for
+    # a fit that never ran; a default value given explicitly counts too
+    argv = ["train", "--data", str(tmp_path / "missing.csv"), "--model-kind", "linear",
+            "--out", str(tmp_path / "out")]  # the data is never read
+    if where == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        config = tmp_path / "train.conf"
+        config.write_text(f"{flag} = {value}\n")
+        argv += ["--config", str(config)]
+    code, err = _run(argv)
+    assert (code, err) == (1, f"error: --{flag} needs a forest model, not a linear one\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rows, got", [(0, "none"), (1, "1")])
 def test_pca_on_fewer_than_2_rows_is_a_data_error(valid_files, tmp_path, rows, got):
     # it once exited 1, a usage error, where train on the same file exits 2

@@ -1,11 +1,16 @@
 """The compiled CSV scanner reads every file exactly as the Python parsers do,
-and every reader ends a line where ``open()`` does: at ``\\n``, ``\\r\\n`` or ``\\r``."""
+its writer writes every number as ``repr`` does, and every reader ends a
+line where ``open()`` does: at ``\\n``, ``\\r\\n`` or ``\\r``."""
 
 from __future__ import annotations
 
+import ctypes
 import io
+import math
+import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -271,3 +276,151 @@ def test_crlf_and_cr_text_parses_as_lf_text_does(load):
                     got = _bits(_measurement(kind, (end.join(lines) + end).encode()))
                     assert got == expected, (kind, end)
             assert expected[1].startswith("line 5:")
+
+
+# -- number text, both ways --------------------------------------------------
+
+_POW5_RANGE = range(-342, 325)  # POW5_MIN to POW5_MAX of csvscan.c
+
+
+def test_the_powers_of_five_are_exact(scanner):
+    """``kp_pow5`` holds the top 128 bits of 5^q, truncated, for every q."""
+    table = (ctypes.c_uint64 * (2 * len(_POW5_RANGE))).in_dll(scanner, "kp_pow5")
+    for i, q in enumerate(_POW5_RANGE):
+        if q >= 0:
+            bits = (5**q).bit_length()
+            expected = 5**q >> (bits - 128) if bits > 128 else 5**q << (128 - bits)
+        else:
+            expected = (1 << ((5**-q).bit_length() + 127)) // 5**-q
+        assert table[2 * i] << 64 | table[2 * i + 1] == expected, q
+
+
+def _formatted(scanner, values):
+    """Each value as ``kp_format_rows`` writes it."""
+    text = splitkernel.format_rows(scanner, np.reshape(values, (-1, 1)), ["t"] * len(values),
+                                   stamp_last=False)
+    return [line.removeprefix("t,") for line in text.split("\n")[:-1]]
+
+
+def _scanned(scanner, texts):
+    """The value ``kp_scan_dataset`` reads from each text, as ``float.hex``,
+    or None where it refuses the text."""
+    value, stamp = np.empty(1), np.empty(1, dtype=np.int64)
+    read = []
+    for text in texts:
+        line = f"{text},1970-01-01T00:00Z".encode("ascii")
+        count = scanner.kp_scan_dataset(line, len(line), 2, 1, value.ctypes.data,
+                                        stamp.ctypes.data)
+        read.append(float(value[0]).hex() if count == 1 else None)
+    return read
+
+
+def _read(text):
+    """``float(text)`` as ``float.hex``, or None if it is not finite."""
+    value = float(text)
+    return value.hex() if math.isfinite(value) else None
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+_DOUBLES = st.one_of(_BIT_PATTERNS.filter(math.isfinite), st.floats(allow_nan=False,
+                                                                     allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.one_of(_BIT_PATTERNS, st.floats()), min_size=1, max_size=64))
+def test_the_writer_writes_each_number_as_repr_does(scanner, values):
+    assert _formatted(scanner, values) == [repr(v) for v in values]
+
+
+@settings(max_examples=300)
+@given(values=st.lists(_DOUBLES, min_size=1, max_size=64), spelling=st.sampled_from(_SPELLINGS))
+def test_the_scanner_reads_each_number_as_float_does(scanner, values, spelling):
+    texts = [spelling.format(abs(v)) for v in values]
+    texts = [f"-{t.lstrip('+')}" if math.copysign(1.0, v) < 0 else t for v, t in zip(values, texts)]
+    assert _scanned(scanner, texts) == [_read(text) for text in texts]
+
+
+@settings(max_examples=300)
+@given(digits=st.text("0123456789", min_size=1, max_size=24), exponent=st.integers(-360, 330),
+       point=st.integers(0, 24))
+def test_the_scanner_reads_long_mantissas_as_float_does(scanner, digits, exponent, point):
+    """Mantissas of 1 to 24 digits, the point anywhere in them: past 19
+    significant digits the scanner hands the number to strtod."""
+    text = f"{digits[:point]}.{digits[point:]}e{exponent}"
+    assert _scanned(scanner, [text]) == [_read(text)]
+
+
+_HAND_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
+                2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e-05, 0.0001, 0.00012, 1e16, 1e15, 9999999999999998.0, 123456789012345680.0,
+                1e22, 1e23, 0.1, 0.3, 2 / 3, 1.0, -1.5, 1125899906842624.2,
+                4503599627370497.0, 9007199254740992.0, 2.0**-1022, 2.0**-1000, 2.0**1000]
+
+
+@pytest.mark.parametrize("value", _HAND_VALUES, ids=repr)
+def test_hand_values_round_trip_as_repr_and_float_do(scanner, value):
+    # 1e23 lies halfway between two doubles, and 1125899906842624.2 and .3
+    # are equally near 1125899906842624.25: the shortest digits of the even
+    # double, and the even last digit
+    assert _formatted(scanner, [value]) == [repr(value)]
+    assert _scanned(scanner, [repr(value)]) == [value.hex()]
+
+
+@pytest.mark.parametrize("text", [
+    "9007199254740993", "9007199254740993.0", "9007199254740995", "4503599627370496.5",
+    "4503599627370497.5", "1125899906842624.25", "1125899906842624.125",
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "4.9406564584124654e-324",
+    "2.2250738585072011e-308", "1.7976931348623158e308", "1e23", "8.98846567431158e307",
+    "12345678901234567", "123456789012345678", "1234567890123456789", "12345678901234567890",
+    "9999999999999999999", "18446744073709551615", "18446744073709551616",
+    "0.1000000000000000055511151231257827", "1." + "0" * 30, "0" * 25 + "1.5", "1e-400",
+    "0e999999999999", "-0e-999", "7.2057594037927933e16", "1e-342", "1e-343", "1e308"])
+def test_hand_texts_read_as_float_reads_them(scanner, text):
+    # halfway ties, subnormal and overflow edges, and 17 to 20 digits
+    assert _scanned(scanner, [text]) == [_read(text)]
+
+
+@pytest.mark.parametrize("text", ["1.7976931348623159e308", "-1.7976931348623159e308",
+                                  "1e309", "1e400", "9" * 400])
+def test_a_number_past_the_largest_double_is_refused(scanner, text):
+    assert _read(text) is None
+    assert _scanned(scanner, [text]) == [None]
+
+
+@st.composite
+def tables(draw):
+    """A measurement table of random doubles (any bit pattern), some gaps."""
+    records, fields = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.one_of(_BIT_PATTERNS, st.floats()), min_size=records * fields,
+                           max_size=records * fields))
+    present = draw(st.lists(st.booleans(), min_size=records * fields,
+                            max_size=records * fields))
+    minutes = 180 * np.cumsum(draw(st.lists(st.integers(1, 10**6), min_size=records,
+                                            max_size=records)), dtype=np.int64)
+    return ingest.MeasurementTable(tuple(f"v{j}" for j in range(fields)), minutes - 10**7,
+                                   np.reshape(values, (records, fields)),
+                                   np.reshape(present, (records, fields)))
+
+
+@settings(max_examples=200)
+@given(table=tables())
+def test_format_table_writes_as_the_python_writer_does(scanner, table):
+    compiled = ingest.format_table(table)
+    with mock.patch.object(splitkernel, "load", _scanner_off):
+        assert ingest.format_table(table) == compiled
+
+
+@settings(max_examples=200)
+@given(data=st.data(), rows=st.integers(0, 5), width=st.integers(1, 4),
+       block=st.sampled_from([1, 2, 256]))
+def test_the_dataset_writer_writes_as_the_python_writer_does(scanner, data, rows, width, block):
+    cells = np.reshape(data.draw(st.lists(_DOUBLES, min_size=rows * width,
+                                          max_size=rows * width)), (rows, width))
+    targets = data.draw(st.lists(st.floats(0.0, 9.0), min_size=rows, max_size=rows))
+    dataset = FusedDataset(tuple(f"x{j}" for j in range(width)), cells, targets,
+                           180 * np.arange(rows))
+    with mock.patch.object(fusion, "_BLOCK_ROWS", block):
+        compiled = dataset.to_csv()
+        with mock.patch.object(splitkernel, "load", _scanner_off):
+            assert dataset.to_csv() == compiled

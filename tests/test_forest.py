@@ -11,6 +11,7 @@ from kpforecast.forest import (
     ForestConfig,
     ForestModel,
     Tree,
+    _draw_bag,
     fit,
     importance,
     predict,
@@ -270,6 +271,14 @@ def test_oob_mse_present_only_with_bootstrap():
     without = fit(data, ForestConfig(n_trees=20, seed=1, bootstrap=False))
     assert with_bag.oob_mse is not None and with_bag.oob_mse >= 0.0
     assert without.oob_mse is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1432])
+def test_the_out_of_bag_rows_are_the_rows_the_bag_missed(n):
+    for tree_seed in range(20):
+        _, bag, oob = _draw_bag(n, ForestConfig(), tree_seed)
+        expected = np.setdiff1d(np.arange(n), bag)  # the sort-based reference
+        assert oob.dtype == expected.dtype and np.array_equal(oob, expected)
 
 
 # -- importances and selection ----------------------------------------------------
