@@ -266,13 +266,18 @@ _TRAIN_SPEC = {
 }
 
 
+def _refuse_forest_options(opts, keep: tuple[str, ...] = ()) -> None:
+    """A linear model ignores the forest options: refuse any given but ``keep``."""
+    unused = [name for name in _FOREST_OPTIONS if name in opts.given and name not in keep]
+    if unused:
+        raise _UsageError(f"--{_flag(unused[0])} needs a forest model, not a linear one")
+
+
 def _cmd_train(args) -> int:
     opts = _resolve(args, _TRAIN_SPEC)
     threads = _threads(opts)  # validate before touching the filesystem
     if opts.model_kind == "linear":
-        unused = [name for name in _FOREST_OPTIONS if name in opts.given]
-        if unused:
-            raise _UsageError(f"--{_flag(unused[0])} needs a forest model, not a linear one")
+        _refuse_forest_options(opts)
         model = baseline.fit_linear(_load_dataset(opts.data))
     else:
         config = forest.ForestConfig(**_values(_FOREST_OPTIONS, opts))
@@ -355,10 +360,14 @@ _EVALUATE_SPEC = {
 
 
 def _plan(opts, **fields) -> evaluate.ExperimentPlan:
+    lag_spec = LagSpec(**_values(_LAG_OPTIONS, opts))
+    forest_values = _values(_FOREST_OPTIONS, opts)
+    if fields.get("model_kind") == "linear":  # only the seed applies: it seeds the downsample draw
+        forest_values = {"seed": forest_values["seed"]}
     return evaluate.ExperimentPlan(
         cutoff_minute=opts.cutoff,
-        lag_spec=LagSpec(**_values(_LAG_OPTIONS, opts)),
-        forest_config=forest.ForestConfig(**_values(_FOREST_OPTIONS, opts)),
+        lag_spec=lag_spec,
+        forest_config=forest.ForestConfig(**forest_values),
         **fields,
     )
 
@@ -367,6 +376,8 @@ def _cmd_evaluate(args) -> int:
     opts = _resolve(args, _EVALUATE_SPEC)
     threads = _threads(opts)  # validate before touching the filesystem
     plan = _plan(opts, **_values(_PLAN_OPTIONS, opts))
+    if plan.model_kind == "linear":
+        _refuse_forest_options(opts, keep=("seed",))
     solar, dst, kp = _read_sources(opts)
     report = evaluate.run_experiment(plan, solar, dst, kp, threads=threads)
     sys.stdout.write(report.to_text())

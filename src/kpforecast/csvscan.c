@@ -1,13 +1,14 @@
 /* Number text both ways for the package's canonical CSV files.
  *
- * Reading.  ``kp_scan_measurements`` reads a measurement file (solar wind,
- * Dst or Kp: ``t,v1,...,vn`` per record) and ``kp_scan_dataset`` the rows
- * of a dataset CSV after its header (``v1,...,vk,t``).  Each returns the
- * arrays the Python parsers of ``ingest`` and ``fusion`` build, or -1 as
- * soon as the bytes leave the grammar below.  The caller then parses the
- * whole file with those Python parsers, which stay the reference and word
- * every error, so a value read here is the value they read and a fault is
- * reported as they report it.
+ * Both directions handle one row shape: a timestamp and cols numbers, the
+ * stamp first (t,v1,...,vn: a measurement file of solar wind, Dst or Kp)
+ * or last (v1,...,vn,t: the rows of a dataset CSV after its header).
+ *
+ * Reading.  ``kp_scan_rows`` returns the arrays the Python readers of
+ * ``ingest`` and ``fusion`` build, or -1 as soon as the bytes leave the
+ * grammar below.  The caller then reads the whole file with those Python
+ * readers, which stay the reference and word every error, so a value read
+ * here is the value they read and a fault is reported as they report it.
  *
  * The grammar:
  *   - a line ends in '\n', or at the end of the buffer; an empty line, and
@@ -19,7 +20,8 @@
  *   - a number matches [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? with ASCII
  *     digits d, and its value is the correctly rounded double, as Python's
  *     float() gives it; that value must be finite;
- *   - an empty field of a measurement record is a gap: NaN, not present;
+ *   - an empty field is a gap: NaN, not present (a dataset has none, so
+ *     its reader leaves a row with a gap to the Python reader);
  *   - anything else is -1: a wrong cell count, a blank before or after a
  *     cell, 1_0, 0x1p3, nan, inf, 1e400.
  *
@@ -288,17 +290,25 @@ static const char *end_record(const char *p, const char *end)
     return *p == '\n' ? p + 1 : NULL;
 }
 
-/* The records of a measurement file of n value fields: for record r, its
- * 1-based line, its time's YYYYMMDDHHMM, and its n values with a present
- * flag each (a gap is NaN and 0).  Returns the record count, or -1 if the
- * buffer leaves the grammar or holds more than capacity records. */
-int64_t kp_scan_measurements(const char *buf, int64_t len, int64_t n, int64_t capacity,
-                             int64_t *line_nos, int64_t *stamps, double *values,
-                             uint8_t *present)
+/* Past the ',' at p; NULL if p holds none. */
+static const char *comma(const char *p, const char *end)
+{
+    return p < end && *p == ',' ? p + 1 : NULL;
+}
+
+/* The rows of CSV lines of cols numbers and a timestamp each, the stamp
+ * first (t,v1,...,vn) or, if stamp_last, last (v1,...,vn,t): for row r,
+ * its 1-based line, its time's YYYYMMDDHHMM, and its cols values with a
+ * present flag each (an empty field is a gap: NaN and 0).  Returns the row
+ * count, or -1 if the buffer leaves the grammar or holds more than capacity
+ * rows. */
+int64_t kp_scan_rows(const char *buf, int64_t len, int64_t cols, int64_t stamp_last,
+                     int64_t capacity, int64_t *line_nos, int64_t *stamps, double *values,
+                     uint8_t *present)
 {
     const uint64_t nan_bits = 0x7ff8000000000000ULL; /* Python's math.nan */
     const char *p = buf, *end = buf + len;
-    int64_t records = 0, line_no = 0;
+    int64_t rows = 0, line_no = 0;
     double gap;
     memcpy(&gap, &nan_bits, sizeof gap);
     while (p < end) {
@@ -314,14 +324,14 @@ int64_t kp_scan_measurements(const char *buf, int64_t len, int64_t n, int64_t ca
                 return -1;
             continue;
         }
-        if (records == capacity || !(p = scan_stamp(p, end, &stamps[records])))
+        if (rows == capacity || (!stamp_last && !(p = scan_stamp(p, end, &stamps[rows]))))
             return -1;
-        value = values + records * n;
-        flag = present + records * n;
-        for (int64_t j = 0; j < n; j++) {
-            if (p == end || *p != ',')
+        value = values + rows * cols;
+        flag = present + rows * cols;
+        for (int64_t j = 0; j < cols; j++) {
+            if ((j > 0 || !stamp_last) && !(p = comma(p, end)))
                 return -1;
-            if (++p == end || *p == ',' || *p == '\n') {
+            if (p == end || *p == ',' || *p == '\n') {
                 value[j] = gap;
                 flag[j] = 0;
             } else if ((p = scan_number(p, end, &value[j]))) {
@@ -330,44 +340,11 @@ int64_t kp_scan_measurements(const char *buf, int64_t len, int64_t n, int64_t ca
                 return -1;
             }
         }
+        if (stamp_last && !((p = comma(p, end)) && (p = scan_stamp(p, end, &stamps[rows]))))
+            return -1;
         if (!(p = end_record(p, end)))
             return -1;
-        line_nos[records++] = line_no;
-    }
-    return records;
-}
-
-/* The rows of a dataset CSV of width cells each, read after its header:
- * for row r, its width - 1 numbers ([features | target]) and its time's
- * YYYYMMDDHHMM.  Returns the row count, or -1 if the buffer leaves the
- * grammar or holds more than capacity rows. */
-int64_t kp_scan_dataset(const char *buf, int64_t len, int64_t width, int64_t capacity,
-                        double *values, int64_t *stamps)
-{
-    const char *p = buf, *end = buf + len;
-    int64_t rows = 0;
-    while (p < end) {
-        double *value;
-        if (*p == '\n') {
-            p++;
-            continue;
-        }
-        if (*p == '#') {
-            if (!(p = skip_comment(p, end)))
-                return -1;
-            continue;
-        }
-        if (rows == capacity)
-            return -1;
-        value = values + rows * (width - 1);
-        for (int64_t j = 0; j < width - 1; j++) {
-            if (!(p = scan_number(p, end, &value[j])) || p == end || *p != ',')
-                return -1;
-            p++;
-        }
-        if (!(p = scan_stamp(p, end, &stamps[rows])) || !(p = end_record(p, end)))
-            return -1;
-        rows++;
+        line_nos[rows++] = line_no;
     }
     return rows;
 }

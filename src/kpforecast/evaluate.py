@@ -148,11 +148,17 @@ class ExperimentPlan:
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         check_downsample(self.downsample, self.downsample_threshold)
+        width = self.lag_spec.feature_count  # the columns the plan fits
         if self.k_features is not None:
             if self.k_features < 1:
                 raise ValueError("k_features must be >= 1 when given")
             if self.model_kind != "forest":  # the ranking is a forest's importances
                 raise ValueError(f"k_features needs a forest plan, not a {self.model_kind} one")
+            if self.k_features > width:
+                raise ValueError(f"k_features {self.k_features} exceeds feature count {width}")
+            width = self.k_features
+        if self.model_kind == "forest":
+            self.forest_config.resolve_mtry(width)
 
     def label(self) -> str:
         if self.model_kind == "linear":

@@ -18,16 +18,17 @@ A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 names then ``target,row_time``, and one line per row with every float written
 as ``repr`` writes it (an exact round-trip).  ``write_csv`` streams it a
 block of rows at a time, and ``to_csv`` returns the same text as a string.
-The compiled writer ``kp_format_rows`` of ``csvscan.c`` formats each block;
-without it, Python's ``repr`` does, and stays its test reference.
+A dataset line is a measurement record's row shape with the stamp moved
+last, so :func:`.ingest.format_rows` writes each block and
+:func:`.ingest.scan_rows` reads the rows; this module calls no compiled code
+itself.
 
 Both readers take one entry point over the file's bytes: ``read_csv`` opens
 the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
 agree on every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
-universal newlines of ``open()``) and nowhere else.  The bytes are read a
-chunk at a time through the compiled scanner ``csvscan.c`` (built by
-:func:`.splitkernel.load`), so the file is never held whole.  A file the
-scanner does not read (no compiler, a line outside its strict form, or any
+universal newlines of ``open()``) and nowhere else.  The bytes are scanned a
+chunk at a time, so the file is never held whole.  A file the scanner does
+not read (no compiler, a line outside its strict form, an empty cell, or any
 fault) is read again by the Python reader, a block of lines at a time: it is
 the scanner's test reference and words every error.
 """
@@ -44,7 +45,6 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import splitkernel
 from .errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -63,9 +63,11 @@ from .ingest import (
     _number_fault,
     _stamp_digits,
     format_minutes,
+    format_rows,
     format_timestamp,
     minutes_from_digits,
     parse_timestamp,
+    scan_rows,
 )
 from .rng import PortableRng
 
@@ -187,22 +189,13 @@ class FusedDataset:
         return self.rows.shape[1]
 
     def _csv_blocks(self) -> Iterator[str]:
-        """The dataset CSV: the header line, then the lines of each block of rows.
-
-        Cells are ``repr`` of the float (an exact round-trip), written by the
-        compiled ``kp_format_rows`` (see :func:`.splitkernel.format_rows`), or
-        by :func:`_format_block` where it cannot be built.
-        """
-        library = splitkernel.load("csvscan")
+        """The dataset CSV: the header line, then the lines of each block of
+        rows, every cell as ``repr`` writes it (see :func:`.ingest.format_rows`)."""
         yield ",".join([*self.feature_names, "target", "row_time"]) + "\n"
         for start in range(0, self.n_rows, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
-            cells = np.column_stack([self.rows[start:stop], self.targets[start:stop]])
-            times = format_minutes(self.row_minutes[start:stop])
-            if library is None:
-                yield _format_block(cells, times)
-            else:
-                yield splitkernel.format_rows(library, cells, times, stamp_last=True)
+            yield format_rows(np.column_stack([self.rows[start:stop], self.targets[start:stop]]),
+                              format_minutes(self.row_minutes[start:stop]), stamp_last=True)
 
     def to_csv(self) -> str:
         """Header plus one line per row; floats via repr (exact round-trip)."""
@@ -265,7 +258,8 @@ class FusedDataset:
 
 
 def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
-    """The dataset in a binary file, read by the compiled scanner of ``csvscan.c``.
+    """The dataset in a binary file, read by the compiled scanner (see
+    :func:`.ingest.scan_rows`).
 
     The rows are scanned a chunk of ``_CHUNK_BYTES`` at a time, so the file's
     bytes are never held whole.  None when the scanner cannot be loaded, or
@@ -273,9 +267,6 @@ def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
     fault; :meth:`FusedDataset._parse` then reads the file again, as the
     reference, and raises the fault.
     """
-    library = splitkernel.load("csvscan")
-    if library is None:
-        return None
     for line in handle:  # the header, after blank and comment lines
         text = line.removesuffix(b"\n")
         if not _PRINTABLE.fullmatch(text):
@@ -292,11 +283,11 @@ def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
     while chunk := handle.read(_CHUNK_BYTES):
         buf = tail + chunk
         end = buf.rfind(b"\n") + 1
-        parts.append(_scan_rows(library, buf, end, width))
+        parts.append(_scan_rows(buf, end, width))
         if parts[-1] is None:
             return None
         tail = buf[end:]
-    parts.append(_scan_rows(library, tail, len(tail), width))
+    parts.append(_scan_rows(tail, len(tail), width))
     if parts[-1] is None:
         return None
     rows = np.concatenate([np.empty((0, width - 2))] + [values[:, :-1] for values, _ in parts])
@@ -305,44 +296,20 @@ def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
     return FusedDataset(tuple(header[:-2]), rows, targets, minutes)
 
 
-def _scan_rows(library, buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _scan_rows(buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``[rows | target]`` and the row minutes of the lines in ``buf[:end]``,
     which end in a newline or at the end of ``buf``; None if the scanner
-    refuses a line or a target or time is out of place.
-
-    Only the scanner's ``strtod`` fallback (a number of more than 19
-    significant digits, or one Eisel-Lemire cannot round) reads past
-    ``end``, unless a byte stops it: the newline before ``end``, or the NUL
-    after a ``bytes`` object's last byte.
+    refuses a line, or a cell is empty or a target or time out of place.
     """
-    capacity = buf.count(b"\n", 0, end) + 1
-    values = np.empty((capacity, width - 1))
-    stamps = np.empty(capacity, dtype=np.int64)
-    count = library.kp_scan_dataset(buf, end, width, capacity, values.ctypes.data,
-                                    stamps.ctypes.data)
-    if count < 0:
+    scanned = scan_rows(buf, end, width - 1, stamp_last=True)
+    if scanned is None:
         return None
-    values = values[:count]
-    minutes, valid = minutes_from_digits(stamps[:count])
+    _, stamps, values, present = scanned
+    minutes, valid = minutes_from_digits(stamps)
     targets = values[:, -1]
-    if not (valid.all() and (targets >= 0.0).all() and (targets <= 9.0).all()):
+    if not (present.all() and valid.all() and (targets >= 0.0).all() and (targets <= 9.0).all()):
         return None
     return values, minutes
-
-
-def _format_block(cells: np.ndarray, times: list[str]) -> str:
-    """The dataset lines of ``[rows | target]`` and their times, in Python.
-
-    The reference for ``kp_format_rows``.  Each distinct bit pattern is
-    formatted once and the strings are gathered per row: a raw solar-wind
-    sample recurs in the lag columns of consecutive rows, so most cells of a
-    block repeat another.
-    """
-    # Bit patterns, not values, so that -0.0 keeps its sign.
-    distinct, inverse = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    lines = text[inverse].reshape(cells.shape).tolist()
-    return "".join(",".join(line) + "," + time + "\n" for line, time in zip(lines, times))
 
 
 def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:

@@ -22,23 +22,28 @@ int64 minute times (every instant in the package counts minutes from
 1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  The
 parser first turns ``\r\n`` and ``\r`` into ``\n``.  One pass over the
 lines then splits the fields, matches the timestamp pattern (keeping its
-digits) and converts the numbers.  The compiled scanner ``csvscan.c`` (built
-by :func:`.splitkernel.load`) makes that pass over a file in its strict form:
-printable ASCII, plain decimal numbers that it converts to the value
-``float`` gives.  Any other file, and every file where the scanner cannot be
-built, takes the Python pass, which converts with ``float`` and is the
-scanner's test reference.  Every other check (calendar validity, strictly
-increasing time, finiteness, alignment and physical ranges) runs on the
-arrays and reports the first faulty line in file order, with the error that
-checking each line as it is read would raise there.
+digits) and converts the numbers.  Every other check (calendar validity,
+strictly increasing time, finiteness, alignment and physical ranges) runs on
+the arrays and reports the first faulty line in file order, with the error
+that checking each line as it is read would raise there.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
 writes a table back in its canonical format, every number as ``repr``
-writes it: through the compiled writer of ``csvscan.c`` where it can be
-built, else in Python.  The package's one timestamp
-codec is here too: ``minutes_from_digits`` and ``format_minutes`` for arrays,
+writes it.  The package's one timestamp codec is here too:
+``minutes_from_digits`` and ``format_minutes`` for arrays,
 ``parse_timestamp`` and ``format_timestamp`` for one instant.
+
+The row codec of the compiled kernel ``csvscan.c`` (built by
+:func:`.splitkernel.load`) is here as well, and nowhere else: a row is a
+timestamp and numbers, the stamp first (a measurement record) or last (a
+dataset row of :mod:`.fusion`).  ``scan_rows`` makes the pass over a file in
+its strict form: printable ASCII, plain decimal numbers that it converts to
+the value ``float`` gives.  Any other file, and every file where the kernel
+cannot be built, takes the Python pass, which converts with ``float`` and is
+the scanner's test reference.  ``format_rows`` writes rows as ``repr``
+would, through the kernel where it can be built, else through its one Python
+reference writer.
 """
 
 from __future__ import annotations
@@ -76,6 +81,8 @@ __all__ = [
     "parse_dst",
     "parse_kp",
     "format_table",
+    "scan_rows",
+    "format_rows",
     "to_series",
     "solar_wind_series",
 ]
@@ -254,30 +261,42 @@ def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             if line and not line.startswith("#"))
 
 
-def _scan_compiled(content: str, n: int):
-    """``_Scan._scan_lines``'s arrays from the compiled scanner of ``csvscan.c``.
+def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
+    """The rows of ``buf[:end]`` as the compiled ``kp_scan_rows`` of ``csvscan.c`` reads them.
 
-    None when the scanner cannot be loaded or the file leaves its strict
-    grammar (see the C source); the Python pass then reads the file.
+    A row is a timestamp and ``cols`` numbers, the stamp first or, with
+    ``stamp_last``, last.  Returns each row's 1-based line (an ``array``),
+    its time as YYYYMMDDHHMM, its values, and which values are present (an
+    empty field is a gap, NaN).  None when the scanner cannot be loaded or
+    the bytes leave its strict grammar (see the C source); the caller's
+    Python reader then reads them.  Past ``end``, only a number's ``strtod``
+    fallback reads on, and a byte that is not part of a number stops it: the
+    newline before ``end``, or the NUL after a ``bytes`` object's last byte.
     """
-    if not content.isascii():
-        return None
+    if not 0 <= end <= len(buf) or cols < 1:
+        raise ValueError(f"need 0 <= end <= {len(buf)} and cols >= 1, got {end} and {cols}")
     library = splitkernel.load("csvscan")
     if library is None:
         return None
-    data = content.encode("ascii")
-    capacity = data.count(b"\n") + 1  # lines, so at least the records
+    capacity = buf.count(b"\n", 0, end) + 1  # lines, so at least the rows
     line_nos = array("q", bytes(8 * capacity))
     stamps = np.empty(capacity, dtype=np.int64)
-    values = np.empty((capacity, n))
-    present = np.empty((capacity, n), dtype=bool)
-    records = library.kp_scan_measurements(
-        data, len(data), n, capacity, line_nos.buffer_info()[0],
-        stamps.ctypes.data, values.ctypes.data, present.ctypes.data)
-    if records < 0:
+    values = np.empty((capacity, cols))
+    present = np.empty((capacity, cols), dtype=bool)
+    rows = library.kp_scan_rows(buf, end, cols, stamp_last, capacity, line_nos.buffer_info()[0],
+                                stamps.ctypes.data, values.ctypes.data, present.ctypes.data)
+    if rows < 0:
         return None
-    del line_nos[records:]
-    return line_nos, stamps[:records], values[:records], present[:records]
+    del line_nos[rows:]
+    return line_nos, stamps[:rows], values[:rows], present[:rows]
+
+
+def _scan_compiled(content: str, n: int):
+    """``_Scan._scan_lines``'s arrays from :func:`scan_rows`, or None."""
+    if not content.isascii():
+        return None
+    data = content.encode("ascii")
+    return scan_rows(data, len(data), n, stamp_last=False)
 
 
 class _Scan:
@@ -421,20 +440,64 @@ def parse_kp(content: str) -> MeasurementTable:
 
 
 def format_table(table: MeasurementTable) -> str:
-    """The table in its canonical format, one line per record, gaps empty.
+    """The table in its canonical format, one line per record, gaps empty."""
+    return format_rows(table.values, format_minutes(table.minutes), table.present,
+                       stamp_last=False)
 
-    The compiled ``kp_format_rows`` writes it (see
-    :func:`.splitkernel.format_rows`); where it cannot be built, Python does.
+
+#: The most bytes ``kp_format_rows`` writes for a value and its comma:
+#: ``-2.2250738585072014e-308`` is 24 bytes.
+_CELL_BYTES = 25
+
+
+def format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | None = None,
+                *, stamp_last: bool) -> str:
+    """CSV lines of the rows of ``values``, each value as ``repr`` writes it.
+
+    Line ``r`` holds ``stamps[r]`` (ASCII) and the values of row ``r``: the
+    stamp first, or last with ``stamp_last``.  A value whose ``present``
+    flag is False is an empty cell; without ``present`` every value is
+    written.  The compiled ``kp_format_rows`` of ``csvscan.c`` writes the
+    lines; where it cannot be built, :func:`_format_rows` does.
     """
-    times = format_minutes(table.minutes)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or len(stamps) != values.shape[0]:
+        raise ValueError("values must be 2-D with one stamp per row")
+    flags = None
+    if present is not None:
+        present = np.ascontiguousarray(present, dtype=bool)
+        if present.shape != values.shape:
+            raise ValueError("present must flag each value")
+        flags = present.ctypes.data
     library = splitkernel.load("csvscan")
-    if library is not None:
-        return splitkernel.format_rows(library, table.values, times, table.present,
-                                       stamp_last=False)
-    columns = [times]
-    for values, present in zip(table.values.T.tolist(), table.present.T.tolist()):
-        columns.append([repr(v) if p else "" for v, p in zip(values, present)])
-    return "".join(",".join(cells) + "\n" for cells in zip(*columns))
+    if library is None:
+        return _format_rows(values, stamps, present, stamp_last)
+    rows, cols = values.shape
+    encoded = np.array(stamps, dtype=bytes)
+    out = np.empty(rows * (cols * _CELL_BYTES + encoded.itemsize + 2), dtype=np.uint8)
+    size = library.kp_format_rows(values.ctypes.data, flags, rows, cols, encoded.ctypes.data,
+                                  encoded.itemsize, stamp_last, out.ctypes.data)
+    return str(out[:size], "ascii")
+
+
+def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | None,
+                 stamp_last: bool) -> str:
+    """:func:`format_rows` in Python: the reference for ``kp_format_rows``.
+
+    Each distinct bit pattern is formatted once and the strings are gathered
+    per row: a raw solar-wind sample recurs in the lag columns of
+    consecutive dataset rows, so most cells of a block repeat another.
+    """
+    # Bit patterns, not values, so that -0.0 keeps its sign.
+    distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    cells = text[inverse].reshape(values.shape)
+    if present is not None:
+        cells[~present] = ""
+    lines = cells.tolist()
+    if stamp_last:
+        return "".join(",".join(line) + "," + stamp + "\n" for line, stamp in zip(lines, stamps))
+    return "".join(stamp + "," + ",".join(line) + "\n" for line, stamp in zip(lines, stamps))
 
 
 # --------------------------------------------------------------------------

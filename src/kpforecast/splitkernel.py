@@ -1,10 +1,11 @@
-"""The compiled kernels: build, cache and call ``splitkernel.c`` and ``csvscan.c``.
+"""The compiled kernels: build and cache ``splitkernel.c`` and ``csvscan.c``, grow trees with the first.
 
 ``splitkernel.c`` grows a whole tree exactly as the numpy
 ``forest._grow_tree`` grows it (see the C source for how), and ``ctypes``
 releases the interpreter lock for the call, so trees grown on a thread pool
-grow in parallel.  ``csvscan.c`` reads and writes the numbers of the
-canonical CSV files for :mod:`.ingest` and :mod:`.fusion`.
+grow in parallel.  ``csvscan.c`` reads and writes the rows of the
+canonical CSV files; :func:`.ingest.scan_rows` and :func:`.ingest.format_rows`
+are its only callers.
 
 :func:`load` compiles a kernel's source with the system ``cc`` the first
 time a process needs it and caches the library in this package's
@@ -13,8 +14,8 @@ the interpreter's cache tag.  Each build writes a temporary file and renames
 it into place, so concurrent first builds leave one complete library.  When
 no ``cc`` exists, the cache directory is not writable or the build fails,
 :func:`load` returns None and the caller falls back to its Python code: the
-forest grows its trees in numpy, and the CSV files are read and written in
-Python.
+forest grows its trees in numpy, and ``ingest`` reads and writes the CSV
+rows in Python.
 """
 
 from __future__ import annotations
@@ -47,13 +48,9 @@ _SPLITKERNEL = {
 }
 
 _CSVSCAN = {
-    "kp_scan_measurements": (_I64, [
-        _BYTES, _I64, _I64, _I64,  # buf, len, fields, capacity
+    "kp_scan_rows": (_I64, [
+        _BYTES, _I64, _I64, _I64, _I64,  # buf, len, cols, stamp_last, capacity
         _PTR, _PTR, _PTR, _PTR,  # line_nos, stamps, values, present
-    ]),
-    "kp_scan_dataset": (_I64, [
-        _BYTES, _I64, _I64, _I64,  # buf, len, width, capacity
-        _PTR, _PTR,  # values, stamps
     ]),
     "kp_format_rows": (_I64, [
         _PTR, _PTR, _I64, _I64,  # values, present, rows, cols
@@ -202,34 +199,3 @@ class Grower:
         if count < 0:
             raise RuntimeError("the kernel split a node into an empty side")
         return tuple(array[:count].copy() for array in self.nodes), imp
-
-
-#: The most bytes ``kp_format_rows`` writes for a value and its comma:
-#: ``-2.2250738585072014e-308`` is 24 bytes.
-_CELL_BYTES = 25
-
-
-def format_rows(library, values: np.ndarray, stamps: list[str], present: np.ndarray | None = None,
-                *, stamp_last: bool) -> str:
-    """CSV lines of the rows of ``values``, each value as ``repr`` writes it.
-
-    Line ``r`` holds ``stamps[r]`` (ASCII) and the values of row ``r``: the
-    stamp first, or last with ``stamp_last``.  A value whose ``present``
-    flag is False is an empty cell; without ``present`` every value is
-    written.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2 or len(stamps) != values.shape[0]:
-        raise ValueError("values must be 2-D with one stamp per row")
-    rows, cols = values.shape
-    flags = None
-    if present is not None:
-        present = np.ascontiguousarray(present, dtype=bool)
-        if present.shape != values.shape:
-            raise ValueError("present must flag each value")
-        flags = present.ctypes.data
-    encoded = np.array(stamps, dtype=bytes)
-    out = np.empty(rows * (cols * _CELL_BYTES + encoded.itemsize + 2), dtype=np.uint8)
-    size = library.kp_format_rows(values.ctypes.data, flags, rows, cols, encoded.ctypes.data,
-                                  encoded.itemsize, stamp_last, out.ctypes.data)
-    return str(out[:size], "ascii")

@@ -565,15 +565,53 @@ def test_evaluate_refuses_k_features_on_a_linear_model(valid_files, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("trees", "0"), ("trees", "3"), ("mtry", "2"),
-                                         ("min-leaf", "5"), ("bootstrap", "false"),
-                                         ("seed", "0")])
+@pytest.mark.parametrize("command, flags, message", [
+    ("compare", ["--mtry", "300", "--ks", "100,50"], "mtry 300 exceeds feature count 100"),
+    ("compare", ["--ks", "5000"], "k_features 5000 exceeds feature count 767"),
+    ("evaluate", ["--k-features", "5000"], "k_features 5000 exceeds feature count 767"),
+    ("evaluate", ["--mtry", "768"], "mtry 768 exceeds feature count 767"),
+    ("evaluate", ["--k-features", "10", "--mtry", "11"], "mtry 11 exceeds feature count 10"),
+], ids=["compare-mtry", "compare-k", "evaluate-k", "evaluate-mtry", "evaluate-k-mtry"])
+def test_k_and_mtry_are_checked_before_any_file_is_read(tmp_path, command, flags, message):
+    # compare --mtry 300 --ks 100,50 once fitted the full-width forest and
+    # then exited 1; --ks 5000 and --k-features 5000 exited 2 after a fit
+    missing = str(tmp_path / "missing.csv")  # never read
+    code, err = _run([command, "--solar-wind", missing, "--dst", missing, "--kp", missing,
+                      "--cutoff", "2021-01-03T00:00Z", *flags, "--out", str(tmp_path / "out")])
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_keeps_the_seed_of_a_linear_model(valid_files, tmp_path):
+    # --seed seeds the downsample draw, so it is not a forest-only option
+    argv = ["evaluate", *_sources(valid_files), *SMALL_LAGS, "--cutoff", "2021-01-03T00:00Z",
+            "--model-kind", "linear", "--downsample", "2", "--seed", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert _run(argv) == (0, "")
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["forest"]["seed"] == 3
+
+
+_FOREST_FLAGS = [("trees", "0"), ("trees", "3"), ("mtry", "2"), ("min-leaf", "5"),
+                 ("bootstrap", "false")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *(pytest.param("train", *flag_value, id="-".join(flag_value))
+      for flag_value in [*_FOREST_FLAGS, ("seed", "0")]),
+    # evaluate keeps --seed: it seeds the downsample draw
+    *(pytest.param("evaluate", *flag_value, id="-".join(["evaluate", *flag_value]))
+      for flag_value in _FOREST_FLAGS),
+])
 @pytest.mark.parametrize("where", ["flag", "config"])
-def test_train_refuses_forest_options_on_a_linear_model(tmp_path, flag, value, where):
-    # each once exited 0 and was ignored, and --trees 0 failed a check for
-    # a fit that never ran; a default value given explicitly counts too
-    argv = ["train", "--data", str(tmp_path / "missing.csv"), "--model-kind", "linear",
-            "--out", str(tmp_path / "out")]  # the data is never read
+def test_train_refuses_forest_options_on_a_linear_model(tmp_path, command, flag, value, where):
+    # each once exited 0 and was ignored (evaluate also echoed it in its
+    # report), and --trees 0 failed a check for a fit that never ran; a
+    # default value given explicitly counts too
+    missing = str(tmp_path / "missing.csv")  # no file is read
+    argv = {"train": ["train", "--data", missing],
+            "evaluate": ["evaluate", "--solar-wind", missing, "--dst", missing, "--kp", missing,
+                         "--cutoff", "2021-01-03T00:00Z"]}[command]
+    argv += ["--model-kind", "linear", "--out", str(tmp_path / "out")]
     if where == "flag":
         argv += [f"--{flag}", value]
     else:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from kpforecast import datagen, fusion, ingest, splitkernel
 from kpforecast.cli import main
-from kpforecast.errors import DataError
+from kpforecast.errors import DataError, MalformedLine
 from kpforecast.fusion import FusedDataset
 from kpforecast.ingest import SOLAR_WIND_FIELDS, format_minutes
 
@@ -278,6 +278,32 @@ def test_crlf_and_cr_text_parses_as_lf_text_does(load):
             assert expected[1].startswith("line 5:")
 
 
+@pytest.mark.parametrize("end, cols", [(-1, 1), (5, 1), (4, 0)])
+def test_scan_rows_refuses_what_it_cannot_pass_to_the_kernel(end, cols):
+    with pytest.raises(ValueError):
+        ingest.scan_rows(b"1,2\n", end, cols, stamp_last=False)
+
+
+@pytest.mark.parametrize("load", [_LOAD, _scanner_off], ids=["as built", "without scanner"])
+@pytest.mark.parametrize("row", ["1.0,,2.0,1970-01-01T03:00Z", "1.0,2.0,,1970-01-01T03:00Z"],
+                         ids=["feature", "target"])
+def test_an_empty_dataset_cell_is_a_malformed_line(tmp_path, load, row):
+    """The scanner reads an empty cell as a gap, as in a measurement file;
+    a dataset has no gaps, so its Python reader names the line."""
+    text = f"x0,x1,target,row_time\n1.0,2.0,3.0,1970-01-01T00:00Z\n{row}\n"
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with mock.patch.object(splitkernel, "load", load):
+        if load("csvscan") is not None:
+            buf = row.encode("ascii")
+            scanned = ingest.scan_rows(buf, len(buf), 3, stamp_last=True)
+            assert scanned[3].tolist() == [[cell != "" for cell in row.split(",")[:3]]]
+            assert fusion._scan_rows(buf, len(buf), 4) is None
+        for read in (lambda: FusedDataset.read_csv(path), lambda: FusedDataset.from_csv(text)):
+            with pytest.raises(MalformedLine, match=r"^line 3: unparsable number ''$"):
+                read()
+
+
 # -- number text, both ways --------------------------------------------------
 
 _POW5_RANGE = range(-342, 325)  # POW5_MIN to POW5_MAX of csvscan.c
@@ -297,21 +323,26 @@ def test_the_powers_of_five_are_exact(scanner):
 
 def _formatted(scanner, values):
     """Each value as ``kp_format_rows`` writes it."""
-    text = splitkernel.format_rows(scanner, np.reshape(values, (-1, 1)), ["t"] * len(values),
-                                   stamp_last=False)
+    text = ingest.format_rows(np.reshape(values, (-1, 1)), ["t"] * len(values), stamp_last=False)
     return [line.removeprefix("t,") for line in text.split("\n")[:-1]]
 
 
 def _scanned(scanner, texts):
-    """The value ``kp_scan_dataset`` reads from each text, as ``float.hex``,
-    or None where it refuses the text."""
-    value, stamp = np.empty(1), np.empty(1, dtype=np.int64)
+    """The value ``kp_scan_rows`` reads from each text, as ``float.hex``,
+    or None where it refuses the text; the same with the stamp first and last."""
+    line_no, stamp, value = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64), np.empty(1)
+    present = np.empty(1, dtype=bool)
     read = []
     for text in texts:
-        line = f"{text},1970-01-01T00:00Z".encode("ascii")
-        count = scanner.kp_scan_dataset(line, len(line), 2, 1, value.ctypes.data,
-                                        stamp.ctypes.data)
-        read.append(float(value[0]).hex() if count == 1 else None)
+        both = []
+        for stamp_last, line in ((False, f"1970-01-01T00:00Z,{text}"),
+                                 (True, f"{text},1970-01-01T00:00Z")):
+            line = line.encode("ascii")
+            count = scanner.kp_scan_rows(line, len(line), 1, stamp_last, 1, line_no.ctypes.data,
+                                         stamp.ctypes.data, value.ctypes.data, present.ctypes.data)
+            both.append(float(value[0]).hex() if count == 1 and present[0] else None)
+        assert both[0] == both[1], text
+        read.append(both[0])
     return read
 
 

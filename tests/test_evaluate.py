@@ -175,6 +175,21 @@ def test_a_linear_plan_refuses_k_features():
     assert _plan(model_kind="linear").echo()["k_features"] is None
 
 
+def test_a_plan_checks_k_and_mtry_against_the_width_it_fits():
+    # a k or mtry too large once failed only after a full-width fit
+    width = SMALL_SPEC.feature_count
+    with pytest.raises(ValueError, match=f"^k_features {width + 1} exceeds feature count {width}$"):
+        _plan(k_features=width + 1)
+    with pytest.raises(ValueError, match=f"^mtry {width + 1} exceeds feature count {width}$"):
+        _plan(forest_config=forest.ForestConfig(mtry=width + 1))
+    with pytest.raises(ValueError, match="^mtry 9 exceeds feature count 8$"):  # the top-k fit
+        _plan(k_features=8, forest_config=forest.ForestConfig(mtry=9))
+    assert _plan(k_features=width, forest_config=forest.ForestConfig(mtry=width)).k_features == width
+    assert _plan(k_features=8, forest_config=forest.ForestConfig(mtry=8)).label() == "RF top-8"
+    # a linear plan fits no forest
+    assert _plan(model_kind="linear", forest_config=forest.ForestConfig(mtry=width + 1)).label() == "Linear"
+
+
 def test_downsample_seed_resolution():
     derived = _plan().resolved_downsample_seed()
     assert derived == derive_seed(FAST_FOREST.seed, 0x646F776E)
