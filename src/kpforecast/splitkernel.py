@@ -1,4 +1,4 @@
-"""The compiled kernels: build and cache ``splitkernel.c`` and ``csvscan.c``, grow trees with the first.
+"""The compiled kernels: build and cache ``splitkernel.c`` and ``csvscan.c``; call the first.
 
 ``splitkernel.c`` grows a whole tree exactly as the numpy
 ``forest._grow_tree`` grows it (see the C source for how), and ``ctypes``

@@ -434,6 +434,17 @@ def tables(draw):
                                    np.reshape(present, (records, fields)))
 
 
+@pytest.mark.parametrize("load", [_LOAD, _scanner_off], ids=["as built", "without scanner"])
+def test_both_writers_keep_the_sign_of_zero(load):
+    """0.0 and -0.0 compare equal but are written apart, in either stamp position."""
+    values, present = np.array([[0.0, -0.0, 1.0, -0.0, 0.0]]), np.array([[1, 1, 0, 1, 1]])
+    with mock.patch.object(splitkernel, "load", load):
+        assert (ingest.format_rows(values, ["t"], present, stamp_last=False)
+                == "t,0.0,-0.0,,-0.0,0.0\n")
+        assert (ingest.format_rows(values, ["t"], present, stamp_last=True)
+                == "0.0,-0.0,,-0.0,0.0,t\n")
+
+
 @settings(max_examples=200)
 @given(table=tables())
 def test_format_table_writes_as_the_python_writer_does(scanner, table):
