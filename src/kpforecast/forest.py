@@ -19,12 +19,17 @@ which releases the interpreter lock, so up to ``threads`` trees grow in
 parallel, but no more than the process has CPUs.  It grows bit for bit the
 tree that the numpy :func:`_grow_tree` and :func:`_best_split` grow.  Its
 split search orders each candidate column by the column's ranks, computed
-once per fit: a node of 64 rows or more reads them off the column's bag
-order, presorted once per tree, and a smaller node sorts its own.  Each
+once per fit.  A column's bag positions are presorted the first time a
+node of 64 rows or more draws it, and each node that reads the presort
+narrows it to a window of its own rows, followed by the rows of the nodes
+still to be split: a descendant reads a window a few times its own size,
+not the whole bag.  A node under 64 rows reads the window when it holds at
+most 8 times the node's rows, and sorts its own rows otherwise.  Each
 worker thread allocates its scratch once per fit, about
-``4 * n_rows * n_features`` bytes.  Where the kernel cannot be built (no
-``cc``, no writable cache), :func:`_grow_tree` grows the trees in numpy;
-the model is the same either way.
+``4 * n_rows * n_features`` bytes plus 69 bytes a feature for its windows.
+Where the kernel cannot be built (no ``cc``, no writable cache),
+:func:`_grow_tree` grows the trees in numpy; the model is the same either
+way.
 
 Determinism: tree ``i`` owns a private stream seeded from
 ``(config.seed, i)``; the bootstrap is drawn first, then each node consumes

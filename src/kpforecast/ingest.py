@@ -484,14 +484,20 @@ def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | No
                  stamp_last: bool) -> str:
     """:func:`format_rows` in Python: the reference for ``kp_format_rows``.
 
-    Each distinct bit pattern is formatted once and the strings are gathered
-    per row: a raw solar-wind sample recurs in the lag columns of
-    consecutive dataset rows, so most cells of a block repeat another.
+    Dataset rows (stamp last) format each distinct bit pattern once and
+    gather the strings per row: a raw solar-wind sample recurs in the lag
+    columns of consecutive dataset rows, so most cells of a block repeat
+    another.  A measurement table's values rarely repeat, so its cells are
+    formatted one by one.
     """
-    # Bit patterns, not values, so that -0.0 keeps its sign.
-    distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    cells = text[inverse].reshape(values.shape)
+    if stamp_last:
+        # Bit patterns, not values, so that -0.0 keeps its sign.
+        distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        cells = text[inverse].reshape(values.shape)
+    else:
+        cells = np.array([repr(v) for v in values.ravel().tolist()], dtype=object)
+        cells = cells.reshape(values.shape)
     if present is not None:
         cells[~present] = ""
     lines = cells.tolist()

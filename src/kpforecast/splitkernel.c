@@ -14,14 +14,11 @@
  * computes once per fit, and reads x itself from the row-major X only for
  * the threshold and the partition.  Per candidate column in ascending
  * order, the node's (rank, bag position, y) triples are put in (rank,
- * position) order: gathered and sorted (small nodes), or read off the
- * column's presorted bag positions, filtered by node membership (nodes of
- * at least PRESORT_MIN rows).  A column is presorted once per tree, the
- * first time a large node needs it, by a counting sort of the bag
- * positions on rank.  Ties keep bag-position order on both paths, which
- * is what a stable sort of the node's rows by x gives, so every y sequence
- * is the reference's.  Every position between two distinct x values is
- * then scored with the numpy expression in the numpy operation order:
+ * position) order: gathered and sorted, or read off the column's presort
+ * (below).  Ties keep bag-position order on both paths, which is what a
+ * stable sort of the node's rows by x gives, so every y sequence is the
+ * reference's.  Every position between two distinct x values is then
+ * scored with the numpy expression in the numpy operation order:
  *
  *     (lq - ls * ls / nl) + ((tq - lq) - (ts - ls) * (ts - ls) / nr)
  *
@@ -30,6 +27,24 @@
  * The first strict minimum wins: lowest candidate column, then lowest
  * position.  A NaN score voids the node, as numpy's ``min`` does.  Build
  * with -ffp-contract=off so that no multiply-add is fused.
+ *
+ * The node being grown holds the segment pos[s..e) of one array of bag
+ * positions; segments nest, and only the node being split permutes pos,
+ * inside its own segment.  A column's presort is a stack of windows: a
+ * window [lo, hi) is a range of pos indices, and presort[lo..hi) holds the
+ * bag positions now in pos[lo..hi), in (rank, position) order, so every
+ * window stays valid.  The walk is preorder, so the windows that end by s
+ * are finished, the innermost of the rest holds the node, and its rows
+ * before s belong to finished nodes.  One pass over that window gathers
+ * the node's triples in order, drops the finished rows and keeps the
+ * pending ones behind the node's: [lo, hi) becomes [s, e) and [e, hi), and
+ * a descendant reads a window a few times its own size, not the whole bag.
+ * ``where`` maps each bag position to its index in pos.  A node of at
+ * least PRESORT_MIN rows reads the window, or presorts pos[s..m0) by a
+ * counting sort on rank when the column has none; a smaller node reads it
+ * when it holds at most WINDOW_READ times the node's rows and sorts
+ * otherwise.  A column that would hold more than WINDOWS windows drops its
+ * presort, and its next large node presorts it again.
  *
  * The functions touch no Python object, so they run with the interpreter
  * lock released.  Each caller passes its own scratch of
@@ -41,9 +56,13 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Nodes with at least this many rows filter presorted columns instead of
+/* Nodes with at least this many rows read presorted columns instead of
  * sorting; 32 to 128 rows time alike on 700 to 1,400-row bags. */
 #define PRESORT_MIN 64
+/* A smaller node reads a window of at most this many times its rows. */
+#define WINDOW_READ 8
+/* The windows a column may hold; the benchmark's fits never fill 16. */
+#define WINDOWS 16
 #define RUN 16
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
@@ -73,15 +92,17 @@ typedef struct {
     const int64_t *bag; /* bag position -> row of X */
     int64_t m0;
     double *yb;       /* y by bag position */
-    int32_t *presort; /* p columns of m0 bag positions, in stable x order */
-    uint8_t *sorted;  /* per column: presort filled for this tree */
-    uint8_t *member;  /* per bag position: in the node being searched */
+    int32_t *presort; /* p columns of m0: the windows' bag positions in stable x order */
+    int32_t *lo;      /* p: where each column's innermost window starts */
+    int32_t *ends;    /* p columns of WINDOWS: the windows' ends, innermost last */
+    uint8_t *windows; /* p: windows held; 0 when the column is not presorted */
+    int32_t *where;   /* m0: bag position -> its index in pos */
     int32_t *count;   /* n + 1: the counting sort's rank offsets */
-    pair *pairs;      /* m0 */
+    pair *pairs;      /* m0 + 1: a window pass writes one past the node */
     pair *tmp;        /* m0 */
     double *ys;       /* m0: a leaf's targets in node order */
     int32_t *pos;     /* m0: every node's positions, a segment per node */
-    int32_t *part;    /* m0: partition buffer */
+    int32_t *part;    /* m0: the partition's and a window pass's buffer */
     pending *stack;   /* m0: at most one pending node per bag position */
     uint64_t *keys;   /* p */
     uint64_t *work;   /* p */
@@ -102,10 +123,12 @@ static size_t carve(grower *g, uintptr_t base, int64_t n, int64_t p, int64_t m0)
     (g->field = (void *)(base + at), at += align16(sizeof *g->field * (size_t)(count)))
     CARVE(yb, m0);
     CARVE(presort, m0 * p);
-    CARVE(sorted, p);
-    CARVE(member, m0);
+    CARVE(lo, p);
+    CARVE(ends, p * WINDOWS);
+    CARVE(windows, p);
+    CARVE(where, m0);
     CARVE(count, n + 1);
-    CARVE(pairs, m0);
+    CARVE(pairs, m0 + 1);
     CARVE(tmp, m0);
     CARVE(ys, m0);
     CARVE(pos, m0);
@@ -135,8 +158,7 @@ static void setup(grower *g, const double *x, const int32_t *ranks, int64_t n, i
     g->bag = bag;
     g->m0 = m0;
     carve(g, (uintptr_t)scratch, n, p, m0);
-    memset(g->sorted, 0, p);
-    memset(g->member, 0, m0);
+    memset(g->windows, 0, p);
 }
 
 /* ---------------------------------------------------------------- sorting */
@@ -203,51 +225,93 @@ void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t
     }
 }
 
-/* Column f's bag positions in stable x order: ties keep position order.
- * A counting sort on rank visits the positions in ascending order. */
-static const int32_t *presorted(grower *g, int64_t f)
+/* Presorts the rows pos[s..m0), the node's and the pending ones, into
+ * column f's one window [s, m0).  A counting sort on rank visits the bag
+ * positions in ascending order, so ties keep position order. */
+static void presort(grower *g, int64_t f, int64_t s)
 {
     int32_t *order = g->presort + f * g->m0;
-    if (!g->sorted[f]) {
-        const int32_t *rank = g->ranks + f * g->n;
-        int32_t *count = g->count;
-        memset(count, 0, sizeof(int32_t) * (g->n + 1));
-        for (int64_t i = 0; i < g->m0; i++)
+    const int32_t *rank = g->ranks + f * g->n;
+    int32_t *count = g->count;
+    memset(count, 0, sizeof(int32_t) * (g->n + 1));
+    for (int64_t i = 0; i < g->m0; i++)
+        if (g->where[i] >= s)
             count[rank[g->bag[i]] + 1]++;
-        for (int64_t r = 1; r < g->n; r++)
-            count[r] += count[r - 1];
-        for (int64_t i = 0; i < g->m0; i++)
-            order[count[rank[g->bag[i]]]++] = (int32_t)i;
-        g->sorted[f] = 1;
+    for (int64_t r = 1; r < g->n; r++)
+        count[r] += count[r - 1];
+    for (int64_t i = 0; i < g->m0; i++)
+        if (g->where[i] >= s)
+            order[s + count[rank[g->bag[i]]]++] = (int32_t)i;
+    g->lo[f] = (int32_t)s;
+    g->ends[f * WINDOWS] = (int32_t)g->m0;
+    g->windows[f] = 1;
+}
+
+/* The pairs of the node pos[s..e) in column f, read off the column's
+ * innermost window [lo, hi), which holds the node.  One pass keeps the
+ * node's rows in ``pairs`` and the pending ones (at pos indices from e) in
+ * ``part``, both in order, and drops the finished rows; the node's then go
+ * to presort[s..e) and the pending ones behind them, and the window
+ * becomes [s, e) and [e, hi).  The pass writes every row to both buffers
+ * and advances the one it belongs to: a branch on where the row goes is
+ * mispredicted so often that the pass took a quarter to a third longer
+ * with one. */
+static const pair *read_window(grower *g, int64_t f, int64_t s, int64_t e)
+{
+    int32_t *order = g->presort + f * g->m0;
+    int32_t *ends = g->ends + f * WINDOWS;
+    const int32_t *rank = g->ranks + f * g->n;
+    const int64_t lo = g->lo[f], hi = ends[g->windows[f] - 1];
+    const uint32_t m = (uint32_t)(e - s);
+    pair *p = g->pairs;
+    int64_t k = 0, up = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        const int32_t at = order[i], w = g->where[at];
+        g->part[up] = at;
+        up += w >= e;
+        p[k].key = (uint64_t)rank[g->bag[at]] << 32 | (uint64_t)at;
+        p[k].y = g->yb[at];
+        k += (uint32_t)(w - s) < m; /* s <= w < e */
     }
-    return order;
+    for (k = 0; k < e - s; k++)
+        order[s + k] = (int32_t)POSITION(p[k].key);
+    memcpy(order + e, g->part, sizeof(int32_t) * up);
+    if (e < hi && g->windows[f] == WINDOWS) {
+        g->windows[f] = 0; /* no room for [e, hi), and [lo, s) is stale */
+        return p;
+    }
+    g->lo[f] = (int32_t)s;
+    if (e < hi)
+        ends[g->windows[f]++] = (int32_t)e;
+    return p;
 }
 
 /* --------------------------------------------------------------- searching */
 
-/* The node's pairs of column f in (rank, bag position) order. */
-static const pair *column_pairs(grower *g, int64_t f, const int32_t *pos, int64_t m)
+/* The pairs of the node pos[s..s + m) in column f, in (rank, bag position)
+ * order. */
+static const pair *column_pairs(grower *g, int64_t f, int64_t s, int64_t m)
 {
+    const int32_t *ends = g->ends + f * WINDOWS;
+    if (g->windows[f]) {
+        /* drop the finished windows; the outermost ends at m0 > s */
+        while (ends[g->windows[f] - 1] <= s)
+            g->lo[f] = ends[--g->windows[f]];
+    } else if (m >= PRESORT_MIN) {
+        presort(g, f, s);
+    }
+    if (g->windows[f]
+        && (m >= PRESORT_MIN || ends[g->windows[f] - 1] - g->lo[f] <= WINDOW_READ * m))
+        return read_window(g, f, s, s + m);
+
     const int32_t *rank = g->ranks + f * g->n;
+    const int32_t *pos = g->pos + s;
     pair *p = g->pairs;
-    if (m < PRESORT_MIN) {
-        for (int64_t i = 0; i < m; i++) {
-            p[i].key = (uint64_t)rank[g->bag[pos[i]]] << 32 | (uint64_t)pos[i];
-            p[i].y = g->yb[pos[i]];
-        }
-        return sort_pairs(p, g->tmp, m);
+    for (int64_t i = 0; i < m; i++) {
+        p[i].key = (uint64_t)rank[g->bag[pos[i]]] << 32 | (uint64_t)pos[i];
+        p[i].y = g->yb[pos[i]];
     }
-    const int32_t *order = presorted(g, f);
-    int64_t k = 0;
-    for (int64_t i = 0; i < g->m0; i++) {
-        const int32_t at = order[i];
-        if (g->member[at]) {
-            p[k].key = (uint64_t)rank[g->bag[at]] << 32 | (uint64_t)at;
-            p[k].y = g->yb[at];
-            k++;
-        }
-    }
-    return p;
+    return sort_pairs(p, g->tmp, m);
 }
 
 /* x of column f at bag position ``at``. */
@@ -256,13 +320,13 @@ static double x_at(const grower *g, int64_t f, int64_t at)
     return g->x[g->bag[at] * g->p + f];
 }
 
-/* Searches the m rows at ascending bag positions ``pos`` over the k
+/* Searches the m rows at ascending bag positions pos[s..s + m) over the k
  * ascending columns ``cand``.  Returns the index into ``cand`` of the
  * winning column, or -1 when no candidate separates the rows (or the best
  * score is not finite).  On a win ``out`` holds the best score, the x
  * values either side of the cut, and the winning column's total sum and
  * sum of squares of y. */
-static int64_t best_split(grower *g, const int32_t *pos, int64_t m,
+static int64_t best_split(grower *g, int64_t s, int64_t m,
                           const int64_t *cand, int64_t k, double *out)
 {
     double best = INFINITY;
@@ -270,12 +334,9 @@ static int64_t best_split(grower *g, const int32_t *pos, int64_t m,
     int nan_seen = 0;
     const double nm = (double)m;
 
-    if (m >= PRESORT_MIN)
-        for (int64_t i = 0; i < m; i++)
-            g->member[pos[i]] = 1;
     for (int64_t j = 0; j < k; j++) {
         const int64_t f = cand[j];
-        const pair *p = column_pairs(g, f, pos, m);
+        const pair *p = column_pairs(g, f, s, m);
 
         double ts = p[0].y, tq = p[0].y * p[0].y;
         for (int64_t i = 1; i < m; i++) {
@@ -310,9 +371,6 @@ static int64_t best_split(grower *g, const int32_t *pos, int64_t m,
             out[4] = tq;
         }
     }
-    if (m >= PRESORT_MIN)
-        for (int64_t i = 0; i < m; i++)
-            g->member[pos[i]] = 0;
     if (best_j < 0 || nan_seen || !isfinite(best))
         return -1;
     return best_j;
@@ -421,7 +479,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
     setup(&g, x, ranks, n, p, bag, n, scratch);
     for (int64_t i = 0; i < n; i++) {
         g.yb[i] = y[bag[i]];
-        g.pos[i] = (int32_t)i;
+        g.pos[i] = g.where[i] = (int32_t)i;
     }
     for (int64_t f = 0; f < p; f++)
         g.cand[f] = f;
@@ -439,7 +497,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
             right[at.parent] = node;
 
         int64_t j = -1;
-        double out[5];
+        double out[5] = {0.0}; /* filled on a win; gcc cannot tell */
         int varies = 0;
         for (int64_t i = 1; i < m && !varies; i++)
             varies = g.yb[pos[i]] != g.yb[pos[0]];
@@ -449,7 +507,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
                     g.keys[f] = next_u64(&state);
                 kp_smallest_keys(g.keys, p, mtry, g.work, g.cand);
             }
-            j = best_split(&g, pos, m, g.cand, mtry, out);
+            j = best_split(&g, at.start, m, g.cand, mtry, out);
         }
         if (j < 0) {
             for (int64_t i = 0; i < m; i++)
@@ -489,6 +547,8 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
                 g.part[nr++] = pos[i];
         }
         memcpy(pos + nl, g.part, sizeof(int32_t) * nr);
+        for (int64_t i = 0; i < m; i++)
+            g.where[pos[i]] = (int32_t)(at.start + i);
 
         /* Non-empty sides bound the stack by m0 and the nodes by 2n - 1. */
         if (nl == 0 || nr == 0 || top + 2 > g.m0)

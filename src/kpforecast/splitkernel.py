@@ -10,8 +10,11 @@ are its only callers.
 :func:`load` compiles a kernel's source with the system ``cc`` the first
 time a process needs it and caches the library in this package's
 ``__pycache__``, keyed by the sha256 of the source and compiler flags and by
-the interpreter's cache tag.  Each build writes a temporary file and renames
-it into place, so concurrent first builds leave one complete library.  When
+the interpreter's cache tag.  A process loads each kernel once: later calls
+return the same library, or the same None, without reading the source
+again, as long as the source path and ``CACHE_DIR`` are the ones it was
+loaded from.  Each build writes a temporary file and renames it into
+place, so concurrent first builds leave one complete library.  When
 no ``cc`` exists, the cache directory is not writable or the build fails,
 :func:`load` returns None and the caller falls back to its Python code: the
 forest grows its trees in numpy, and ``ingest`` reads and writes the CSV
@@ -109,12 +112,22 @@ def _build(cc: str, source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
+#: Each loaded library (or None), by kernel name, source path and cache directory.
+_LOADED: dict[tuple[str, Path, Path], ctypes.CDLL | None] = {}
+
+
 def load(name: str = "splitkernel"):
     """The library of the kernel ``name`` (``splitkernel`` or ``csvscan``),
     built on first use; None when it cannot be built or loaded."""
+    key = (name, source_path(name), CACHE_DIR)
+    if key not in _LOADED:  # two threads may both load it: the library is the same
+        _LOADED[key] = _load(name, key[1])
+    return _LOADED[key]
+
+
+def _load(name: str, source: Path):
     import shutil
 
-    source = source_path(name)
     try:
         path = library_path(name, source.read_bytes())
         if not path.exists():

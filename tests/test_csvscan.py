@@ -446,6 +446,26 @@ def test_both_writers_keep_the_sign_of_zero(load):
 
 
 @settings(max_examples=200)
+@given(data=st.data(), rows=st.integers(0, 6), width=st.integers(1, 4), gaps=st.booleans(),
+       stamp_last=st.booleans())
+def test_both_row_layouts_write_as_the_python_writer_does(scanner, data, rows, width, gaps,
+                                                          stamp_last):
+    """The Python writer deduplicates dataset rows (stamp last) only; either
+    way it writes the compiled writer's bytes, signed zeros and gaps too."""
+    size = rows * width
+    cells = st.one_of(st.sampled_from([0.0, -0.0, 1.5]), _BIT_PATTERNS, st.floats())
+    values = np.reshape(data.draw(st.lists(cells, min_size=size, max_size=size)), (rows, width))
+    present = None
+    if gaps:
+        present = np.reshape(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                             (rows, width))
+    stamps = [f"t{r}" for r in range(rows)]
+    compiled = ingest.format_rows(values, stamps, present, stamp_last=stamp_last)
+    with mock.patch.object(splitkernel, "load", _scanner_off):
+        assert ingest.format_rows(values, stamps, present, stamp_last=stamp_last) == compiled
+
+
+@settings(max_examples=200)
 @given(table=tables())
 def test_format_table_writes_as_the_python_writer_does(scanner, table):
     compiled = ingest.format_table(table)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -112,9 +113,10 @@ def _forest_bits(model):
 
 @st.composite
 def fits(draw):
-    """(data, config): nodes of fewer than 64 rows sort their rows, larger
-    ones filter presorted columns, so both sizes of root are drawn.  Bags
-    repeat rows, and an mtry below the width draws candidate subsets."""
+    """(data, config): a node of 64 rows or more reads each column off the
+    column's presorted window, and a smaller one sorts its rows unless that
+    window holds at most 8 times its rows, so both sizes of root are drawn.
+    Bags repeat rows, and an mtry below the width draws candidate subsets."""
     n = draw(st.one_of(st.integers(2, 63), st.integers(64, 260)))
     X, y, _ = draw(_matrices(n))
     p = X.shape[1]
@@ -133,6 +135,64 @@ def test_compiled_fit_equals_numpy_fit_bit_for_bit(kernel, fit_case):
         with mock.patch.object(splitkernel, "load", lambda: None):
             reference = fit(data, config)
     assert _forest_bits(compiled) == _forest_bits(reference)
+
+
+#: The windows a column's presort may hold before the kernel drops it.
+_WINDOWS = int(re.search(r"^#define WINDOWS (\d+)$",
+                         splitkernel.source_path("splitkernel").read_text(), re.M).group(1))
+
+
+def _depth(tree):
+    """The depth of the tree's deepest node, read off its preorder arrays."""
+    depth = np.zeros(len(tree.left), dtype=np.int64)
+    for node in np.flatnonzero(tree.left >= 0):  # a parent precedes its children
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+def _assert_fits_alike(data, config):
+    """The compiled and numpy fits agree bit for bit; returns the compiled model."""
+    compiled = fit(data, config)
+    with mock.patch.object(splitkernel, "load", lambda: None):
+        reference = fit(data, config)
+    assert _forest_bits(compiled) == _forest_bits(reference)
+    return compiled
+
+
+def test_a_chain_deeper_than_the_window_stack_fits_as_in_numpy(kernel):
+    """Each split peels one row off an end of the column order, the right
+    end and the left in turn, so every left child leaves a pending row in
+    its parent's windows and the stacks overflow over and over.  Each
+    peeled target is 3 times the next, more than all the rest together, so
+    peeling it scores best.  The second and third columns order the rows as
+    the first does and in reverse; an mtry of 2 leaves some nodes without a
+    column, so a window is often read by a node below its own."""
+    n = 4 * _WINDOWS
+    x = np.arange(n, dtype=np.float64)
+    peel = np.column_stack([np.arange(n - 1, n // 2 - 1, -1), np.arange(n // 2)]).ravel()
+    y = np.empty(n)
+    y[peel] = 3.0 ** np.arange(n, 0, -1)
+    data, _ = _fit_case(np.column_stack([x, 2.0 * x + 1.0, -x]), y, None)
+    for seed in range(3):
+        model = _assert_fits_alike(data, ForestConfig(n_trees=2, mtry=2, min_leaf=1, seed=seed,
+                                                      bootstrap=False))
+        assert [_depth(tree) for tree in model.trees] == [n - 1, n - 1]
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_a_wide_bag_of_deep_trees_fits_as_in_numpy(kernel, bootstrap):
+    """720 rows over 120 columns at mtry 100: every column orders the rows
+    by one latent value, blurred by noise that grows with the column index,
+    and the targets grow geometrically away from its middle, so the trees
+    peel small groups off both ends, deeper than a column's window stack."""
+    rng = np.random.default_rng(15)
+    n, p = 720, 120
+    t = rng.uniform(-1.0, 1.0, n)
+    X = t[:, None] + rng.normal(size=(n, p)) * np.linspace(0.0, 0.2, p)
+    data, config = _fit_case(X, 2.0 ** (20.0 * np.abs(t)), ForestConfig(
+        n_trees=2, mtry=100, min_leaf=1, seed=15, bootstrap=bootstrap))
+    model = _assert_fits_alike(data, config)
+    assert min(_depth(tree) for tree in model.trees) > 2 * _WINDOWS
 
 
 @pytest.mark.parametrize("n", [10, 100])  # sorted and presorted nodes
@@ -314,6 +374,26 @@ def _break_the_build(missing, monkeypatch, tmp_path):
 
 def _cache_is_empty(tmp_path):
     return not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+@needs_cc
+def test_load_reads_each_source_once_per_cache_directory(monkeypatch, tmp_path):
+    hashed = []
+    library_path = splitkernel.library_path
+
+    def counted(name, source):
+        hashed.append(name)
+        return library_path(name, source)
+
+    monkeypatch.setattr(splitkernel, "library_path", counted)
+    monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path / "first")
+    scanner = splitkernel.load("csvscan")
+    assert scanner is not None and splitkernel.load("csvscan") is scanner
+    assert splitkernel.load() is splitkernel.load() is not scanner
+    assert hashed == ["csvscan", "splitkernel"]
+    monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path / "second")  # a moved cache builds again
+    assert splitkernel.load("csvscan") is not None and hashed[2:] == ["csvscan"]
+    assert [path.name.split(".")[0] for path in (tmp_path / "second").iterdir()] == ["csvscan"]
 
 
 @pytest.mark.parametrize("missing", _MISSING)
