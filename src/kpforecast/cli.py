@@ -478,6 +478,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -501,6 +502,10 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:  # an input too large for this machine is a data error, not a usage one
+        command = getattr(args, "command", None) or parser.prog
+        sys.stderr.write(f"error: out of memory while running {command}\n")
         return 2
 
 

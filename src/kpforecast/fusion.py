@@ -13,6 +13,11 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 ``fma_m0 ... fma_m535, ..., dst_m0, dst_m60, dst_m120, kp_m0, ..., kp_m1260``
 (``_m<minutes>`` is the lag).
 
+Each builder of the feature matrix allocates it once, at its final size.
+``fuse`` first checks which instants every lag slot covers, then fills the
+kept rows one source at a time; the dataset reader first counts the lines,
+then scans each chunk into its slice of the rows.
+
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
@@ -26,11 +31,12 @@ itself.
 Both readers take one entry point over the file's bytes: ``read_csv`` opens
 the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
 agree on every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
-universal newlines of ``open()``) and nowhere else.  The bytes are scanned a
-chunk at a time, so the file is never held whole.  A file the scanner does
-not read (no compiler, a line outside its strict form, an empty cell, or any
-fault) is read again by the Python reader, a block of lines at a time: it is
-the scanner's test reference and words every error.
+universal newlines of ``open()``) and nowhere else.  The bytes are read
+twice, a chunk at a time: once to count the lines and once to scan them, so
+neither the file nor a second copy of the rows is ever held.  A file the
+scanner does not read (no compiler, a line outside its strict form, an empty
+cell, or any fault) is read again by the Python reader, a block of lines at
+a time: it is the scanner's test reference and words every error.
 """
 
 from __future__ import annotations
@@ -170,7 +176,7 @@ class FusedDataset:
             raise ValueError("targets and row_minutes must match the row count")
         if minutes.size and not _FIRST_MINUTE <= minutes.min() <= minutes.max() <= _LAST_MINUTE:
             raise ValueError("row minutes must lie in the years 1 to 9999")
-        if not np.isfinite(rows).all() or not np.isfinite(targets).all():
+        if not (_all_finite(rows) and _all_finite(targets)):
             raise NonFiniteValue("fused dataset must be entirely finite")
         outside = (targets < 0.0) | (targets > 9.0)
         if outside.any():  # no file here, so no line to name
@@ -259,13 +265,16 @@ class FusedDataset:
 
 def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
     """The dataset in a binary file, read by the compiled scanner (see
-    :func:`.ingest.scan_rows`).
+    :func:`.ingest.scan_rows`) in two passes over the body.
 
-    The rows are scanned a chunk of ``_CHUNK_BYTES`` at a time, so the file's
-    bytes are never held whole.  None when the scanner cannot be loaded, or
-    when the file leaves its strict grammar (see the C source) or holds a
-    fault; :meth:`FusedDataset._parse` then reads the file again, as the
-    reference, and raises the fault.
+    The first pass counts the body's lines, which bounds its rows, and the
+    arrays are allocated once at that size.  The second scans a chunk of
+    ``_CHUNK_BYTES`` at a time into the next rows, so neither the file's
+    bytes nor a second copy of the rows is ever held whole; the dataset keeps
+    a prefix of each array, which stays C-contiguous.  None when the scanner
+    cannot be loaded, or when the file leaves its strict grammar (see the C
+    source) or holds a fault; :meth:`FusedDataset._parse` then reads the file
+    again, as the reference, and raises the fault.
     """
     for line in handle:  # the header, after blank and comment lines
         text = line.removesuffix(b"\n")
@@ -278,22 +287,47 @@ def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
     header = text.decode("ascii").split(",")
     if len(header) < 3 or header[-2:] != ["target", "row_time"]:
         return None
-    width = len(header)
-    parts, tail = [], b""
-    while chunk := handle.read(_CHUNK_BYTES):
-        buf = tail + chunk
-        end = buf.rfind(b"\n") + 1
-        parts.append(_scan_rows(buf, end, width))
-        if parts[-1] is None:
-            return None
-        tail = buf[end:]
-    parts.append(_scan_rows(tail, len(tail), width))
-    if parts[-1] is None:
+    body = handle.tell()
+    capacity = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""))
+    handle.seek(body)
+    out = np.empty((capacity, len(header) - 2)), np.empty(capacity), np.empty(capacity, np.int64)
+    count = _scan_body(handle, out)
+    if count is None:
         return None
-    rows = np.concatenate([np.empty((0, width - 2))] + [values[:, :-1] for values, _ in parts])
-    targets = np.concatenate([np.empty(0)] + [values[:, -1] for values, _ in parts])
-    minutes = np.concatenate([np.empty(0, dtype=np.int64)] + [minutes for _, minutes in parts])
-    return FusedDataset(tuple(header[:-2]), rows, targets, minutes)
+    return FusedDataset(tuple(header[:-2]), *(array[:count] for array in out))
+
+
+def _scan_body(handle: BinaryIO, out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int | None:
+    """Scan the rest of ``handle`` into ``out`` (rows, targets and row
+    minutes), a chunk of whole lines at a time; the row count, or None if
+    :func:`_scan_rows` refuses a chunk or ``out`` has no room (the file grew
+    since its lines were counted).  At most one raw read, one chunk and one
+    chunk's block are alive at once.
+    """
+    count, tail = 0, b""
+    while chunk := handle.read(_CHUNK_BYTES):
+        chunk = tail + chunk
+        end = chunk.rfind(b"\n") + 1
+        count = _scan_into(chunk, end, out, count)
+        if count is None:
+            return None
+        tail = chunk[end:]
+    return _scan_into(tail, len(tail), out, count)
+
+
+def _scan_into(buf: bytes, end: int, out: tuple[np.ndarray, np.ndarray, np.ndarray],
+               start: int) -> int | None:
+    """Copy :func:`_scan_rows`'s block of ``buf[:end]`` into ``out`` from row
+    ``start``; the row after it, or None."""
+    rows, targets, minutes = out
+    block = _scan_rows(buf, end, rows.shape[1] + 2)
+    if block is None or start + len(block[1]) > len(rows):
+        return None
+    values, block_minutes = block
+    stop = start + len(block_minutes)
+    rows[start:stop], targets[start:stop], minutes[start:stop] = (
+        values[:, :-1], values[:, -1], block_minutes)
+    return stop
 
 
 def _scan_rows(buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -355,6 +389,12 @@ def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, 
     raise AssertionError("a dataset block failed to convert without a faulty line")
 
 
+def _all_finite(array: np.ndarray) -> bool:
+    """Whether every value of ``array`` is finite, read without a temporary
+    of its size: ``min`` and ``max`` are NaN if any value is."""
+    return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
 @dataclass(frozen=True)
 class FeatureSubset:
     """Column indices (and their names) picked out of a wider dataset.
@@ -398,9 +438,14 @@ def fuse(
 
     ``solar`` must hold the seven quantities in canonical order at 5-minute
     cadence; ``dst`` hourly; ``kp`` 3-hourly.  Raises
-    :class:`EmptyIntersection` if no instant has full coverage and
-    :class:`CadenceMismatch` if a source cannot line up with the prediction
-    grid.
+    :class:`EmptyIntersection` if no instant has full coverage (before any
+    per-lag work, naming the source, if one source's lookback cannot fit at
+    any instant) and :class:`CadenceMismatch` if a source cannot line up with
+    the prediction grid.
+
+    One pass over the lag slots finds the covered instants; the matrix is
+    then allocated once and filled a source at a time, by one gather of the
+    kept instants' lags into that source's block of columns.
     """
     if len(solar) != 7:
         raise ValueError(f"expected 7 solar-wind series, got {len(solar)}")
@@ -413,36 +458,57 @@ def fuse(
     _check_source(dst, "dst", 60, kp.start_minute)
     _check_source(kp, "kp", _KP_CADENCE, kp.start_minute)
 
+    sources = [(s, spec.solar_wind_lags_minutes(), f"{spec.solar_wind_lookback_minutes} minutes")
+               for s in solar]
+    sources.append((dst, spec.dst_lags_minutes(), f"{spec.dst_lookback_hours} hours"))
+    sources.append((kp, spec.kp_lags_minutes(), f"{spec.kp_lookback_hours} hours"))
+
     n_instants = len(kp)
     instant_idx = np.arange(n_instants)
     horizon_steps = spec.horizon_hours * 60 // _KP_CADENCE
     target_idx = instant_idx + horizon_steps
-    in_range = target_idx < n_instants
-    valid = in_range & kp.present[np.minimum(target_idx, n_instants - 1)]
+    valid = target_idx < n_instants
+    with_target = kp.start_minute + _KP_CADENCE * instant_idx[valid]
+    for series, lags, lookback in sources:
+        _check_window(series, lags[-1], lookback, with_target, spec.horizon_hours)
+    valid &= kp.present[np.minimum(target_idx, n_instants - 1)]
 
-    sources = [(s, spec.solar_wind_lags_minutes()) for s in solar]
-    sources.append((dst, spec.dst_lags_minutes()))
-    sources.append((kp, spec.kp_lags_minutes()))
-
-    columns = []
-    for series, lags in sources:
+    # Which instants every lag slot covers; then gather the kept instants' lags once.
+    for series, lags, _ in sources:
         base = kp.start_minute - series.start_minute
         for lag in lags:
             idx = (base + instant_idx * _KP_CADENCE - lag) // series.cadence_minutes
             ok = (idx >= 0) & (idx < len(series))
-            safe = np.clip(idx, 0, len(series) - 1)
-            ok &= series.present[safe]
+            ok &= series.present[np.clip(idx, 0, len(series) - 1)]
             valid &= ok
-            columns.append(series.values[safe])
 
     keep = np.flatnonzero(valid)
     if keep.size == 0:
         raise EmptyIntersection(
             "no prediction instant has full lag coverage across all sources"
         )
-    rows = np.stack(columns, axis=1)[keep]
+    rows = np.empty((keep.size, spec.feature_count))
+    column = 0
+    for series, lags, _ in sources:
+        slots = (kp.start_minute - series.start_minute + _KP_CADENCE * keep) // series.cadence_minutes
+        lag_slots = np.asarray(lags) // series.cadence_minutes  # both exact: the grids align
+        rows[:, column:column + len(lags)] = series.values[slots[:, None] - lag_slots]
+        column += len(lags)
     targets = kp.values[target_idx[keep]]
     return FusedDataset(spec.feature_names(), rows, targets, kp.start_minute + _KP_CADENCE * keep)
+
+
+def _check_window(series: MeasurementSeries, longest_lag: int, lookback: str,
+                  instants: np.ndarray, horizon_hours: int) -> None:
+    """Refuse, before any per-lag work, a source whose window (its longest
+    lag back to the instant itself) leaves its span at every one of
+    ``instants``, the minutes whose Kp target lies inside the Kp records."""
+    last = series.start_minute + (len(series) - 1) * series.cadence_minutes
+    if not ((instants - longest_lag >= series.start_minute) & (instants <= last)).any():
+        raise EmptyIntersection(
+            f"{series.name}: no prediction instant fits a lookback of {lookback} and the "
+            f"{horizon_hours}-hour horizon inside the {series.name} and kp records"
+        )
 
 
 def check_downsample(downsample: int, threshold: float) -> None:

@@ -632,3 +632,29 @@ def test_pca_on_fewer_than_2_rows_is_a_data_error(valid_files, tmp_path, rows, g
     code, err = _run(["pca", "--data", str(data), "--out", str(tmp_path / "pca.csv")])
     assert (code, err) == (2, f"error: PCA needs at least 2 rows, got {got}\n")
     assert not (tmp_path / "pca.csv").exists()
+
+
+def test_a_lookback_no_instant_can_fit_exits_2_naming_the_source(valid_files, tmp_path):
+    out = tmp_path / "o.csv"
+    code, err = _run(["fuse", *_sources(valid_files), "--solar-lookback-minutes", "187200",
+                      "--solar-step-minutes", "60", "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: fma: no prediction instant fits a lookback of 187200 minutes")
+    assert not out.exists()
+
+
+def test_running_out_of_memory_exits_2_naming_the_command(tmp_path):
+    """Under a 1 GiB address-space cap, the first array of a 10^8-day archive
+    (215 GiB) cannot be allocated, so the error comes before any memory is used."""
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "kpforecast", "synth", "--days", "100000000",
+         "--out", str(tmp_path / "synth")],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (result.returncode, result.stderr) == (2, "error: out of memory while running synth\n")

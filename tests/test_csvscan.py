@@ -8,6 +8,7 @@ import ctypes
 import io
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -237,6 +238,28 @@ def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
             assert _bits(_PARSERS[kind](text)) == compiled
         with mock.patch.object(ingest._Scan, "_scan_lines", None):  # CRLF text is scanned
             assert _bits(_PARSERS[kind](text.replace("\n", "\r\n"))) == compiled
+
+
+def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
+    """numpy reports its buffers to tracemalloc: reading holds the rows once,
+    plus a raw read, a chunk and one chunk's block, never a second matrix."""
+    rng = np.random.default_rng(5)
+    n, p, chunk = 1000, 200, 1 << 18
+    data = FusedDataset(tuple(f"x{j}" for j in range(p)), rng.standard_normal((n, p)),
+                        rng.uniform(0.0, 9.0, n), 180 * np.arange(n))
+    path = tmp_path / "data.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        data.write_csv(handle)
+    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
+        tracemalloc.start()
+        try:
+            read = FusedDataset.read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read.rows.tobytes() == data.rows.tobytes()
+    assert read.rows.flags.c_contiguous  # so forest.fit reads it without a copy
+    assert peak <= read.rows.nbytes + 4 * chunk
 
 
 def _record(kind, minute):

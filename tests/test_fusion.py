@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpforecast import ingest
+from kpforecast import datagen, ingest
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -21,6 +23,7 @@ from kpforecast.errors import (
     EmptyIntersection,
     IndexOutOfRange,
     MalformedLine,
+    NonFiniteValue,
     ValueOutOfRange,
 )
 from kpforecast.fusion import (
@@ -240,6 +243,125 @@ def test_row_minutes_are_frozen_int64_within_the_timestamp_years():
     for minute in (first - 1, last + 1):
         with pytest.raises(ValueError, match="years 1 to 9999"):
             FusedDataset(("x0",), [[1.0]], [1.0], [minute])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["rows", "targets"])
+def test_a_dataset_refuses_any_non_finite_cell(bad, where):
+    rows, targets = np.full((3, 2), 1.7976931348623157e308), np.array([0.0, 9.0, 4.5])
+    rows[0, 0] = -rows[0, 0]
+    assert make_dataset(rows.copy(), targets.copy()).n_rows == 3  # the extremes are finite
+    if where == "rows":
+        rows[-1, -1] = bad
+    else:
+        targets[-1] = bad
+    with pytest.raises(NonFiniteValue):
+        make_dataset(rows, targets)
+
+
+# -- fuse against its first algorithm; refusing before any lag; one matrix ------
+
+
+def _stacked_fuse(solar, dst, kp, spec):
+    """``fuse`` as first written, the oracle for the one-allocation build:
+    every lag column over every Kp instant, stacked, then the kept rows."""
+    n = len(kp)
+    instant_idx = np.arange(n)
+    target_idx = instant_idx + spec.horizon_hours // 3
+    valid = (target_idx < n) & kp.present[np.minimum(target_idx, n - 1)]
+    sources = [(s, spec.solar_wind_lags_minutes()) for s in solar]
+    sources += [(dst, spec.dst_lags_minutes()), (kp, spec.kp_lags_minutes())]
+    columns = []
+    for series, lags in sources:
+        base = kp.start_minute - series.start_minute
+        for lag in lags:
+            idx = (base + instant_idx * 180 - lag) // series.cadence_minutes
+            safe = np.clip(idx, 0, len(series) - 1)
+            valid &= (idx >= 0) & (idx < len(series)) & series.present[safe]
+            columns.append(series.values[safe])
+    keep = np.flatnonzero(valid)
+    return np.stack(columns, axis=1)[keep], kp.values[target_idx[keep]], kp.start_minute + 180 * keep
+
+
+@st.composite
+def fuse_inputs(draw):
+    """A small lag spec, a Kp series and eight other sources on grids that
+    line up with Kp's.  Each source starts near its lookback before Kp and
+    ends near Kp's end, either side, and has its own gaps (a gap holds NaN,
+    as ingest leaves it)."""
+    step = draw(st.sampled_from([5, 10, 15, 60]))
+    spec = LagSpec(
+        solar_wind_lookback_minutes=step * draw(st.integers(1, 6)),
+        solar_wind_step_minutes=step,
+        dst_lookback_hours=draw(st.integers(1, 4)),
+        kp_lookback_hours=3 * draw(st.integers(1, 3)),
+        horizon_hours=3 * draw(st.integers(1, 2)),
+    )
+    n_kp = draw(st.integers(1, 24))
+    kp_end = EPOCH + 180 * (n_kp - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap_rate = draw(st.sampled_from([0.0, 0.002, 0.05]))
+
+    def series(name, cadence, lookback, high=100.0):
+        slots = lookback // cadence
+        start = EPOCH - cadence * draw(st.integers(-slots - 3, slots + 3))
+        end = kp_end + cadence * draw(st.integers(-2 * 180 // cadence, 3))
+        length = max(1, (end - start) // cadence + 1)
+        present = rng.random(length) >= gap_rate
+        values = np.where(present, rng.uniform(-high, high, length), np.nan)
+        return ingest.MeasurementSeries(name, cadence, start, values, present)
+
+    solar = tuple(series(name, 5, spec.solar_wind_lookback_minutes)
+                  for name in ingest.SOLAR_WIND_FIELDS)
+    dst = series("dst", 60, 60 * spec.dst_lookback_hours)
+    present = rng.random(n_kp) >= gap_rate
+    values = np.where(present, rng.uniform(0.0, 9.0, n_kp), np.nan)
+    kp = ingest.MeasurementSeries("kp", 180, EPOCH, values, present)
+    return solar, dst, kp, spec
+
+
+@settings(max_examples=300)
+@given(fuse_inputs())
+def test_fuse_matches_the_stacked_build_bit_for_bit(inputs):
+    rows, targets, minutes = _stacked_fuse(*inputs)
+    if not minutes.size:
+        with pytest.raises(EmptyIntersection):
+            fuse(*inputs)
+        return
+    data = fuse(*inputs)
+    assert data.rows.shape == rows.shape and data.rows.flags.c_contiguous
+    assert data.rows.tobytes() == rows.tobytes()
+    assert data.targets.tobytes() == targets.tobytes()
+    assert data.row_minutes.tobytes() == minutes.astype(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("field, too_long, fits, message", [
+    ("solar_wind_lookback_minutes", 500_000, 725, "fma: .* lookback of 500000 minutes "),
+    ("dst_lookback_hours", 20, 13, "dst: .* lookback of 20 hours "),
+    ("kp_lookback_hours", 18, 15, "kp: .* lookback of 18 hours "),
+])
+def test_fuse_refuses_a_window_no_instant_fits_naming_the_source(field, too_long, fits, message):
+    """The refusal comes before the lag loop: the 100,000 solar-wind lags of
+    the first case are never visited.  One slot less fits the last instant."""
+    solar, dst, kp = _toy_sources(n_kp=6)  # instant 4 is the last with a target
+    with pytest.raises(EmptyIntersection, match=f"^{message}"):
+        fuse(solar, dst, kp, dataclasses.replace(TOY_SPEC, **{field: too_long}))
+    data = fuse(solar, dst, kp, dataclasses.replace(TOY_SPEC, **{field: fits}))
+    assert data.row_minutes.tolist() == [kp.start_minute + 4 * 180]
+
+
+def test_fuse_allocates_the_matrix_once():
+    """numpy reports its buffers to tracemalloc: the build's peak is the matrix
+    and one source's block of index and gathered values, not three matrices."""
+    solar, dst, kp = datagen.generate(datagen.SynthConfig(seed=11, n_days=60))
+    tracemalloc.start()
+    try:
+        data = fuse(solar, dst, kp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n_rows == 8 * 60 - 8
+    assert peak <= 1.5 * data.rows.nbytes
 
 
 # -- downsampling ---------------------------------------------------------------
