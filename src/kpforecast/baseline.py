@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, NonFiniteValue
-from .fusion import FusedDataset
+from .fusion import FusedDataset, _all_finite
 
 __all__ = ["LinearModel", "fit_linear", "predict_linear", "predict_linear_batch"]
 
@@ -51,7 +51,7 @@ def _check(model: LinearModel, rows: np.ndarray, ndim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"row width {rows.shape[-1]}, model expects {len(model.feature_names)}"
         )
-    if not np.isfinite(rows).all():
+    if not _all_finite(rows):
         raise NonFiniteValue("prediction rows must be finite")
     return rows
 

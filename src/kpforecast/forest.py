@@ -11,8 +11,11 @@ candidate admits a valid split.  A leaf predicts the mean of its routed
 targets; the forest predicts the mean over trees.  A row routes left when
 ``value <= threshold``.  A fitted tree is a :class:`Tree`: six parallel
 arrays over its nodes, numbered in preorder, which growth, prediction,
-out-of-bag scoring and the model file (:mod:`.modelio`) all share.  No step
-recurses, so a tree may be as deep as its data makes it.
+out-of-bag scoring and the model file (:mod:`.modelio`) all share.  Rows
+route level by level: each pass moves every row not yet at a leaf one level
+down, and out-of-bag rows route by their index into the training matrix,
+which is never copied.  No step recurses, so a tree may be as deep as its
+data makes it.
 
 Each tree grows in one call to the compiled kernel of :mod:`.splitkernel`,
 which releases the interpreter lock, so up to ``threads`` trees grow in
@@ -60,7 +63,7 @@ from .errors import (
     NonFiniteValue,
 )
 from . import splitkernel
-from .fusion import FeatureSubset, FusedDataset
+from .fusion import FeatureSubset, FusedDataset, _all_finite
 from .rng import PortableRng, derive_seed
 
 _TREE_STREAM = 0x74726565  # "tree": namespaces per-tree seeds in the fan-out
@@ -301,20 +304,21 @@ def _grow_tree(
     return Tree(feature, threshold, left, right, value, n_samples), imp, oob
 
 
-def _route(tree: Tree, rows: np.ndarray) -> np.ndarray:
-    """The leaf prediction for every row, routing the rows a node at a time."""
-    out = np.empty(rows.shape[0])
-    stack = [(0, np.arange(rows.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        left = tree.left[node]
-        if left < 0:
-            out[idx] = tree.value[node]
-        elif idx.size:
-            go_left = rows[idx, tree.feature[node]] <= tree.threshold[node]
-            stack.append((tree.right[node], idx[~go_left]))
-            stack.append((left, idx[go_left]))
-    return out
+def _route(tree: Tree, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The leaf value of each row ``X[r]`` for ``r`` in ``rows``.
+
+    Every row still at a split moves down one level per pass, so a pass costs
+    a few whole-array operations however many nodes the level holds.
+    """
+    node = np.zeros(rows.size, dtype=np.int64)
+    live = np.arange(rows.size)
+    while live.size:
+        at = node[live]
+        split = tree.left[at] >= 0
+        live, at = live[split], at[split]
+        node[live] = np.where(X[rows[live], tree.feature[at]] <= tree.threshold[at],
+                              tree.left[at], tree.right[at])
+    return tree.value[node]
 
 
 def usable_cpus() -> int:
@@ -334,8 +338,6 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
         raise EmptyDataset("cannot fit a forest on zero rows")
     X = data.rows
     y = data.targets
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise NonFiniteValue("training data must be finite")
     mtry = config.resolve_mtry(data.n_features)
 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
@@ -380,7 +382,7 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
         pred_sum = np.zeros(data.n_rows)
         pred_count = np.zeros(data.n_rows, dtype=np.int64)
         for tree, _, oob in grown:  # by tree index; oob rows are distinct
-            pred_sum[oob] += _route(tree, X[oob])
+            pred_sum[oob] += _route(tree, X, oob)
             pred_count[oob] += 1
         covered = pred_count > 0
         if covered.any():
@@ -401,21 +403,12 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
 # prediction
 
 
-def _check_width(model: ForestModel, width: int) -> None:
-    expected = len(model.feature_names)
-    if width != expected:
-        raise DimensionMismatch(f"row width {width}, model expects {expected}")
-
-
 def predict(model: ForestModel, row: np.ndarray) -> float:
     """Mean over trees for a single feature row."""
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1:
         raise DimensionMismatch("predict expects a single 1-D row")
-    _check_width(model, row.size)
-    if not np.isfinite(row).all():
-        raise NonFiniteValue("prediction row must be finite")
-    return float(_mean_over_trees(model, row[None, :])[0])
+    return float(predict_batch(model, row[None, :])[0])
 
 
 def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:
@@ -423,16 +416,15 @@ def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise DimensionMismatch("predict_batch expects a 2-D matrix")
-    _check_width(model, rows.shape[1])
-    if not np.isfinite(rows).all():
+    expected = len(model.feature_names)
+    if rows.shape[1] != expected:
+        raise DimensionMismatch(f"row width {rows.shape[1]}, model expects {expected}")
+    if not _all_finite(rows):
         raise NonFiniteValue("prediction rows must be finite")
-    return _mean_over_trees(model, rows)
-
-
-def _mean_over_trees(model: ForestModel, rows: np.ndarray) -> np.ndarray:
+    every = np.arange(rows.shape[0])
     total = np.zeros(rows.shape[0])
     for tree in model.trees:  # fixed accumulation order: by tree index
-        total += _route(tree, rows)
+        total += _route(tree, rows, every)
     return total / len(model.trees)
 
 

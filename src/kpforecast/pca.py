@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, EmptyDataset, KOutOfRange, NonFiniteValue
-from .fusion import FusedDataset
+from .fusion import FusedDataset, _all_finite
 
 __all__ = ["PcaModel", "fit_pca", "project"]
 
@@ -44,7 +44,7 @@ def _as_matrix(data) -> np.ndarray:
     X = data.rows if isinstance(data, FusedDataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch("expected a 2-D row matrix")
-    if not np.isfinite(X).all():
+    if not _all_finite(X):
         raise NonFiniteValue("PCA input must be finite")
     return X
 

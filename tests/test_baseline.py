@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kpforecast.baseline import fit_linear, predict_linear, predict_linear_batch
+from kpforecast.baseline import LinearModel, fit_linear, predict_linear, predict_linear_batch
 from kpforecast.errors import DimensionMismatch, NonFiniteValue
 from kpforecast.rng import PortableRng
 
@@ -80,3 +82,13 @@ def test_prediction_input_validation():
         predict_linear_batch(model, np.zeros(2))  # 1-D where 2-D expected
     with pytest.raises(NonFiniteValue):
         predict_linear(model, np.array([1.0, np.inf]))
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_batch_prediction_refuses_a_non_finite_value_in_any_cell(data, bad):
+    n, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    model = LinearModel(1.0, np.ones(p), tuple(f"x{i}" for i in range(p)))
+    rows = np.zeros((n, p))
+    rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))] = bad
+    with pytest.raises(NonFiniteValue, match="must be finite"):
+        predict_linear_batch(model, rows)

@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
+import shutil
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kpforecast import modelio
+from kpforecast import modelio, splitkernel
 from kpforecast.errors import DimensionMismatch, KOutOfRange, NonFiniteValue
 from kpforecast.forest import (
+    _TREE_STREAM,
     ForestConfig,
     ForestModel,
     Tree,
     _draw_bag,
+    _route,
     fit,
     importance,
     predict,
     predict_batch,
     top_k,
 )
-from kpforecast.rng import PortableRng
+from kpforecast.rng import PortableRng, derive_seed
 
 from cart_oracle import oracle_predict, oracle_tree
 from conftest import make_dataset
@@ -227,6 +235,193 @@ def test_single_tree_training_predictions_match_oracle_multifeature():
         assert got == want, f"trial {trial}"
 
 
+# -- routing against a scalar walk ---------------------------------------------------
+
+
+def _walk(tree, row):
+    """The leaf value ``row`` reaches, walking one node at a time."""
+    node = 0
+    while tree.left[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return float(tree.value[node])
+
+
+def _walk_mean(model, X):
+    """The forest's prediction for each row of ``X``, summed over trees in index order."""
+    means = []
+    for row in X:
+        total = 0.0
+        for tree in model.trees:
+            total += _walk(tree, row)
+        means.append(total / len(model.trees))
+    return np.array(means, dtype=np.float64)
+
+
+def _forest_of(trees, p):
+    """A forest over ``p`` features holding the given trees."""
+    return ForestModel(
+        trees=tuple(trees),
+        feature_names=tuple(f"x{i}" for i in range(p)),
+        config=ForestConfig(n_trees=len(trees)),
+        importances=np.zeros(p),
+        train_target_range=(0.0, 9.0),
+        oob_mse=None,
+    )
+
+
+_GROWERS = [
+    "numpy",
+    pytest.param("compiled", marks=pytest.mark.skipif(shutil.which("cc") is None,
+                                                      reason="no C compiler")),
+]
+
+
+def _grower(kind):
+    """Fit with the compiled kernel, or with the numpy grower in its place."""
+    if kind == "compiled":
+        return contextlib.nullcontext()
+    return mock.patch.object(splitkernel, "load", lambda: None)
+
+
+# Signed zeros, the smallest subnormals and a few repeats, so that rows land
+# exactly on thresholds and on both sides of zero.
+_CUTS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.5, 1.0, -1.0, 2.5])
+_CELLS = _CUTS | st.floats(-4.0, 4.0)
+
+
+def _matrix(draw, n, p, cells=_CELLS):
+    rows = draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64).reshape(n, p)
+
+
+@st.composite
+def _fit_cases(draw, bootstrap=st.booleans()):
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    X = _matrix(draw, n, p)
+    y = np.array(draw(st.lists(st.floats(0.0, 9.0), min_size=n, max_size=n)))
+    config = ForestConfig(n_trees=draw(st.integers(1, 4)), mtry=draw(st.integers(1, p)),
+                          min_leaf=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**64 - 1)),
+                          bootstrap=draw(bootstrap))
+    return make_dataset(X, y), config
+
+
+@st.composite
+def _hand_trees(draw, p, max_nodes=41):
+    """A tree of up to ``max_nodes`` nodes, numbered in preorder as growth numbers them."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    pending = [-1]  # the split whose right child each pending node is, or -1
+    while pending:
+        parent = pending.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        if node + len(pending) + 3 <= max_nodes and draw(st.booleans()):
+            feature.append(draw(st.integers(0, p - 1)))
+            threshold.append(draw(_CUTS))
+            left.append(node + 1)
+            right.append(-1)
+            value.append(0.0)
+            pending += [node, -1]
+        else:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(draw(st.sampled_from([-0.0, 0.0, 1.0, 1 / 3, 8.5])))
+    return Tree(feature, threshold, left, right, value, [1] * len(feature))
+
+
+@pytest.mark.parametrize("kind", _GROWERS)
+@settings(max_examples=60)
+@given(case=_fit_cases(), probes=st.data())
+def test_predict_batch_matches_a_scalar_walk_on_fitted_forests(kind, case, probes):
+    data, config = case
+    with _grower(kind):
+        model = fit(data, config)
+    p = data.n_features
+    cuts = np.concatenate([tree.threshold[tree.left >= 0] for tree in model.trees])
+    X = np.vstack([data.rows, _matrix(probes.draw, probes.draw(st.integers(0, 8)), p),
+                   np.repeat(cuts[:, None], p, axis=1)])  # rows exactly on each threshold
+    assert predict_batch(model, X).tobytes() == _walk_mean(model, X).tobytes()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_predict_batch_matches_a_scalar_walk_on_hand_built_trees(data):
+    p = data.draw(st.integers(1, 3))
+    trees = data.draw(st.lists(_hand_trees(p), min_size=1, max_size=3))
+    X = _matrix(data.draw, data.draw(st.integers(0, 12)), p, _CUTS)
+    model = _forest_of(trees, p)
+    assert predict_batch(model, X).tobytes() == _walk_mean(model, X).tobytes()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_routing_a_subset_equals_routing_the_gathered_rows(data):
+    p = data.draw(st.integers(1, 3))
+    tree = data.draw(_hand_trees(p))
+    n = data.draw(st.integers(1, 10))
+    X = _matrix(data.draw, n, p, _CUTS)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    routed = _route(tree, X, rows)
+    walked = np.array([_walk(tree, X[r]) for r in rows], dtype=np.float64)
+    assert routed.tobytes() == walked.tobytes()
+    assert routed.tobytes() == _route(tree, X[rows], np.arange(rows.size)).tobytes()
+
+
+def test_a_single_leaf_predicts_its_value_for_every_row():
+    model = _forest_of([_leaf(3.0, 4)], 2)
+    X = np.array([[0.0, 1.0], [-7.0, 1e300], [5e-324, -0.0]])
+    assert predict_batch(model, X).tolist() == [3.0, 3.0, 3.0]
+    assert _route(model.trees[0], X, np.array([2, 0])).tolist() == [3.0, 3.0]
+
+
+def test_a_row_on_the_threshold_routes_left():
+    tree = Tree([1, -1, -1], [0.25, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0], [0, 1, 1])
+    X = np.array([[9.0, 0.25], [9.0, np.nextafter(0.25, 1.0)], [9.0, np.nextafter(0.25, 0.0)]])
+    assert predict_batch(_forest_of([tree], 2), X).tolist() == [1.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("cut", [0.0, -0.0])
+def test_signed_zeros_route_alike_and_leaf_values_keep_their_sign(cut):
+    tree = Tree([0, -1, -1], [cut, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -0.0, 1.0], [0, 1, 1])
+    X = np.array([[-0.0], [0.0], [5e-324], [-5e-324]])
+    routed = _route(tree, X, np.arange(4))
+    assert routed.tobytes() == np.array([-0.0, -0.0, 1.0, -0.0]).tobytes()
+
+
+def test_a_chain_deeper_than_64_levels_routes_every_row_to_its_leaf():
+    depth = 100
+    feature, threshold, left, right, value = [], [], [], [], []
+    for i in range(depth):  # split i sends what reaches it and is <= i to a leaf predicting i
+        node = len(feature)
+        feature += [0, -1]
+        threshold += [float(i), 0.0]
+        left += [node + 1, -1]
+        right += [node + 2, -1]
+        value += [0.0, float(i)]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    value.append(float(depth))
+    tree = Tree(feature, threshold, left, right, value, [1] * len(feature))
+    model = _forest_of([tree], 1)
+    X = np.arange(depth + 1.0, -1.0, -0.5).reshape(-1, 1)
+    out = predict_batch(model, X)
+    assert np.array_equal(out, np.minimum(np.ceil(X[:, 0]), depth))
+    assert out.tobytes() == _walk_mean(model, X).tobytes()
+
+
+def test_an_empty_row_set_routes_to_nothing():
+    fitted = fit(_random_data(9, n=20, p=3), ForestConfig(n_trees=3, seed=0))
+    for model in (fitted, _forest_of([_leaf(1.0, 1)], 3)):
+        out = predict_batch(model, np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+    assert _route(fitted.trees[0], np.zeros((2, 3)), np.arange(0)).shape == (0,)
+
+
 # -- determinism -----------------------------------------------------------------
 
 
@@ -271,6 +466,28 @@ def test_oob_mse_present_only_with_bootstrap():
     without = fit(data, ForestConfig(n_trees=20, seed=1, bootstrap=False))
     assert with_bag.oob_mse is not None and with_bag.oob_mse >= 0.0
     assert without.oob_mse is None
+
+
+@pytest.mark.parametrize("kind", _GROWERS)
+@settings(max_examples=60)
+@given(case=_fit_cases(bootstrap=st.just(True)))
+def test_oob_mse_is_the_brute_force_out_of_bag_error(kind, case):
+    data, config = case
+    with _grower(kind):
+        model = fit(data, config)
+    n = data.n_rows
+    total, count = np.zeros(n), np.zeros(n, dtype=np.int64)
+    for i, tree in enumerate(model.trees):  # by tree index, as fit sums
+        _, _, oob = _draw_bag(n, config, derive_seed(config.seed, _TREE_STREAM, i))
+        for r in oob:
+            total[r] += _walk(tree, data.rows[r])
+            count[r] += 1
+    covered = count > 0
+    if not covered.any():
+        assert model.oob_mse is None
+        return
+    residual = total[covered] / count[covered] - data.targets[covered]
+    assert model.oob_mse.hex() == float(np.mean(residual * residual)).hex()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1432])
@@ -350,6 +567,31 @@ def test_predict_rejects_wrong_width_and_nonfinite():
         predict_batch(model, np.zeros((2, 4)))
     with pytest.raises(NonFiniteValue):
         predict(model, np.array([0.0, np.nan, 0.0]))
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=60)
+@given(data=st.data(), bad=_NON_FINITE)
+def test_predict_batch_refuses_a_non_finite_value_in_any_cell(data, bad):
+    n, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))
+    X = np.zeros((n, p))
+    X[i, j] = bad
+    model = _forest_of([_leaf(1.0, 1)], p)
+    with pytest.raises(NonFiniteValue):
+        predict_batch(model, X)
+    with pytest.raises(NonFiniteValue):
+        predict(model, X[i])
+
+
+def test_predict_refuses_a_matrix():
+    model = _forest_of([_leaf(1.0, 1)], 3)
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        predict(model, np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        predict_batch(model, np.zeros(3))
 
 
 def test_config_validation():

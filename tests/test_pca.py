@@ -6,8 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kpforecast.errors import DegenerateData, DimensionMismatch, EmptyDataset, KOutOfRange
+from kpforecast.errors import (
+    DegenerateData,
+    DimensionMismatch,
+    EmptyDataset,
+    KOutOfRange,
+    NonFiniteValue,
+)
 from kpforecast.pca import fit_pca, project
 from kpforecast.rng import PortableRng
 
@@ -123,3 +131,13 @@ def test_validation_errors():
     model = fit_pca(data, 1)
     with pytest.raises(DimensionMismatch):
         project(model, np.zeros((2, 3)))
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_projection_refuses_a_non_finite_value_in_any_cell(data, bad):
+    n, p = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 4))
+    model = fit_pca(make_dataset(_random_matrix(3, p + 1, p), [1.0] * (p + 1)), 1)
+    rows = np.zeros((n, p))
+    rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))] = bad
+    with pytest.raises(NonFiniteValue, match="must be finite"):
+        project(model, rows)
