@@ -4,11 +4,11 @@
  * stamp first (t,v1,...,vn: a measurement file of solar wind, Dst or Kp)
  * or last (v1,...,vn,t: the rows of a dataset CSV after its header).
  *
- * Reading.  ``kp_scan_rows`` returns the arrays the Python readers of
- * ``ingest`` and ``fusion`` build, or -1 as soon as the bytes leave the
- * grammar below.  The caller then reads the whole file with those Python
- * readers, which stay the reference and word every error, so a value read
- * here is the value they read and a fault is reported as they report it.
+ * Reading.  ``kp_scan_rows`` returns the arrays the Python reader of
+ * ``ingest`` builds, or -1 as soon as the bytes leave the grammar below.
+ * The caller then reads the same bytes with that Python reader, which
+ * stays the reference and words every error, so a value read here is the
+ * value it reads and a fault is reported as it reports it.
  *
  * The grammar:
  *   - a line ends in '\n', or at the end of the buffer; an empty line, and
@@ -21,7 +21,7 @@
  *     digits d, and its value is the correctly rounded double, as Python's
  *     float() gives it; that value must be finite;
  *   - an empty field is a gap: NaN, not present (a dataset has none, so
- *     its reader leaves a row with a gap to the Python reader);
+ *     its reader reports a row with a gap as a fault);
  *   - anything else is -1: a wrong cell count, a blank before or after a
  *     cell, 1_0, 0x1p3, nan, inf, 1e400.
  *

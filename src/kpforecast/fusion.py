@@ -16,7 +16,7 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 Each builder of the feature matrix allocates it once, at its final size.
 ``fuse`` first checks which instants every lag slot covers, then fills the
 kept rows one source at a time; the dataset reader first counts the lines,
-then scans each chunk into its slice of the rows.
+then reads each chunk into its slice of the rows.
 
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
@@ -25,34 +25,34 @@ as ``repr`` writes it (an exact round-trip).  ``write_csv`` streams it a
 block of rows at a time, and ``to_csv`` returns the same text as a string.
 A dataset line is a measurement record's row shape with the stamp moved
 last, so :func:`.ingest.format_rows` writes each block and
-:func:`.ingest.scan_rows` reads the rows; this module calls no compiled code
-itself.
+:func:`.ingest.parse_dataset_rows` reads the rows: the row grammar, and the
+order in which a line's faults are reported, live in :mod:`.ingest` alone.
+This module calls no compiled code itself.
 
 Both readers take one entry point over the file's bytes: ``read_csv`` opens
 the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
 agree on every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
 universal newlines of ``open()``) and nowhere else.  The bytes are read
-twice, a chunk at a time: once to count the lines and once to scan them, so
-neither the file nor a second copy of the rows is ever held.  A file the
-scanner does not read (no compiler, a line outside its strict form, an empty
-cell, or any fault) is read again by the Python reader, a block of lines at
-a time: it is the scanner's test reference and words every error.
+twice, a chunk at a time: once to count the lines and check that they are
+UTF-8, and once to read the rows, so neither the file nor a second copy of
+the rows is ever held.  A chunk the compiled scanner does not read (a line
+outside its strict form, or any chunk where the kernel cannot be built)
+takes the Python pass alone; the file is not read a third time, except to
+word the error of bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
-import re
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
 from .errors import (
-    BadTimestamp,
     CadenceMismatch,
     DataError,
     EmptyDataset,
@@ -60,20 +60,14 @@ from .errors import (
     IndexOutOfRange,
     MalformedLine,
     NonFiniteValue,
-    ValueOutOfRange,
 )
 from .ingest import (
     SOLAR_WIND_FIELDS,
     MeasurementSeries,
-    _data_lines,
-    _number_fault,
-    _stamp_digits,
     format_minutes,
     format_rows,
     format_timestamp,
-    minutes_from_digits,
-    parse_timestamp,
-    scan_rows,
+    parse_dataset_rows,
 )
 from .rng import PortableRng
 
@@ -92,12 +86,10 @@ _KP_CADENCE = 180
 
 _FIRST_MINUTE, _LAST_MINUTE = -1_035_593_280, 4_223_371_679  # 0001-01-01T00:00Z, 9999-12-31T23:59Z
 
-#: Rows per block of the dataset CSV, written or read by the Python reader.
+#: Rows per block of the dataset CSV as it is written.
 _BLOCK_ROWS = 256
-#: Bytes per read of the compiled reader.
+#: Bytes per read of the dataset CSV.
 _CHUNK_BYTES = 1 << 20
-#: A line of printable ASCII, the only bytes the compiled reader accepts.
-_PRINTABLE = re.compile(rb"[ -~]*")
 
 
 @dataclass(frozen=True)
@@ -233,160 +225,89 @@ class FusedDataset:
 
     @classmethod
     def _read(cls, handle: BinaryIO) -> "FusedDataset":
-        """The dataset in a binary file: the compiled scanner's, else the
-        Python reader's, which reads the file again from the start and
-        closes ``handle``."""
-        scanned = _scan_csv(handle)
-        if scanned is not None:
-            return scanned
+        """The dataset in a binary file, read in two passes over its bytes.
+
+        The first counts the lines, which bounds the rows, and the arrays
+        are allocated once at that size.  The second reads the header, then
+        hands :func:`.ingest.parse_dataset_rows` a chunk of whole lines at a
+        time and copies its rows into the next rows of the arrays, so neither
+        the file's bytes nor a second copy of the rows is ever held whole.
+        The dataset keeps a prefix of each array, which stays C-contiguous.
+        Arrays too short for the rows (lines that end in a lone ``\\r``, or a
+        file that grew since its lines were counted) are grown as they fill.
+        """
+        capacity = _count_lines(handle)
         handle.seek(0)
-        with io.TextIOWrapper(handle, encoding="utf-8") as text:
-            return cls._parse(text)
-
-    @classmethod
-    def _parse(cls, lines: Iterable[str]) -> "FusedDataset":
-        numbered = _data_lines(lines)
-        first = next(numbered, None)
-        if first is None:
-            raise EmptyDataset("dataset CSV has no header line")
-        header_no, header = first[0], first[1].split(",")
-        if len(header) < 3 or header[-2:] != ["target", "row_time"]:
-            raise MalformedLine(header_no, "dataset CSV header must end with target,row_time")
-        names = tuple(header[:-2])
-        rows, targets = [np.empty((0, len(names)))], [np.empty(0)]
-        minutes = [np.empty(0, dtype=np.int64)]
-        while block := list(islice(numbered, _BLOCK_ROWS)):
-            values, block_minutes = _parse_block(block, len(header))
-            rows.append(values[:, :-1])
-            targets.append(values[:, -1])
-            minutes.append(block_minutes)
-        return cls(names, np.concatenate(rows), np.concatenate(targets), np.concatenate(minutes))
+        names, line_no, tail = _read_header(handle)
+        out = [np.empty((capacity, len(names))), np.empty(capacity), np.empty(capacity, np.int64)]
+        count = 0
+        while chunk := handle.read(_CHUNK_BYTES):
+            chunk = tail + chunk
+            end = chunk.rfind(b"\n") + 1
+            count, line_no = _fill(out, count, chunk, end, line_no)
+            tail = chunk[end:]
+        count, _ = _fill(out, count, tail, len(tail), line_no)
+        return cls(names, *(array[:count] for array in out))
 
 
-def _scan_csv(handle: BinaryIO) -> FusedDataset | None:
-    """The dataset in a binary file, read by the compiled scanner (see
-    :func:`.ingest.scan_rows`) in two passes over the body.
+def _count_lines(handle: BinaryIO) -> int:
+    """One more than the newlines of ``handle``, whose bytes must be UTF-8.
 
-    The first pass counts the body's lines, which bounds its rows, and the
-    arrays are allocated once at that size.  The second scans a chunk of
-    ``_CHUNK_BYTES`` at a time into the next rows, so neither the file's
-    bytes nor a second copy of the rows is ever held whole; the dataset keeps
-    a prefix of each array, which stays C-contiguous.  None when the scanner
-    cannot be loaded, or when the file leaves its strict grammar (see the C
-    source) or holds a fault; :meth:`FusedDataset._parse` then reads the file
-    again, as the reference, and raises the fault.
+    An ASCII chunk costs one ``bytes.isascii`` for that check.  Bytes that
+    are not UTF-8 raise, before any fault of a line, the ``UnicodeDecodeError``
+    of decoding the file whole, which counts the byte's position from its start.
     """
-    for line in handle:  # the header, after blank and comment lines
-        text = line.removesuffix(b"\n")
-        if not _PRINTABLE.fullmatch(text):
-            return None
-        if text and not text.startswith(b"#"):
-            break
-    else:
-        return None
-    header = text.decode("ascii").split(",")
-    if len(header) < 3 or header[-2:] != ["target", "row_time"]:
-        return None
-    body = handle.tell()
-    capacity = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""))
-    handle.seek(body)
-    out = np.empty((capacity, len(header) - 2)), np.empty(capacity), np.empty(capacity, np.int64)
-    count = _scan_body(handle, out)
-    if count is None:
-        return None
-    return FusedDataset(tuple(header[:-2]), *(array[:count] for array in out))
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = 0
+    try:
+        while chunk := handle.read(_CHUNK_BYTES):
+            newlines += chunk.count(b"\n")
+            if not chunk.isascii() or decoder.getstate()[0]:  # or a character runs on
+                decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        handle.seek(0)
+        handle.read().decode("utf-8")
+        raise
+    return newlines + 1
 
 
-def _scan_body(handle: BinaryIO, out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int | None:
-    """Scan the rest of ``handle`` into ``out`` (rows, targets and row
-    minutes), a chunk of whole lines at a time; the row count, or None if
-    :func:`_scan_rows` refuses a chunk or ``out`` has no room (the file grew
-    since its lines were counted).  At most one raw read, one chunk and one
-    chunk's block are alive at once.
+def _read_header(handle: BinaryIO) -> tuple[tuple[str, ...], int, bytes]:
+    """The feature names of the header, the number of the line after it, and
+    the rest of the bytes read to find it (lines that ended in a lone ``\\r``).
+
+    Blank and ``#`` lines before it are skipped, as is trailing whitespace.
     """
-    count, tail = 0, b""
-    while chunk := handle.read(_CHUNK_BYTES):
-        chunk = tail + chunk
-        end = chunk.rfind(b"\n") + 1
-        count = _scan_into(chunk, end, out, count)
-        if count is None:
-            return None
-        tail = chunk[end:]
-    return _scan_into(tail, len(tail), out, count)
+    line_no = 1
+    for raw in handle:  # up to each \n; a \r ends a line too
+        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for k, line in enumerate(map(str.rstrip, lines)):
+            if line and not line.startswith("#"):
+                header = line.split(",")
+                if len(header) < 3 or header[-2:] != ["target", "row_time"]:
+                    raise MalformedLine(line_no + k,
+                                        "dataset CSV header must end with target,row_time")
+                return tuple(header[:-2]), line_no + k + 1, "\n".join(lines[k + 1:]).encode()
+        line_no += len(lines) - 1
+    raise EmptyDataset("dataset CSV has no header line")
 
 
-def _scan_into(buf: bytes, end: int, out: tuple[np.ndarray, np.ndarray, np.ndarray],
-               start: int) -> int | None:
-    """Copy :func:`_scan_rows`'s block of ``buf[:end]`` into ``out`` from row
-    ``start``; the row after it, or None."""
+def _fill(out: list[np.ndarray], start: int, buf: bytes, end: int,
+          line_no: int) -> tuple[int, int]:
+    """Read the dataset lines ``buf[:end]``, the first of them line
+    ``line_no``, into ``out`` (rows, targets and row minutes) from row
+    ``start``, growing the arrays in place if they are too short; the row
+    and the line after them.  Only the chunk and its block are alive here.
+    """
     rows, targets, minutes = out
-    block = _scan_rows(buf, end, rows.shape[1] + 2)
-    if block is None or start + len(block[1]) > len(rows):
-        return None
-    values, block_minutes = block
+    lines, block_minutes, values = parse_dataset_rows(buf, end, rows.shape[1] + 1, line_no)
     stop = start + len(block_minutes)
+    if stop > len(minutes):  # the first rows are kept; the rest is filled later
+        out[:] = [np.resize(array, (2 * stop, *array.shape[1:])) for array in out]
+        rows, targets, minutes = out
     rows[start:stop], targets[start:stop], minutes[start:stop] = (
         values[:, :-1], values[:, -1], block_minutes)
-    return stop
-
-
-def _scan_rows(buf: bytes, end: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``[rows | target]`` and the row minutes of the lines in ``buf[:end]``,
-    which end in a newline or at the end of ``buf``; None if the scanner
-    refuses a line, or a cell is empty or a target or time out of place.
-    """
-    scanned = scan_rows(buf, end, width - 1, stamp_last=True)
-    if scanned is None:
-        return None
-    _, stamps, values, present = scanned
-    minutes, valid = minutes_from_digits(stamps)
-    targets = values[:, -1]
-    if not (present.all() and valid.all() and (targets >= 0.0).all() and (targets <= 9.0).all()):
-        return None
-    return values, minutes
-
-
-def _line_fault(line_no: int, cells: list[str], width: int) -> DataError | None:
-    """The first fault of one dataset line, read left to right."""
-    if len(cells) != width:
-        return MalformedLine(line_no, f"expected {width} cells, got {len(cells)}")
-    fault = _number_fault(cells[:-1])
-    if fault is not None:
-        return MalformedLine(line_no, fault)
-    target = float(cells[-2])
-    if not 0.0 <= target <= 9.0:
-        return ValueOutOfRange(line_no, f"target must lie in [0, 9], got {target}")
-    try:
-        parse_timestamp(cells[-1])
-    except ValueError as exc:
-        return BadTimestamp(line_no, str(exc))
-    return None
-
-
-def _parse_block(block: list[tuple[int, str]], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``[rows | target]`` and the row minutes of numbered dataset lines.
-
-    The whole block converts at once; only if that fails, or a value or time
-    is out of place, are its lines checked one by one for the first fault.
-    """
-    split = [line.split(",") for _, line in block]
-    try:
-        if all(len(cells) == width for cells in split):
-            values = np.array([cells[:-1] for cells in split], dtype=np.float64)
-            targets = values[:, -1]
-            digits = [_stamp_digits(cells[-1]) for cells in split]
-            if (np.isfinite(values).all() and targets.min() >= 0.0 and targets.max() <= 9.0
-                    and None not in digits):
-                minutes, valid = minutes_from_digits(np.array(digits, dtype=np.int64))
-                if valid.all():
-                    return values, minutes
-    except ValueError:
-        pass
-    for (line_no, _), cells in zip(block, split):
-        fault = _line_fault(line_no, cells, width)
-        if fault is not None:
-            raise fault
-    raise AssertionError("a dataset block failed to convert without a faulty line")
+    return stop, line_no + lines
 
 
 def _all_finite(array: np.ndarray) -> bool:

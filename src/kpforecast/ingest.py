@@ -1,4 +1,5 @@
-r"""Readers and writers for the three canonical measurement formats.
+r"""Readers and writers for the three canonical measurement formats, and the
+one reader and writer of CSV rows.
 
 All three formats share the same shape: UTF-8 text, comma-separated, no
 header, ``#``-prefixed comment lines ignored, one record per line, an empty
@@ -19,13 +20,7 @@ Formats:
 
 A parser returns a :class:`MeasurementTable`, the records column by column:
 int64 minute times (every instant in the package counts minutes from
-1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.  The
-parser first turns ``\r\n`` and ``\r`` into ``\n``.  One pass over the
-lines then splits the fields, matches the timestamp pattern (keeping its
-digits) and converts the numbers.  Every other check (calendar validity,
-strictly increasing time, finiteness, alignment and physical ranges) runs on
-the arrays and reports the first faulty line in file order, with the error
-that checking each line as it is read would raise there.
+1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
@@ -34,15 +29,23 @@ writes it.  The package's one timestamp codec is here too:
 ``minutes_from_digits`` and ``format_minutes`` for arrays,
 ``parse_timestamp`` and ``format_timestamp`` for one instant.
 
-The row codec of the compiled kernel ``csvscan.c`` (built by
-:func:`.splitkernel.load`) is here as well, and nowhere else: a row is a
-timestamp and numbers, the stamp first (a measurement record) or last (a
-dataset row of :mod:`.fusion`).  ``scan_rows`` makes the pass over a file in
-its strict form: printable ASCII, plain decimal numbers that it converts to
-the value ``float`` gives.  Any other file, and every file where the kernel
-cannot be built, takes the Python pass, which converts with ``float`` and is
-the scanner's test reference.  ``format_rows`` writes rows as ``repr``
-would, through the kernel where it can be built, else through its one Python
+The row codec is here as well, and nowhere else.  A row is a timestamp and
+numbers, the stamp first (a measurement record) or last (a dataset row of
+:mod:`.fusion`, which :func:`parse_dataset_rows` reads a chunk of lines at
+a time).  One reader serves both: it turns ``\r\n`` and ``\r`` into
+``\n``, then makes one pass over the lines, which splits the fields, matches
+the timestamp pattern (keeping its digits) and converts the numbers.  Every
+other check (calendar validity, finiteness, ranges, and for a measurement
+file time order and alignment) runs on the arrays and reports the first
+faulty line in file order, with the error that checking each line as it is
+read would raise there: within a line, faults rank left to right.  The pass
+is ``scan_rows``, the compiled kernel ``csvscan.c`` (built by
+:func:`.splitkernel.load`), where the bytes keep to its strict form:
+printable ASCII, plain decimal numbers that it converts to the value
+``float`` gives.  Any other bytes, and all bytes where the kernel cannot be
+built, take the Python pass, which converts with ``float`` and is the
+scanner's test reference.  ``format_rows`` writes rows as ``repr`` would,
+through the kernel where it can be built, else through its one Python
 reference writer.
 """
 
@@ -82,6 +85,7 @@ __all__ = [
     "parse_kp",
     "format_table",
     "scan_rows",
+    "parse_dataset_rows",
     "format_rows",
     "to_series",
     "solar_wind_series",
@@ -230,8 +234,10 @@ class MeasurementSeries:
 # --------------------------------------------------------------------------
 # parsing
 
-# The order in which checking one line as it is read meets each kind of fault.
-_SHAPE, _CALENDAR, _ORDER, _ALIGNMENT, _NUMBER, _RANGE = range(6)
+# The order in which checking one line as it is read meets each kind of
+# fault, left to right: a measurement record's stamp comes first, a dataset
+# row's last.
+_SHAPE, _STAMP, _ORDER, _ALIGNMENT, _NUMBER, _RANGE, _LAST_STAMP = range(7)
 
 
 def _timestamp_error(line_no: int, text: str) -> BadTimestamp:
@@ -291,95 +297,110 @@ def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
     return line_nos, stamps[:rows], values[:rows], present[:rows]
 
 
-def _scan_compiled(content: str, n: int):
-    """``_Scan._scan_lines``'s arrays from :func:`scan_rows`, or None."""
-    if not content.isascii():
-        return None
-    data = content.encode("ascii")
-    return scan_rows(data, len(data), n, stamp_last=False)
+def _scan_compiled(content: str | bytes, cols: int, end: int | None = None, *,
+                   stamp_last: bool = False):
+    """``_Scan._scan_lines``'s arrays of ``content[:end]`` from :func:`scan_rows`,
+    or None.  Text is scanned as its ASCII bytes, which are not kept."""
+    if isinstance(content, str):
+        if not content.isascii():
+            return None
+        content = content.encode("ascii")
+    return scan_rows(content, len(content) if end is None else end, cols, stamp_last=stamp_last)
 
 
 class _Scan:
-    """One pass over a file's lines, then every other check on whole arrays.
+    """One pass over the lines of ``content[:end]``, then every other check on whole arrays.
 
-    The pass is the compiled scanner's where it reads the file, else
-    :meth:`_scan_lines`.  The Python pass stops at the first line whose fields, timestamp pattern or
-    numbers cannot be read.  Each check notes the first record it fails on,
-    and :meth:`table` raises the fault of the earliest line and, within that
-    line, of the lowest rank, so the error names the same line and problem as
-    checking every line in turn.
+    A row is a timestamp and ``cols`` numbers: the stamp first (a
+    measurement record, where an empty field is a gap) or, with
+    ``stamp_last``, last (a dataset row, which has no gaps: an empty cell is
+    not a number).  Lines are numbered from ``first_line``; bytes are UTF-8.
+    The pass is the compiled scanner's where it reads the content, else
+    :meth:`_scan_lines`.  Each check notes the first record it fails on, and
+    :meth:`raise_first` raises the fault of the earliest line and, within
+    that line, of the lowest rank, so the error names the same line and
+    problem as checking every line in turn.
     """
 
-    def __init__(self, content: str, fields: tuple[str, ...]) -> None:
-        if "\r" in content:  # universal newlines: \r\n and \r end a line as \n does
-            content = content.replace("\r\n", "\n").replace("\r", "\n")
-        self.content = content
-        self.fields = fields
+    def __init__(self, content: str | bytes, cols: int, *, end: int | None = None,
+                 stamp_last: bool = False, first_line: int = 1) -> None:
+        end = len(content) if end is None else end
+        cr, lf = ("\r", "\n") if isinstance(content, str) else (b"\r", b"\n")
+        if content.find(cr, 0, end) >= 0:  # \r\n and \r end a line as \n does
+            content = content[:end].replace(cr + lf, lf).replace(cr, lf)
+            end = len(content)
+        self.content, self.end = content, end
+        self.stamp_last, self.first_line = stamp_last, first_line
         self.faults: list[tuple[int, int, Callable[[], Exception]]] = []  # (record, rank, error)
-        n = len(fields)
-        scanned = _scan_compiled(content, n)
+        scanned = _scan_compiled(content, cols, end, stamp_last=stamp_last)
         if scanned is None:
-            scanned = self._scan_lines(content, n)
+            scanned = self._scan_lines(cols)
         self.line_nos, stamps, self.values, self.present = scanned
-        self.check((self.present & ~np.isfinite(self.values)).any(axis=1), _NUMBER,
-                   lambda r: MalformedLine(self.line_nos[r],
-                                           _number_fault(filter(None, self._line(r)[1:]))))
-        self._times(stamps)
+        self.minutes, valid = minutes_from_digits(stamps)
+        self.check(~valid, _LAST_STAMP if stamp_last else _STAMP, lambda r: _timestamp_error(
+            self.line_no(r), self._cells(r)[-1 if stamp_last else 0]))
+        nonfinite = ~np.isfinite(self.values)
+        if not stamp_last:  # a gap is NaN; a dataset has none
+            nonfinite &= self.present
+        self.check(nonfinite.any(axis=1), _NUMBER,
+                   lambda r: MalformedLine(self.line_no(r), _number_fault(self._numbers(r))))
 
-    def _scan_lines(self, content: str, n: int):
+    def _scan_lines(self, cols: int):
         """The Python pass over the lines: the reference for the compiled
-        scanner, and the parser of every file it does not read."""
+        scanner, and the reader of all it refuses.  It stops after the first
+        line whose cells, timestamp pattern or numbers cannot be read."""
         # Packed arrays, not lists: a list holds a Python object per cell,
         # four times the memory of a packed number.
         line_nos = array("q")
         stamps = array("q")  # YYYYMMDDHHMM of each record
         values = array("d")  # every value of every record, record after record
         gaps: list[int] = []  # positions in ``values`` of empty fields
-        for line_no, line in _data_lines(content.split("\n")):
+        for line_no, line in _data_lines(self._text().split("\n")):
             parts = line.split(",")
             record = len(line_nos)
-            if len(parts) != n + 1:
+            if len(parts) != cols + 1:
                 self.faults.append((record, _SHAPE, partial(
-                    MalformedLine, line_no, f"expected {n + 1} fields, got {len(parts)}")))
+                    MalformedLine, self.first_line - 1 + line_no,
+                    f"expected {cols + 1} {'cells' if self.stamp_last else 'fields'}, "
+                    f"got {len(parts)}")))
                 break
-            digits = _stamp_digits(parts[0])
-            if digits is None:
-                self.faults.append((record, _SHAPE, partial(_timestamp_error, line_no, parts[0])))
-                break
+            stamp, fields = (parts[-1], parts[:-1]) if self.stamp_last else (parts[0], parts[1:])
+            digits = _stamp_digits(stamp)
             line_nos.append(line_no)
-            stamps.append(digits)
+            stamps.append(0 if digits is None else digits)  # 0 is no calendar instant
             try:
-                values.extend(map(float, parts[1:]))
+                values.extend(map(float, fields))
             except ValueError:  # a gap, or a field that is not a number
-                del values[record * n:]
+                del values[record * cols:]
                 try:
-                    values.extend([float(f) if f else math.nan for f in parts[1:]])
-                except ValueError:  # the line's time still takes part in the checks
-                    values.extend([math.nan] * n)
-                    gaps += range(record * n, record * n + n)
-                    self.faults.append((record, _NUMBER, partial(
-                        MalformedLine, line_no, _number_fault(filter(None, parts[1:])))))
+                    values.extend([float(f) if f else math.nan for f in fields])
+                except ValueError:  # present, so the number check names the field
+                    values.extend([math.nan] * cols)
                     break
-                gaps += (record * n + j for j, f in enumerate(parts[1:]) if f == "")
+                gaps += (record * cols + j for j, f in enumerate(fields) if f == "")
+            if digits is None:
+                break
         records = len(line_nos)
-        present = np.ones((records, n), dtype=bool)
+        present = np.ones((records, cols), dtype=bool)
         present.flat[gaps] = False
         return (line_nos, np.frombuffer(stamps, dtype=np.int64),
-                np.frombuffer(values, dtype=np.float64).reshape(records, n), present)
+                np.frombuffer(values, dtype=np.float64).reshape(records, cols), present)
 
-    def _times(self, digits: np.ndarray) -> None:
-        """Minute times from YYYYMMDDHHMM, checked for calendar and order."""
-        self.minutes, valid = minutes_from_digits(digits)
-        self.check(~valid, _CALENDAR,
-                   lambda r: _timestamp_error(self.line_nos[r], self._line(r)[0]))
-        stalled = np.zeros(self.minutes.size, dtype=bool)
-        stalled[1:] = self.minutes[1:] <= self.minutes[:-1]
-        self.check(stalled, _ORDER, lambda r: NonMonotonicTime(
-            self.line_nos[r],
-            f"{format_timestamp(self.minutes[r])} does not advance past previous record"))
+    def line_no(self, record: int) -> int:
+        """The line number of ``record``."""
+        return self.first_line - 1 + self.line_nos[record]
 
-    def _line(self, record: int) -> list[str]:
-        return self.content.split("\n")[self.line_nos[record] - 1].rstrip().split(",")
+    def _text(self) -> str:
+        content = self.content[:self.end]
+        return content if isinstance(content, str) else content.decode("utf-8")
+
+    def _cells(self, record: int) -> list[str]:
+        return self._text().split("\n")[self.line_nos[record] - 1].rstrip().split(",")
+
+    def _numbers(self, record: int) -> list[str]:
+        """The number cells of ``record``; a measurement record's gaps are left out."""
+        cells = self._cells(record)
+        return cells[:-1] if self.stamp_last else [cell for cell in cells[1:] if cell]
 
     def check(self, bad: np.ndarray, rank: int, error) -> None:
         """Note ``error(record)`` for the first record flagged in ``bad``.
@@ -392,16 +413,29 @@ class _Scan:
             record = int(flagged[0])
             self.faults.append((record, rank, partial(error, record)))
 
-    def table(self) -> MeasurementTable:
-        """The parsed table, or the error of the first faulty line."""
+    def check_order(self) -> None:
+        """Note the first record whose time does not advance past the one before."""
+        stalled = np.zeros(self.minutes.size, dtype=bool)
+        stalled[1:] = self.minutes[1:] <= self.minutes[:-1]
+        self.check(stalled, _ORDER, lambda r: NonMonotonicTime(
+            self.line_no(r),
+            f"{format_timestamp(self.minutes[r])} does not advance past previous record"))
+
+    def raise_first(self) -> None:
+        """Raise the error of the first faulty line, if any."""
         if self.faults:
             raise min(self.faults, key=lambda fault: fault[:2])[2]()
-        return MeasurementTable(self.fields, self.minutes, self.values, self.present)
+
+    def table(self, fields: tuple[str, ...]) -> MeasurementTable:
+        """The parsed table, or the error of the first faulty line."""
+        self.raise_first()
+        return MeasurementTable(fields, self.minutes, self.values, self.present)
 
 
 def parse_solar_wind(content: str) -> MeasurementTable:
     """Parse the 8-column solar-wind format; an empty file gives an empty table."""
-    scan = _Scan(content, SOLAR_WIND_FIELDS)
+    scan = _Scan(content, len(SOLAR_WIND_FIELDS))
+    scan.check_order()
     names = ("fma", "speed", "density", "temperature")
     columns = [SOLAR_WIND_FIELDS.index(name) for name in names]
     negative = scan.present[:, columns] & (scan.values[:, columns] < 0)
@@ -409,30 +443,52 @@ def parse_solar_wind(content: str) -> MeasurementTable:
     def error(record: int) -> ValueOutOfRange:
         k = int(np.flatnonzero(negative[record])[0])
         value = float(scan.values[record, columns[k]])
-        return ValueOutOfRange(scan.line_nos[record],
+        return ValueOutOfRange(scan.line_no(record),
                                f"{names[k]} must be non-negative, got {value}")
 
     scan.check(negative.any(axis=1), _RANGE, error)
-    return scan.table()
+    return scan.table(SOLAR_WIND_FIELDS)
 
 
 def parse_dst(content: str) -> MeasurementTable:
     """Parse the hourly Dst format (timestamps must sit on hour boundaries)."""
-    scan = _Scan(content, ("dst",))
+    scan = _Scan(content, 1)
+    scan.check_order()
     scan.check(scan.minutes % 60 != 0, _ALIGNMENT, lambda r: BadTimestamp(
-        scan.line_nos[r], "dst timestamps must be hour-aligned"))
-    return scan.table()
+        scan.line_no(r), "dst timestamps must be hour-aligned"))
+    return scan.table(("dst",))
 
 
 def parse_kp(content: str) -> MeasurementTable:
     """Parse the 3-hourly Kp format; values must lie in [0, 9]."""
-    scan = _Scan(content, ("kp",))
+    scan = _Scan(content, 1)
+    scan.check_order()
     scan.check(scan.minutes % 180 != 0, _ALIGNMENT, lambda r: BadTimestamp(
-        scan.line_nos[r], "kp timestamps must be 3-hour-aligned"))
+        scan.line_no(r), "kp timestamps must be 3-hour-aligned"))
     values, present = scan.values[:, 0], scan.present[:, 0]
     scan.check(present & ((values < 0.0) | (values > 9.0)), _RANGE, lambda r: ValueOutOfRange(
-        scan.line_nos[r], f"kp must lie in [0, 9], got {float(values[r])}"))
-    return scan.table()
+        scan.line_no(r), f"kp must lie in [0, 9], got {float(values[r])}"))
+    return scan.table(("kp",))
+
+
+def parse_dataset_rows(buf: bytes, end: int, cols: int,
+                       first_line: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The rows of the dataset CSV lines in ``buf[:end]``, the first of them line ``first_line``.
+
+    A row is ``cols`` numbers, the last of them the target, then the row's
+    timestamp.  Returns the number of line ends read, the row minutes and
+    the ``(rows, cols)`` values.  A fault raises the error of the first
+    faulty line; within a line, faults rank left to right: the cell count,
+    a cell that is empty or not a finite number, a target outside [0, 9],
+    then the stamp.  A chunk of clean LF lines reaches the scanner as the
+    bytes object given.
+    """
+    scan = _Scan(buf, cols, end=end, stamp_last=True, first_line=first_line)
+    targets = scan.values[:, -1]
+    scan.check((targets < 0.0) | (targets > 9.0), _RANGE, lambda r: ValueOutOfRange(
+        scan.line_no(r), f"target must lie in [0, 9], got {float(targets[r])}"))
+    scan.raise_first()
+    return scan.content.count(b"\n", 0, scan.end), scan.minutes, scan.values
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Components are directions of maximal variance of the mean-centred rows;
 ``explained_variance_ratio[i]`` is eigenvalue_i / total variance.  Features
-are *not* standardised by default (raw covariance, matching the rest of the
-pipeline); pass ``standardize=True`` to work on z-scored columns instead.
-The sign convention makes each direction's largest-magnitude entry positive
-so output is unambiguous.
+are not standardised: the components are those of the raw covariance, as
+the rest of the pipeline sees the features.  The sign convention makes
+each direction's largest-magnitude entry positive so output is unambiguous.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ __all__ = ["PcaModel", "fit_pca", "project"]
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    mean: np.ndarray  # per-feature mean (or mean/scale when standardised)
-    scale: np.ndarray  # all ones unless standardised
+    mean: np.ndarray  # per-feature mean
     directions: np.ndarray  # (k, p), orthonormal rows
     explained_variance: np.ndarray  # eigenvalues, descending
     explained_variance_ratio: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mean", "scale", "directions",
-                     "explained_variance", "explained_variance_ratio"):
+        for name in ("mean", "directions", "explained_variance", "explained_variance_ratio"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -49,7 +46,7 @@ def _as_matrix(data) -> np.ndarray:
     return X
 
 
-def fit_pca(data, k: int, standardize: bool = False) -> PcaModel:
+def fit_pca(data, k: int) -> PcaModel:
     """Top-``k`` principal components via SVD of the centred row matrix."""
     X = _as_matrix(data)
     n, p = X.shape
@@ -62,11 +59,6 @@ def fit_pca(data, k: int, standardize: bool = False) -> PcaModel:
 
     mean = X.mean(axis=0)
     centred = X - mean
-    scale = np.ones(p)
-    if standardize:
-        scale = centred.std(axis=0, ddof=1)
-        scale[scale == 0.0] = 1.0  # constant columns stay centred-only
-        centred = centred / scale
 
     total_variance = float((centred * centred).sum() / (n - 1))
     if total_variance == 0.0:
@@ -81,7 +73,6 @@ def fit_pca(data, k: int, standardize: bool = False) -> PcaModel:
             row *= -1.0
     return PcaModel(
         mean=mean,
-        scale=scale,
         directions=directions,
         explained_variance=eigenvalues,
         explained_variance_ratio=eigenvalues / total_variance,
@@ -95,4 +86,4 @@ def project(model: PcaModel, data) -> np.ndarray:
         raise DimensionMismatch(
             f"row width {X.shape[1]}, model expects {model.mean.size}"
         )
-    return ((X - model.mean) / model.scale) @ model.directions.T
+    return (X - model.mean) @ model.directions.T

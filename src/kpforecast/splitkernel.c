@@ -40,7 +40,7 @@
  * pending ones behind the node's: [lo, hi) becomes [s, e) and [e, hi), and
  * a descendant reads a window a few times its own size, not the whole bag.
  * ``where`` maps each bag position to its index in pos.  A node of at
- * least PRESORT_MIN rows reads the window, or presorts pos[s..m0) by a
+ * least PRESORT_MIN rows reads the window, or presorts pos[s..n) by a
  * counting sort on rank when the column has none; a smaller node reads it
  * when it holds at most WINDOW_READ times the node's rows and sorts
  * otherwise.  A column that would hold more than WINDOWS windows drops its
@@ -84,26 +84,25 @@ typedef struct {
     int64_t start, end, parent;
 } pending;
 
-/* Scratch carved from one caller-owned buffer; m0 bag rows, p columns. */
+/* Scratch carved from one caller-owned buffer; n bag rows, p columns. */
 typedef struct {
     const double *x;      /* row-major X, n rows of p */
     const int32_t *ranks; /* p columns of n: each row's dense rank */
     int64_t n, p;
     const int64_t *bag; /* bag position -> row of X */
-    int64_t m0;
     double *yb;       /* y by bag position */
-    int32_t *presort; /* p columns of m0: the windows' bag positions in stable x order */
+    int32_t *presort; /* p columns of n: the windows' bag positions in stable x order */
     int32_t *lo;      /* p: where each column's innermost window starts */
     int32_t *ends;    /* p columns of WINDOWS: the windows' ends, innermost last */
     uint8_t *windows; /* p: windows held; 0 when the column is not presorted */
-    int32_t *where;   /* m0: bag position -> its index in pos */
+    int32_t *where;   /* n: bag position -> its index in pos */
     int32_t *count;   /* n + 1: the counting sort's rank offsets */
-    pair *pairs;      /* m0 + 1: a window pass writes one past the node */
-    pair *tmp;        /* m0 */
-    double *ys;       /* m0: a leaf's targets in node order */
-    int32_t *pos;     /* m0: every node's positions, a segment per node */
-    int32_t *part;    /* m0: the partition's and a window pass's buffer */
-    pending *stack;   /* m0: at most one pending node per bag position */
+    pair *pairs;      /* n + 1: a window pass writes one past the node */
+    pair *tmp;        /* n */
+    double *ys;       /* n: a leaf's targets in node order */
+    int32_t *pos;     /* n: every node's positions, a segment per node */
+    int32_t *part;    /* n: the partition's and a window pass's buffer */
+    pending *stack;   /* n: at most one pending node per bag position */
     uint64_t *keys;   /* p */
     uint64_t *work;   /* p */
     int64_t *cand;    /* p */
@@ -114,26 +113,27 @@ static size_t align16(size_t size)
     return (size + 15) & ~(size_t)15;
 }
 
-/* Points g's buffers into the scratch at ``base``, for m0 bag rows of an
- * n-row X with p columns, and returns the scratch's size in bytes. */
-static size_t carve(grower *g, uintptr_t base, int64_t n, int64_t p, int64_t m0)
+/* Points g's buffers into the scratch at ``base``, for a bag of n rows
+ * drawn from an n-row X with p columns, and returns the scratch's size in
+ * bytes. */
+static size_t carve(grower *g, uintptr_t base, int64_t n, int64_t p)
 {
     size_t at = 0;
 #define CARVE(field, count) \
     (g->field = (void *)(base + at), at += align16(sizeof *g->field * (size_t)(count)))
-    CARVE(yb, m0);
-    CARVE(presort, m0 * p);
+    CARVE(yb, n);
+    CARVE(presort, n * p);
     CARVE(lo, p);
     CARVE(ends, p * WINDOWS);
     CARVE(windows, p);
-    CARVE(where, m0);
+    CARVE(where, n);
     CARVE(count, n + 1);
-    CARVE(pairs, m0 + 1);
-    CARVE(tmp, m0);
-    CARVE(ys, m0);
-    CARVE(pos, m0);
-    CARVE(part, m0);
-    CARVE(stack, m0);
+    CARVE(pairs, n + 1);
+    CARVE(tmp, n);
+    CARVE(ys, n);
+    CARVE(pos, n);
+    CARVE(part, n);
+    CARVE(stack, n);
     CARVE(keys, p);
     CARVE(work, p);
     CARVE(cand, p);
@@ -145,19 +145,18 @@ static size_t carve(grower *g, uintptr_t base, int64_t n, int64_t p, int64_t m0)
 int64_t kp_scratch_bytes(int64_t n, int64_t p)
 {
     grower g;
-    return (int64_t)carve(&g, 0, n, p, n);
+    return (int64_t)carve(&g, 0, n, p);
 }
 
 static void setup(grower *g, const double *x, const int32_t *ranks, int64_t n, int64_t p,
-                  const int64_t *bag, int64_t m0, void *scratch)
+                  const int64_t *bag, void *scratch)
 {
     g->x = x;
     g->ranks = ranks;
     g->n = n;
     g->p = p;
     g->bag = bag;
-    g->m0 = m0;
-    carve(g, (uintptr_t)scratch, n, p, m0);
+    carve(g, (uintptr_t)scratch, n, p);
     memset(g->windows, 0, p);
 }
 
@@ -225,25 +224,25 @@ void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t
     }
 }
 
-/* Presorts the rows pos[s..m0), the node's and the pending ones, into
- * column f's one window [s, m0).  A counting sort on rank visits the bag
+/* Presorts the rows pos[s..n), the node's and the pending ones, into
+ * column f's one window [s, n).  A counting sort on rank visits the bag
  * positions in ascending order, so ties keep position order. */
 static void presort(grower *g, int64_t f, int64_t s)
 {
-    int32_t *order = g->presort + f * g->m0;
+    int32_t *order = g->presort + f * g->n;
     const int32_t *rank = g->ranks + f * g->n;
     int32_t *count = g->count;
     memset(count, 0, sizeof(int32_t) * (g->n + 1));
-    for (int64_t i = 0; i < g->m0; i++)
+    for (int64_t i = 0; i < g->n; i++)
         if (g->where[i] >= s)
             count[rank[g->bag[i]] + 1]++;
     for (int64_t r = 1; r < g->n; r++)
         count[r] += count[r - 1];
-    for (int64_t i = 0; i < g->m0; i++)
+    for (int64_t i = 0; i < g->n; i++)
         if (g->where[i] >= s)
             order[s + count[rank[g->bag[i]]]++] = (int32_t)i;
     g->lo[f] = (int32_t)s;
-    g->ends[f * WINDOWS] = (int32_t)g->m0;
+    g->ends[f * WINDOWS] = (int32_t)g->n;
     g->windows[f] = 1;
 }
 
@@ -258,7 +257,7 @@ static void presort(grower *g, int64_t f, int64_t s)
  * with one. */
 static const pair *read_window(grower *g, int64_t f, int64_t s, int64_t e)
 {
-    int32_t *order = g->presort + f * g->m0;
+    int32_t *order = g->presort + f * g->n;
     int32_t *ends = g->ends + f * WINDOWS;
     const int32_t *rank = g->ranks + f * g->n;
     const int64_t lo = g->lo[f], hi = ends[g->windows[f] - 1];
@@ -294,7 +293,7 @@ static const pair *column_pairs(grower *g, int64_t f, int64_t s, int64_t m)
 {
     const int32_t *ends = g->ends + f * WINDOWS;
     if (g->windows[f]) {
-        /* drop the finished windows; the outermost ends at m0 > s */
+        /* drop the finished windows; the outermost ends at n > s */
         while (ends[g->windows[f] - 1] <= s)
             g->lo[f] = ends[--g->windows[f]];
     } else if (m >= PRESORT_MIN) {
@@ -476,7 +475,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
                      double *value, int64_t *n_samples, double *imp)
 {
     grower g;
-    setup(&g, x, ranks, n, p, bag, n, scratch);
+    setup(&g, x, ranks, n, p, bag, scratch);
     for (int64_t i = 0; i < n; i++) {
         g.yb[i] = y[bag[i]];
         g.pos[i] = g.where[i] = (int32_t)i;
@@ -550,8 +549,8 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
         for (int64_t i = 0; i < m; i++)
             g.where[pos[i]] = (int32_t)(at.start + i);
 
-        /* Non-empty sides bound the stack by m0 and the nodes by 2n - 1. */
-        if (nl == 0 || nr == 0 || top + 2 > g.m0)
+        /* Non-empty sides bound the stack by n and the nodes by 2n - 1. */
+        if (nl == 0 || nr == 0 || top + 2 > g.n)
             return -1;
         g.stack[top++] = (pending){at.start + nl, at.end, node};
         g.stack[top++] = (pending){at.start, at.start + nl, -1};

@@ -5,7 +5,6 @@ line where ``open()`` does: at ``\\n``, ``\\r\\n`` or ``\\r``."""
 from __future__ import annotations
 
 import ctypes
-import io
 import math
 import struct
 import tracemalloc
@@ -221,11 +220,10 @@ def test_dataset_readers_agree_on_both_paths(scanner, tmp_path, data, chunk):
 @given(data=st.data())
 def test_the_scanner_reads_every_clean_file(scanner, data):
     """A clean file never falls back, so the differential tests compare two paths."""
-    for kind in sorted(_PARSERS):
-        text = "\n".join(data.draw(measurement_lines(kind))) + "\n"
-        assert ingest._scan_compiled(text, _WIDTHS[kind]) is not None
-    text = "\n".join(data.draw(dataset_lines()))
-    assert fusion._scan_csv(io.BytesIO(text.encode("ascii"))) is not None
+    with mock.patch.object(ingest._Scan, "_scan_lines", None):
+        for kind in sorted(_PARSERS):
+            _PARSERS[kind]("\n".join(data.draw(measurement_lines(kind))) + "\n")
+        FusedDataset.from_csv("\n".join(data.draw(dataset_lines())))
 
 
 def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
@@ -260,6 +258,55 @@ def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
     assert read.rows.tobytes() == data.rows.tobytes()
     assert read.rows.flags.c_contiguous  # so forest.fit reads it without a copy
     assert peak <= read.rows.nbytes + 4 * chunk
+
+
+def _random_dataset(rows, width=3, seed=4):
+    rng = np.random.default_rng(seed)
+    return FusedDataset(tuple(f"x{j}" for j in range(width)), rng.standard_normal((rows, width)),
+                        rng.uniform(0.0, 9.0, rows), 180 * np.arange(rows))
+
+
+def test_a_refused_chunk_alone_takes_the_python_pass(scanner, tmp_path):
+    """A line the scanner refuses sends only its own chunk to the Python
+    pass; the file is not read again from the start."""
+    chunk = 64
+    lines = _random_dataset(40).to_csv().splitlines()
+    lines[-1] = "abc," + lines[-1].split(",", 1)[1]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    passes = []
+    scan_lines = ingest._Scan._scan_lines
+
+    def counted(self, cols):
+        passes.append(self.content[:self.end])
+        return scan_lines(self, cols)
+
+    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(ingest._Scan, "_scan_lines", counted):
+        with pytest.raises(MalformedLine, match=rf"^line {len(lines)}: unparsable number 'abc'$"):
+            FusedDataset.read_csv(path)
+    assert len(passes) == 1
+    assert passes[0].endswith((lines[-1] + "\n").encode())
+    assert len(passes[0]) <= chunk + max(map(len, lines)) + 1
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_dataset_with_other_line_ends_reads_through_the_scanner(scanner, tmp_path, newline,
+                                                                   chunk):
+    """Lines that end in \\r\\n or \\r read as LF lines do, with no Python pass;
+    a file of \\r lines counts one line, so its arrays grow as they fill."""
+    data = _random_dataset(30)
+    paths = {"\n": tmp_path / "lf.csv", newline: tmp_path / "other.csv"}
+    for end, path in paths.items():
+        with open(path, "w", encoding="utf-8", newline=end) as handle:
+            data.write_csv(handle)
+    assert paths[newline].read_bytes() == paths["\n"].read_bytes().replace(b"\n", newline.encode())
+    expected = _bits(FusedDataset.read_csv(paths["\n"]))
+    assert expected == _bits(data)
+    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(ingest._Scan, "_scan_lines", None):
+        assert _bits(FusedDataset.read_csv(paths[newline])) == expected
 
 
 def _record(kind, minute):
@@ -312,7 +359,7 @@ def test_scan_rows_refuses_what_it_cannot_pass_to_the_kernel(end, cols):
                          ids=["feature", "target"])
 def test_an_empty_dataset_cell_is_a_malformed_line(tmp_path, load, row):
     """The scanner reads an empty cell as a gap, as in a measurement file;
-    a dataset has no gaps, so its Python reader names the line."""
+    a dataset has no gaps, so its reader names the line from the scanned rows."""
     text = f"x0,x1,target,row_time\n1.0,2.0,3.0,1970-01-01T00:00Z\n{row}\n"
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -321,7 +368,9 @@ def test_an_empty_dataset_cell_is_a_malformed_line(tmp_path, load, row):
             buf = row.encode("ascii")
             scanned = ingest.scan_rows(buf, len(buf), 3, stamp_last=True)
             assert scanned[3].tolist() == [[cell != "" for cell in row.split(",")[:3]]]
-            assert fusion._scan_rows(buf, len(buf), 4) is None
+            with mock.patch.object(ingest._Scan, "_scan_lines", None):
+                with pytest.raises(MalformedLine, match=r"^line 3: unparsable number ''$"):
+                    FusedDataset.from_csv(text)
         for read in (lambda: FusedDataset.read_csv(path), lambda: FusedDataset.from_csv(text)):
             with pytest.raises(MalformedLine, match=r"^line 3: unparsable number ''$"):
                 read()

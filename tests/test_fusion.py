@@ -8,13 +8,14 @@ import tempfile
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpforecast import datagen, ingest
+from kpforecast import datagen, fusion, ingest
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -597,3 +598,45 @@ def test_a_corrupted_dataset_line_is_reported_with_its_number(dataset, data):
                 read()
             assert type(exc.value) is error
             assert exc.value.line_no == faults[0][0] + 1
+
+
+@pytest.mark.parametrize("chunk", [16, 1 << 20])
+def test_a_file_that_grows_between_the_passes_still_reads(tmp_path, chunk):
+    """Rows appended after the lines were counted grow the arrays."""
+    rows = np.arange(15.0).reshape(-1, 1)
+    grown = make_dataset(rows, np.linspace(0.0, 9.0, 15))
+    header, *lines = grown.to_csv().splitlines(keepends=True)
+    path = tmp_path / "data.csv"
+    path.write_text(header + "".join(lines[:10]), encoding="utf-8")
+    count_lines = fusion._count_lines
+
+    def counted_then_grown(handle):
+        counted = count_lines(handle)
+        with open(path, "a", encoding="utf-8") as more:
+            more.write("".join(lines[10:]))
+        return counted
+
+    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(fusion, "_count_lines", counted_then_grown):
+        read = FusedDataset.read_csv(path)
+    _assert_same_bits(read, grown)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 20])
+def test_a_body_that_is_not_utf8_raises_before_any_line_fault(tmp_path, chunk):
+    """The counting pass checks the bytes, so a fault on an earlier line does
+    not hide them, and the error is that of decoding the file whole."""
+    lines = make_dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]).to_csv().splitlines()
+    lines[1] = "abc," + lines[1].split(",", 1)[1]
+    body = ("\n".join(lines) + "\n").encode()
+    content = body + b"# caf\xe9\n"
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        content.decode("utf-8")
+    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
+        with pytest.raises(UnicodeDecodeError) as exc:
+            FusedDataset.read_csv(path)
+    assert str(exc.value) == str(whole.value)
+    with pytest.raises(MalformedLine, match="^line 2: unparsable number 'abc'$"):
+        FusedDataset.from_csv(body.decode())

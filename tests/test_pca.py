@@ -95,27 +95,6 @@ def test_sign_convention_largest_entry_positive():
             assert row[np.argmax(np.abs(row))] > 0.0
 
 
-def test_standardize_flag_works_on_zscored_columns():
-    rng = PortableRng(9)
-    base = np.array([rng.random() for _ in range(30)])
-    # second column is the first times 1000: raw PCA is dominated by it,
-    # standardised PCA sees two identical columns -> diagonal direction
-    X = np.column_stack([base, base * 1000.0])
-    model = fit_pca(make_dataset(X, np.ones(30)), 1, standardize=True)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    assert np.allclose(np.abs(model.directions[0]), [inv_sqrt2, inv_sqrt2],
-                       atol=1e-9)
-    raw = fit_pca(make_dataset(X, np.ones(30)), 1)
-    assert abs(raw.directions[0][1]) > 0.999  # scale-dominated without it
-
-
-def test_standardize_keeps_constant_columns_finite():
-    X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
-    model = fit_pca(make_dataset(X, np.ones(10)), 1, standardize=True)
-    assert np.isfinite(model.directions).all()
-    assert model.scale[1] == 1.0
-
-
 def test_validation_errors():
     data = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [1.0, 1.0, 1.0])
     with pytest.raises(KOutOfRange):
