@@ -12,12 +12,14 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TextIO
+from typing import BinaryIO
 
 from . import baseline, datagen, evaluate, forest, ingest, modelio, pca
 from .errors import DataError
@@ -77,17 +79,22 @@ def _model_kind(text: str) -> str:
     return text
 
 
-def _read_text(path: str) -> str:
-    """The text of a named input file; one that is not UTF-8 is a data error naming it."""
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to a fault in the content of that input file: a
+    :class:`DataError`, or bytes that are not UTF-8, becomes a data error
+    that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        yield
+    except (DataError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def _load_config(path: str) -> dict[str, str]:
+    with _naming(path):
+        text = Path(path).read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).split("\n"), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,39 +189,28 @@ _FOREST_SPEC = _field_spec(forest.ForestConfig, _FOREST_OPTIONS)
 _THREADS_SPEC = {"threads": (int, None, "worker threads (default: the usable CPUs)")}
 
 
-def _parse_source(path: str, parse):
-    text = _read_text(path)
-    try:
-        return parse(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _read_sources(opts):
-    solar = ingest.solar_wind_series(_parse_source(opts.solar_wind, ingest.parse_solar_wind))
-    dst = ingest.to_series(_parse_source(opts.dst, ingest.parse_dst), "dst", 60)
-    kp = ingest.to_series(_parse_source(opts.kp, ingest.parse_kp), "kp", 180)
+    with _naming(opts.solar_wind):
+        solar = ingest.solar_wind_series(
+            ingest.parse_solar_wind(Path(opts.solar_wind).read_bytes()))
+    with _naming(opts.dst):
+        dst = ingest.to_series(ingest.parse_dst(Path(opts.dst).read_bytes()), "dst", 60)
+    with _naming(opts.kp):
+        kp = ingest.to_series(ingest.parse_kp(Path(opts.kp).read_bytes()), "kp", 180)
     return solar, dst, kp
 
 
-def _create(path_text: str) -> TextIO:
-    """Open an output file for writing, making its directory first."""
+def _create(path_text: str) -> BinaryIO:
+    """Open an output file for writing bytes, making its directory first."""
     path = Path(path_text)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", encoding="utf-8")
+    return path.open("wb")
 
 
 def _write(path_text: str, content: str) -> None:
     with _create(path_text) as handle:
-        handle.write(content)
-
-
-def _load_dataset(path: str) -> FusedDataset:
-    try:
-        return FusedDataset.read_csv(path)
-    except (DataError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        handle.write(content.encode("utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +274,12 @@ def _cmd_train(args) -> int:
     threads = _threads(opts)  # validate before touching the filesystem
     if opts.model_kind == "linear":
         _refuse_forest_options(opts)
-        model = baseline.fit_linear(_load_dataset(opts.data))
+        fit = baseline.fit_linear
     else:
         config = forest.ForestConfig(**_values(_FOREST_OPTIONS, opts))
-        model = forest.fit(_load_dataset(opts.data), config, threads=threads)
+        fit = functools.partial(forest.fit, config=config, threads=threads)
+    with _naming(opts.data):
+        model = fit(FusedDataset.read_csv(opts.data))
     _write(opts.out, modelio.model_to_json(model))
     return 0
 
@@ -314,7 +312,8 @@ def _check_feature_names(model, data: FusedDataset, model_path: str,
 def _cmd_predict(args) -> int:
     opts = _resolve(args, _PREDICT_SPEC)
     model = modelio.load_model(opts.model)
-    data = _load_dataset(opts.data)
+    with _naming(opts.data):
+        data = FusedDataset.read_csv(opts.data)
     _check_feature_names(model, data, opts.model, opts.data)
     if isinstance(model, forest.ForestModel):
         predicted = forest.predict_batch(model, data.rows)
@@ -339,7 +338,7 @@ def _cmd_importance(args) -> int:
     opts = _resolve(args, _IMPORTANCE_SPEC)
     model = modelio.load_model(opts.model)
     if not isinstance(model, forest.ForestModel):
-        raise DataError("importance needs a forest model, got a linear one")
+        raise DataError(f"{opts.model}: importance needs a forest model, got a linear one")
     _write(opts.out, forest.importance(model).to_csv())
     return 0
 
@@ -429,9 +428,9 @@ _PCA_SPEC = {
 
 def _cmd_pca(args) -> int:
     opts = _resolve(args, _PCA_SPEC)
-    data = _load_dataset(opts.data)
-    model = pca.fit_pca(data, 2)
-    coords = pca.project(model, data)
+    with _naming(opts.data):
+        data = FusedDataset.read_csv(opts.data)
+        coords = pca.project(pca.fit_pca(data, 2), data)
     lines = ["pc1,pc2,kp_label"]
     lines += [
         f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},"

@@ -151,6 +151,5 @@ def write_csv(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Pat
     out.mkdir(parents=True, exist_ok=True)
     paths = (out / "solar_wind.csv", out / "dst.csv", out / "kp.csv")
     for path, group in zip(paths, (solar, (dst,), (kp,))):
-        path.write_text(ingest.format_table(MeasurementTable.from_series(group)),
-                        encoding="utf-8")
+        path.write_bytes(ingest.format_table(MeasurementTable.from_series(group)))
     return paths

@@ -21,8 +21,9 @@ then reads each chunk into its slice of the rows.
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
 :mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
 names then ``target,row_time``, and one line per row with every float written
-as ``repr`` writes it (an exact round-trip).  ``write_csv`` streams it a
-block of rows at a time, and ``to_csv`` returns the same text as a string.
+as ``repr`` writes it (an exact round-trip).  The dataset CSV is bytes
+here, as all CSV text is in the package: ``write_csv`` streams it to a
+binary file a block of rows at a time, and ``to_csv`` returns the same bytes.
 A dataset line is a measurement record's row shape with the stamp moved
 last, so :func:`.ingest.format_rows` writes each block and
 :func:`.ingest.parse_dataset_rows` reads the rows: the row grammar, and the
@@ -30,8 +31,8 @@ order in which a line's faults are reported, live in :mod:`.ingest` alone.
 This module calls no compiled code itself.
 
 Both readers take one entry point over the file's bytes: ``read_csv`` opens
-the file, and ``from_csv`` reads a string as its UTF-8 bytes, so the two
-agree on every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
+the file, and ``from_csv`` reads bytes held in memory, so the two agree on
+every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
 universal newlines of ``open()``) and nowhere else.  The bytes are read
 twice, a chunk at a time: once to count the lines and check that they are
 UTF-8, and once to read the rows, so neither the file nor a second copy of
@@ -48,7 +49,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -186,27 +187,27 @@ class FusedDataset:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
-    def _csv_blocks(self) -> Iterator[str]:
+    def _csv_blocks(self) -> Iterator[bytes]:
         """The dataset CSV: the header line, then the lines of each block of
         rows, every cell as ``repr`` writes it (see :func:`.ingest.format_rows`)."""
-        yield ",".join([*self.feature_names, "target", "row_time"]) + "\n"
+        yield (",".join([*self.feature_names, "target", "row_time"]) + "\n").encode("utf-8")
         for start in range(0, self.n_rows, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             yield format_rows(np.column_stack([self.rows[start:stop], self.targets[start:stop]]),
                               format_minutes(self.row_minutes[start:stop]), stamp_last=True)
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> bytes:
         """Header plus one line per row; floats via repr (exact round-trip)."""
-        return "".join(self._csv_blocks())
+        return b"".join(self._csv_blocks())
 
-    def write_csv(self, handle: TextIO) -> None:
-        """Write :meth:`to_csv`'s text to ``handle`` a block of rows at a time."""
+    def write_csv(self, handle: BinaryIO) -> None:
+        """Write :meth:`to_csv`'s bytes to the binary ``handle`` a block of rows at a time."""
         handle.writelines(self._csv_blocks())
 
     @classmethod
-    def from_csv(cls, content: str) -> "FusedDataset":
-        """Parse the text :meth:`to_csv` writes, as :meth:`read_csv` reads its bytes."""
-        return cls._read(io.BytesIO(content.encode("utf-8")))
+    def from_csv(cls, content: bytes) -> "FusedDataset":
+        """Parse the bytes :meth:`to_csv` writes, as :meth:`read_csv` reads a file's."""
+        return cls._read(io.BytesIO(content))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FusedDataset":

@@ -18,35 +18,38 @@ Formats:
 * Dst — ``t,dst`` hourly (nT, typically negative during storms)
 * Kp — ``t,kp`` every 3 hours on 00/03/06/... UTC boundaries, value in [0, 9]
 
-A parser returns a :class:`MeasurementTable`, the records column by column:
-int64 minute times (every instant in the package counts minutes from
-1970-01-01T00:00Z), a 2-D float64 value array and a ``present`` mask.
+A parser takes the file's bytes and returns a :class:`MeasurementTable`,
+the records column by column: int64 minute times (every instant in the
+package counts minutes from 1970-01-01T00:00Z), a 2-D float64 value array
+and a ``present`` mask.
 
 ``to_series`` places one table column onto its cadence grid with gaps marked
 explicitly, which is the form the fusion stage consumes.  ``format_table``
-writes a table back in its canonical format, every number as ``repr``
+returns a table's bytes in its canonical format, every number as ``repr``
 writes it.  The package's one timestamp codec is here too:
 ``minutes_from_digits`` and ``format_minutes`` for arrays,
 ``parse_timestamp`` and ``format_timestamp`` for one instant.
 
-The row codec is here as well, and nowhere else.  A row is a timestamp and
+The row codec is here as well, and nowhere else.  It takes and returns
+``bytes`` only, never CSV text as ``str``.  A row is a timestamp and
 numbers, the stamp first (a measurement record) or last (a dataset row of
 :mod:`.fusion`, which :func:`parse_dataset_rows` reads a chunk of lines at
-a time).  One reader serves both: it turns ``\r\n`` and ``\r`` into
-``\n``, then makes one pass over the lines, which splits the fields, matches
-the timestamp pattern (keeping its digits) and converts the numbers.  Every
-other check (calendar validity, finiteness, ranges, and for a measurement
-file time order and alignment) runs on the arrays and reports the first
-faulty line in file order, with the error that checking each line as it is
-read would raise there: within a line, faults rank left to right.  The pass
-is ``scan_rows``, the compiled kernel ``csvscan.c`` (built by
-:func:`.splitkernel.load`), where the bytes keep to its strict form:
-printable ASCII, plain decimal numbers that it converts to the value
+a time).  One reader serves both.  Bytes that are not UTF-8 raise first,
+named by their place in the file.  The reader turns ``\r\n`` and ``\r``
+into ``\n``, then makes one pass over the lines, which splits the fields,
+matches the timestamp pattern (keeping its digits) and converts the
+numbers.  Every other check (calendar validity, finiteness, ranges, and
+for a measurement file time order and alignment) runs on the arrays and
+reports the first faulty line in file order, with the error that checking
+each line as it is read would raise there: within a line, faults rank left
+to right.  The pass is ``scan_rows``, the compiled kernel ``csvscan.c``
+(built by :func:`.splitkernel.load`), where the bytes keep to its strict
+form: printable ASCII, plain decimal numbers that it converts to the value
 ``float`` gives.  Any other bytes, and all bytes where the kernel cannot be
-built, take the Python pass, which converts with ``float`` and is the
-scanner's test reference.  ``format_rows`` writes rows as ``repr`` would,
-through the kernel where it can be built, else through its one Python
-reference writer.
+built, take the Python pass, which decodes them, converts with ``float``
+and is the scanner's test reference.  ``format_rows`` returns the bytes of
+rows written as ``repr`` would, through the kernel where it can be built,
+else through its one Python reference writer.
 """
 
 from __future__ import annotations
@@ -297,24 +300,15 @@ def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
     return line_nos, stamps[:rows], values[:rows], present[:rows]
 
 
-def _scan_compiled(content: str | bytes, cols: int, end: int | None = None, *,
-                   stamp_last: bool = False):
-    """``_Scan._scan_lines``'s arrays of ``content[:end]`` from :func:`scan_rows`,
-    or None.  Text is scanned as its ASCII bytes, which are not kept."""
-    if isinstance(content, str):
-        if not content.isascii():
-            return None
-        content = content.encode("ascii")
-    return scan_rows(content, len(content) if end is None else end, cols, stamp_last=stamp_last)
-
-
 class _Scan:
     """One pass over the lines of ``content[:end]``, then every other check on whole arrays.
 
     A row is a timestamp and ``cols`` numbers: the stamp first (a
     measurement record, where an empty field is a gap) or, with
     ``stamp_last``, last (a dataset row, which has no gaps: an empty cell is
-    not a number).  Lines are numbered from ``first_line``; bytes are UTF-8.
+    not a number).  Lines are numbered from ``first_line``; the bytes must be
+    UTF-8, and a byte that is not raises the ``UnicodeDecodeError`` of
+    decoding ``content[:end]`` before any fault of a line is reported.
     The pass is the compiled scanner's where it reads the content, else
     :meth:`_scan_lines`.  Each check notes the first record it fails on, and
     :meth:`raise_first` raises the fault of the earliest line and, within
@@ -322,17 +316,19 @@ class _Scan:
     problem as checking every line in turn.
     """
 
-    def __init__(self, content: str | bytes, cols: int, *, end: int | None = None,
+    def __init__(self, content: bytes, cols: int, *, end: int | None = None,
                  stamp_last: bool = False, first_line: int = 1) -> None:
         end = len(content) if end is None else end
-        cr, lf = ("\r", "\n") if isinstance(content, str) else (b"\r", b"\n")
-        if content.find(cr, 0, end) >= 0:  # \r\n and \r end a line as \n does
-            content = content[:end].replace(cr + lf, lf).replace(cr, lf)
+        if content.find(b"\r", 0, end) >= 0:  # \r\n and \r end a line as \n does
+            content = content[:end]
+            if not content.isascii():  # name a byte that is not UTF-8 by its place in the file
+                content.decode("utf-8")
+            content = content.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             end = len(content)
         self.content, self.end = content, end
         self.stamp_last, self.first_line = stamp_last, first_line
         self.faults: list[tuple[int, int, Callable[[], Exception]]] = []  # (record, rank, error)
-        scanned = _scan_compiled(content, cols, end, stamp_last=stamp_last)
+        scanned = scan_rows(content, end, cols, stamp_last=stamp_last)
         if scanned is None:
             scanned = self._scan_lines(cols)
         self.line_nos, stamps, self.values, self.present = scanned
@@ -391,8 +387,7 @@ class _Scan:
         return self.first_line - 1 + self.line_nos[record]
 
     def _text(self) -> str:
-        content = self.content[:self.end]
-        return content if isinstance(content, str) else content.decode("utf-8")
+        return self.content[:self.end].decode("utf-8")
 
     def _cells(self, record: int) -> list[str]:
         return self._text().split("\n")[self.line_nos[record] - 1].rstrip().split(",")
@@ -432,7 +427,7 @@ class _Scan:
         return MeasurementTable(fields, self.minutes, self.values, self.present)
 
 
-def parse_solar_wind(content: str) -> MeasurementTable:
+def parse_solar_wind(content: bytes) -> MeasurementTable:
     """Parse the 8-column solar-wind format; an empty file gives an empty table."""
     scan = _Scan(content, len(SOLAR_WIND_FIELDS))
     scan.check_order()
@@ -450,7 +445,7 @@ def parse_solar_wind(content: str) -> MeasurementTable:
     return scan.table(SOLAR_WIND_FIELDS)
 
 
-def parse_dst(content: str) -> MeasurementTable:
+def parse_dst(content: bytes) -> MeasurementTable:
     """Parse the hourly Dst format (timestamps must sit on hour boundaries)."""
     scan = _Scan(content, 1)
     scan.check_order()
@@ -459,7 +454,7 @@ def parse_dst(content: str) -> MeasurementTable:
     return scan.table(("dst",))
 
 
-def parse_kp(content: str) -> MeasurementTable:
+def parse_kp(content: bytes) -> MeasurementTable:
     """Parse the 3-hourly Kp format; values must lie in [0, 9]."""
     scan = _Scan(content, 1)
     scan.check_order()
@@ -495,7 +490,7 @@ def parse_dataset_rows(buf: bytes, end: int, cols: int,
 # serialisation (inverse of the parsers; floats via repr for exact round-trip)
 
 
-def format_table(table: MeasurementTable) -> str:
+def format_table(table: MeasurementTable) -> bytes:
     """The table in its canonical format, one line per record, gaps empty."""
     return format_rows(table.values, format_minutes(table.minutes), table.present,
                        stamp_last=False)
@@ -507,7 +502,7 @@ _CELL_BYTES = 25
 
 
 def format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | None = None,
-                *, stamp_last: bool) -> str:
+                *, stamp_last: bool) -> bytes:
     """CSV lines of the rows of ``values``, each value as ``repr`` writes it.
 
     Line ``r`` holds ``stamps[r]`` (ASCII) and the values of row ``r``: the
@@ -533,11 +528,11 @@ def format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | Non
     out = np.empty(rows * (cols * _CELL_BYTES + encoded.itemsize + 2), dtype=np.uint8)
     size = library.kp_format_rows(values.ctypes.data, flags, rows, cols, encoded.ctypes.data,
                                   encoded.itemsize, stamp_last, out.ctypes.data)
-    return str(out[:size], "ascii")
+    return out[:size].tobytes()
 
 
 def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | None,
-                 stamp_last: bool) -> str:
+                 stamp_last: bool) -> bytes:
     """:func:`format_rows` in Python: the reference for ``kp_format_rows``.
 
     Dataset rows (stamp last) format each distinct bit pattern once and
@@ -558,8 +553,10 @@ def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | No
         cells[~present] = ""
     lines = cells.tolist()
     if stamp_last:
-        return "".join(",".join(line) + "," + stamp + "\n" for line, stamp in zip(lines, stamps))
-    return "".join(stamp + "," + ",".join(line) + "\n" for line, stamp in zip(lines, stamps))
+        text = "".join(",".join(line) + "," + stamp + "\n" for line, stamp in zip(lines, stamps))
+    else:
+        text = "".join(stamp + "," + ",".join(line) + "\n" for line, stamp in zip(lines, stamps))
+    return text.encode("ascii")
 
 
 # --------------------------------------------------------------------------

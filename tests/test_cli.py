@@ -318,10 +318,13 @@ def test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd):
     assert digests == PINNED_DIGESTS
 
 
-def test_the_pinned_bytes_hold_without_the_csv_scanner(tmp_cwd, monkeypatch):
+@pytest.mark.parametrize("missing", [("csvscan",), ("csvscan", "splitkernel")],
+                         ids=["no scanner", "no kernel at all"])
+def test_the_pinned_bytes_hold_without_the_csv_scanner(tmp_cwd, monkeypatch, missing):
+    """The Python writer, reader and (with no kernel at all) grower write the same bytes."""
     load = splitkernel.load
     monkeypatch.setattr(splitkernel, "load",
-                        lambda name="splitkernel": None if name == "csvscan" else load(name))
+                        lambda name="splitkernel": None if name in missing else load(name))
     test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd)
 
 
@@ -438,7 +441,8 @@ def test_a_faulty_file_flag_never_ends_in_a_traceback(valid_files, tmp_path_fact
     argv[at] = str(_faulty_file(fault, valid, where, data))
     code, err = _run(argv)
     assert code in (0, 1, 2) and "Traceback" not in err
-    if valid is not None and fault in ("directory", "non-UTF-8"):
+    if valid is not None and (fault in ("directory", "non-UTF-8")
+                              or fault == "empty" and code == 2):
         assert code == 2 and err.startswith(f"error: {argv[at]}: ")
         assert err.count("\n") == 1
     if valid is not None and fault == "missing":
@@ -630,8 +634,64 @@ def test_pca_on_fewer_than_2_rows_is_a_data_error(valid_files, tmp_path, rows, g
     data = tmp_path / "short.csv"
     data.write_text("".join(lines[:1 + rows]))
     code, err = _run(["pca", "--data", str(data), "--out", str(tmp_path / "pca.csv")])
-    assert (code, err) == (2, f"error: PCA needs at least 2 rows, got {got}\n")
+    assert (code, err) == (2, f"error: {data}: PCA needs at least 2 rows, got {got}\n")
     assert not (tmp_path / "pca.csv").exists()
+
+
+_OFF_GRID = b"2021-01-01T00:00Z,1,1,1,1,1,1,1\n2021-01-01T00:17Z,1,1,1,1,1,1,1\n"
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--solar-wind", b"", "no records to build series 'fma'"),
+    ("--dst", b"# a note\n", "no records to build series 'dst'"),
+    ("--kp", b"", "no records to build series 'kp'"),
+    ("--solar-wind", _OFF_GRID, "fma: record at 2021-01-01T00:17Z is off the 5-minute grid "
+                                "anchored at 2021-01-01T00:00Z"),
+], ids=["empty-solar-wind", "empty-dst", "empty-kp", "off-grid"])
+def test_a_source_that_gives_no_series_is_named(valid_files, tmp_path, flag, content, message):
+    # these faults are found after the parser, when the records are placed
+    # on their grid, and once exited 2 without the file's name
+    source = tmp_path / "source.csv"
+    source.write_bytes(content)
+    argv = _argv("fuse", valid_files, tmp_path / "o.csv")
+    argv[argv.index(flag) + 1] = str(source)
+    assert _run(argv) == (2, f"error: {source}: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["train", "--trees", "2", "--threads", "1"], "cannot fit a forest on zero rows"),
+    (["train", "--model-kind", "linear"], "cannot fit a linear model on zero rows"),
+], ids=["forest", "linear"])
+def test_a_header_only_dataset_is_named(valid_files, tmp_path, command, message):
+    # pca on the same file: test_pca_on_fewer_than_2_rows_is_a_data_error
+    data = tmp_path / "header.csv"
+    data.write_bytes(valid_files["data"].read_bytes().split(b"\n", 1)[0] + b"\n")
+    code, err = _run([*command, "--data", str(data), "--out", str(tmp_path / "out")])
+    assert (code, err) == (2, f"error: {data}: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_importance_names_a_linear_model(valid_files, tmp_path):
+    linear = valid_files["linear"]
+    code, err = _run(["importance", "--model", str(linear), "--out", str(tmp_path / "r.csv")])
+    assert (code, err) == (2, f"error: {linear}: importance needs a forest model, "
+                              "got a linear one\n")
+
+
+def test_a_crlf_source_that_is_not_utf8_is_named_at_its_byte(valid_files, tmp_path):
+    """The byte's position counts from the file's start, not from the text
+    with its \\r\\n line ends made \\n, and comes before the fault on line 1."""
+    lines = (valid_files["src"] / "kp.csv").read_bytes().replace(b"\n", b"\r\n")
+    cut = len(lines) // 2
+    content = b"not a record\r\n" + lines[:cut] + b"\xff" + lines[cut:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        content.decode("utf-8")
+    kp = tmp_path / "kp.csv"
+    kp.write_bytes(content)
+    argv = _argv("fuse", valid_files, tmp_path / "o.csv")
+    argv[argv.index("--kp") + 1] = str(kp)
+    assert _run(argv) == (2, f"error: {kp}: {whole.value}\n")
 
 
 def test_a_lookback_no_instant_can_fit_exits_2_naming_the_source(valid_files, tmp_path):

@@ -169,7 +169,7 @@ def _bits(result):
 
 def _measurement(kind, content: bytes):
     try:
-        return _PARSERS[kind](content.decode("utf-8"))
+        return _PARSERS[kind](content)
     except (DataError, UnicodeDecodeError) as exc:
         return exc
 
@@ -183,7 +183,7 @@ def _dataset_file(path):
 
 def _dataset_text(content: bytes):
     try:
-        return FusedDataset.from_csv(content.decode("utf-8"))
+        return FusedDataset.from_csv(content)
     except (DataError, UnicodeDecodeError) as exc:
         return exc
 
@@ -208,10 +208,7 @@ def test_dataset_readers_agree_on_both_paths(scanner, tmp_path, data, chunk):
     path.write_bytes(content)
     with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
         from_file, from_text = _dataset_file(path), _dataset_text(content)
-    if isinstance(from_text, UnicodeDecodeError):  # the bytes are not text
-        assert isinstance(from_file, UnicodeDecodeError)
-    else:
-        assert _bits(from_text) == _bits(from_file)
+    assert _bits(from_text) == _bits(from_file)
     with mock.patch.object(splitkernel, "load", _scanner_off):
         assert _bits(_dataset_file(path)) == _bits(from_file)
         assert _bits(_dataset_text(content)) == _bits(from_text)
@@ -222,20 +219,19 @@ def test_the_scanner_reads_every_clean_file(scanner, data):
     """A clean file never falls back, so the differential tests compare two paths."""
     with mock.patch.object(ingest._Scan, "_scan_lines", None):
         for kind in sorted(_PARSERS):
-            _PARSERS[kind]("\n".join(data.draw(measurement_lines(kind))) + "\n")
-        FusedDataset.from_csv("\n".join(data.draw(dataset_lines())))
+            _PARSERS[kind](("\n".join(data.draw(measurement_lines(kind))) + "\n").encode())
+        FusedDataset.from_csv("\n".join(data.draw(dataset_lines())).encode())
 
 
 def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
     datagen.write_csv(datagen.SynthConfig(seed=2, n_days=3), tmp_path)
     for kind, name in (("solar wind", "solar_wind.csv"), ("dst", "dst.csv"), ("kp", "kp.csv")):
-        text = (tmp_path / name).read_text(encoding="utf-8")
-        assert ingest._scan_compiled(text, _WIDTHS[kind]) is not None
-        compiled = _bits(_PARSERS[kind](text))
+        content = (tmp_path / name).read_bytes()
+        with mock.patch.object(ingest._Scan, "_scan_lines", None):  # LF and CRLF are scanned
+            compiled = _bits(_PARSERS[kind](content))
+            assert _bits(_PARSERS[kind](content.replace(b"\n", b"\r\n"))) == compiled
         with mock.patch.object(splitkernel, "load", _scanner_off):
-            assert _bits(_PARSERS[kind](text)) == compiled
-        with mock.patch.object(ingest._Scan, "_scan_lines", None):  # CRLF text is scanned
-            assert _bits(_PARSERS[kind](text.replace("\n", "\r\n"))) == compiled
+            assert _bits(_PARSERS[kind](content)) == compiled
 
 
 def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
@@ -246,7 +242,7 @@ def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
     data = FusedDataset(tuple(f"x{j}" for j in range(p)), rng.standard_normal((n, p)),
                         rng.uniform(0.0, 9.0, n), 180 * np.arange(n))
     path = tmp_path / "data.csv"
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         data.write_csv(handle)
     with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
         tracemalloc.start()
@@ -270,7 +266,7 @@ def test_a_refused_chunk_alone_takes_the_python_pass(scanner, tmp_path):
     """A line the scanner refuses sends only its own chunk to the Python
     pass; the file is not read again from the start."""
     chunk = 64
-    lines = _random_dataset(40).to_csv().splitlines()
+    lines = _random_dataset(40).to_csv().decode().splitlines()
     lines[-1] = "abc," + lines[-1].split(",", 1)[1]
     path = tmp_path / "data.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -297,16 +293,14 @@ def test_a_dataset_with_other_line_ends_reads_through_the_scanner(scanner, tmp_p
     """Lines that end in \\r\\n or \\r read as LF lines do, with no Python pass;
     a file of \\r lines counts one line, so its arrays grow as they fill."""
     data = _random_dataset(30)
-    paths = {"\n": tmp_path / "lf.csv", newline: tmp_path / "other.csv"}
-    for end, path in paths.items():
-        with open(path, "w", encoding="utf-8", newline=end) as handle:
-            data.write_csv(handle)
-    assert paths[newline].read_bytes() == paths["\n"].read_bytes().replace(b"\n", newline.encode())
-    expected = _bits(FusedDataset.read_csv(paths["\n"]))
+    lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    lf.write_bytes(data.to_csv())
+    other.write_bytes(data.to_csv().replace(b"\n", newline.encode()))
+    expected = _bits(FusedDataset.read_csv(lf))
     assert expected == _bits(data)
     with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
             mock.patch.object(ingest._Scan, "_scan_lines", None):
-        assert _bits(FusedDataset.read_csv(paths[newline])) == expected
+        assert _bits(FusedDataset.read_csv(other)) == expected
 
 
 def _record(kind, minute):
@@ -319,12 +313,12 @@ def test_only_universal_newlines_end_a_line(sep, tmp_path):
     ``open()`` does not, stays in its comment for every reader."""
     for kind, parse in _PARSERS.items():
         text = f"{_record(kind, 0)}\n# note{sep}{_record(kind, 180)}\n"
-        assert len(parse(text)) == 1, kind
+        assert len(parse(text.encode())) == 1, kind
     text = ("x0,target,row_time\n1.0,2.0,1970-01-01T00:00Z\n"
             f"# note{sep}1.0,2.0,1970-01-01T03:00Z\n")
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert FusedDataset.from_csv(text).n_rows == 1
+    assert FusedDataset.from_csv(text.encode("utf-8")).n_rows == 1
     assert FusedDataset.read_csv(path).n_rows == 1
     config = tmp_path / "synth.toml"
     config.write_bytes(f"# note{sep}bogus = 1\ndays = 1\n".encode("utf-8"))
@@ -360,9 +354,9 @@ def test_scan_rows_refuses_what_it_cannot_pass_to_the_kernel(end, cols):
 def test_an_empty_dataset_cell_is_a_malformed_line(tmp_path, load, row):
     """The scanner reads an empty cell as a gap, as in a measurement file;
     a dataset has no gaps, so its reader names the line from the scanned rows."""
-    text = f"x0,x1,target,row_time\n1.0,2.0,3.0,1970-01-01T00:00Z\n{row}\n"
+    text = f"x0,x1,target,row_time\n1.0,2.0,3.0,1970-01-01T00:00Z\n{row}\n".encode()
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_bytes(text)
     with mock.patch.object(splitkernel, "load", load):
         if load("csvscan") is not None:
             buf = row.encode("ascii")
@@ -396,7 +390,7 @@ def test_the_powers_of_five_are_exact(scanner):
 def _formatted(scanner, values):
     """Each value as ``kp_format_rows`` writes it."""
     text = ingest.format_rows(np.reshape(values, (-1, 1)), ["t"] * len(values), stamp_last=False)
-    return [line.removeprefix("t,") for line in text.split("\n")[:-1]]
+    return [line.removeprefix("t,") for line in text.decode("ascii").split("\n")[:-1]]
 
 
 def _scanned(scanner, texts):
@@ -512,9 +506,9 @@ def test_both_writers_keep_the_sign_of_zero(load):
     values, present = np.array([[0.0, -0.0, 1.0, -0.0, 0.0]]), np.array([[1, 1, 0, 1, 1]])
     with mock.patch.object(splitkernel, "load", load):
         assert (ingest.format_rows(values, ["t"], present, stamp_last=False)
-                == "t,0.0,-0.0,,-0.0,0.0\n")
+                == b"t,0.0,-0.0,,-0.0,0.0\n")
         assert (ingest.format_rows(values, ["t"], present, stamp_last=True)
-                == "0.0,-0.0,,-0.0,0.0,t\n")
+                == b"0.0,-0.0,,-0.0,0.0,t\n")
 
 
 @settings(max_examples=200)

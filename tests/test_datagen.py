@@ -112,7 +112,7 @@ def test_write_csv_round_trips_through_the_parsers(tmp_path):
     solar_path, dst_path, kp_path = write_csv(config, tmp_path)
     solar, dst, kp = generate(config)
 
-    table = ingest.parse_solar_wind(solar_path.read_text(encoding="utf-8"))
+    table = ingest.parse_solar_wind(solar_path.read_bytes())
     assert len(table) == 2 * 288
     parsed = ingest.solar_wind_series(table)
     for expect, got in zip(solar, parsed):
@@ -123,11 +123,11 @@ def test_write_csv_round_trips_through_the_parsers(tmp_path):
         assert np.array_equal(got.present, expect.present)
 
     dst_back = ingest.to_series(
-        ingest.parse_dst(dst_path.read_text(encoding="utf-8")), "dst", 60
+        ingest.parse_dst(dst_path.read_bytes()), "dst", 60
     )
     assert np.array_equal(dst_back.values, dst.values)
     kp_back = ingest.to_series(
-        ingest.parse_kp(kp_path.read_text(encoding="utf-8")), "kp", 180
+        ingest.parse_kp(kp_path.read_bytes()), "kp", 180
     )
     assert np.array_equal(kp_back.values, kp.values)
 

@@ -470,14 +470,14 @@ def test_dataset_csv_round_trip_is_bit_exact():
 
 
 def test_dataset_csv_rejects_malformed_content():
-    for empty in ("", "\n# only a comment\n"):
+    for empty in (b"", b"\n# only a comment\n"):
         with pytest.raises(EmptyDataset):
             FusedDataset.from_csv(empty)
     with pytest.raises(MalformedLine, match="line 2: .*target,row_time"):
-        FusedDataset.from_csv("# header next\na,b\n1,2\n")  # header lacks target,row_time
+        FusedDataset.from_csv(b"# header next\na,b\n1,2\n")  # header lacks target,row_time
     good = make_dataset([[1.0]], [2.0]).to_csv()
     with pytest.raises(MalformedLine, match="line 3: expected 3 cells, got 1"):
-        FusedDataset.from_csv(good + "1.0\n")  # short row
+        FusedDataset.from_csv(good + b"1.0\n")  # short row
 
 
 # -- CSV blocks: bit-exact across block edges, faults by line (properties) -------
@@ -518,7 +518,7 @@ def datasets(draw, sizes=(0, 1, 255, 256, 257, 513)):
 def _written_and_read(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "wb") as handle:
             data.write_csv(handle)
         return path.read_bytes(), FusedDataset.read_csv(path)
 
@@ -537,7 +537,7 @@ def test_dataset_csv_round_trip_is_bit_exact_across_block_edges(data):
     text = data.to_csv()
     _assert_same_bits(FusedDataset.from_csv(text), data)
     written, read = _written_and_read(data)
-    assert written == text.encode("utf-8")
+    assert written == text
     _assert_same_bits(read, data)
 
 
@@ -574,7 +574,7 @@ def _corrupt_dataset_line(how, cells, draw):
 @settings(max_examples=200)
 @given(datasets(sizes=(1, 2, 7, 255, 256, 257, 600)), st.data())
 def test_a_corrupted_dataset_line_is_reported_with_its_number(dataset, data):
-    lines = dataset.to_csv().splitlines()
+    lines = dataset.to_csv().decode().splitlines()
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, data.draw(st.sampled_from(["", "# comment", "   ", "#,,,"])))
@@ -588,11 +588,11 @@ def test_a_corrupted_dataset_line_is_reported_with_its_number(dataset, data):
         faults.append((data_lines[later], data.draw(kinds)))
     for index, how in faults:
         lines[index] = ",".join(_corrupt_dataset_line(how, lines[index].split(","), data.draw))
-    text = "\n".join(lines) + "\n"
+    text = ("\n".join(lines) + "\n").encode()
     error = _DATASET_CORRUPTIONS[faults[0][1]]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         for read in (lambda: FusedDataset.from_csv(text), lambda: FusedDataset.read_csv(path)):
             with pytest.raises(error) as exc:
                 read()
@@ -607,13 +607,13 @@ def test_a_file_that_grows_between_the_passes_still_reads(tmp_path, chunk):
     grown = make_dataset(rows, np.linspace(0.0, 9.0, 15))
     header, *lines = grown.to_csv().splitlines(keepends=True)
     path = tmp_path / "data.csv"
-    path.write_text(header + "".join(lines[:10]), encoding="utf-8")
+    path.write_bytes(header + b"".join(lines[:10]))
     count_lines = fusion._count_lines
 
     def counted_then_grown(handle):
         counted = count_lines(handle)
-        with open(path, "a", encoding="utf-8") as more:
-            more.write("".join(lines[10:]))
+        with open(path, "ab") as more:
+            more.write(b"".join(lines[10:]))
         return counted
 
     with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
@@ -627,8 +627,8 @@ def test_a_body_that_is_not_utf8_raises_before_any_line_fault(tmp_path, chunk):
     """The counting pass checks the bytes, so a fault on an earlier line does
     not hide them, and the error is that of decoding the file whole."""
     lines = make_dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]).to_csv().splitlines()
-    lines[1] = "abc," + lines[1].split(",", 1)[1]
-    body = ("\n".join(lines) + "\n").encode()
+    lines[1] = b"abc," + lines[1].split(b",", 1)[1]
+    body = b"\n".join(lines) + b"\n"
     content = body + b"# caf\xe9\n"
     path = tmp_path / "data.csv"
     path.write_bytes(content)
@@ -639,4 +639,4 @@ def test_a_body_that_is_not_utf8_raises_before_any_line_fault(tmp_path, chunk):
             FusedDataset.read_csv(path)
     assert str(exc.value) == str(whole.value)
     with pytest.raises(MalformedLine, match="^line 2: unparsable number 'abc'$"):
-        FusedDataset.from_csv(body.decode())
+        FusedDataset.from_csv(body)

@@ -113,10 +113,11 @@ def test_vectorised_and_scalar_timestamp_codecs_agree(minutes, zero_seconds):
     # both array parsers: a measurement file (strictly increasing) and a dataset CSV
     by_minute = dict(zip(minutes, texts))
     ordered = sorted(by_minute)
-    table = ingest.parse_solar_wind("".join(f"{by_minute[m]},1,1,1,1,1,1,1\n" for m in ordered))
+    table = ingest.parse_solar_wind(
+        "".join(f"{by_minute[m]},1,1,1,1,1,1,1\n" for m in ordered).encode())
     assert table.minutes.tolist() == ordered
-    dataset = FusedDataset.from_csv("x0,target,row_time\n"
-                                    + "".join(f"1.0,2.0,{text}\n" for text in texts))
+    dataset = FusedDataset.from_csv(("x0,target,row_time\n"
+                                     + "".join(f"1.0,2.0,{text}\n" for text in texts)).encode())
     assert dataset.row_minutes.tolist() == minutes
 
 
@@ -131,11 +132,19 @@ def test_a_date_the_calendar_lacks_is_refused_by_every_parser(text):
     digits = int("".join(filter(str.isdigit, text[:16])))
     assert not ingest.minutes_from_digits(np.array([digits]))[1][0]
     with pytest.raises(BadTimestamp) as in_file:
-        ingest.parse_dst(f"2021-01-01T00:00Z,1\n{text},2\n")
+        ingest.parse_dst(f"2021-01-01T00:00Z,1\n{text},2\n".encode())
     assert str(in_file.value) == f"line 2: {scalar.value}"
     with pytest.raises(BadTimestamp) as in_dataset:
-        FusedDataset.from_csv(f"x0,target,row_time\n1.0,2.0,{text}\n")
+        FusedDataset.from_csv(f"x0,target,row_time\n1.0,2.0,{text}\n".encode())
     assert str(in_dataset.value) == f"line 2: {scalar.value}"
+
+
+@pytest.mark.parametrize("read", [ingest.parse_solar_wind, ingest.parse_dst, ingest.parse_kp,
+                                  FusedDataset.from_csv], ids=lambda read: read.__name__)
+@pytest.mark.parametrize("text", ["", "2021-01-01T00:00Z,1\n"], ids=["empty", "a record"])
+def test_csv_text_is_bytes_only(read, text):
+    with pytest.raises(TypeError):
+        read(text)
 
 
 # -- solar wind ----------------------------------------------------------------
@@ -145,9 +154,9 @@ FIELD = {name: j for j, name in enumerate(ingest.SOLAR_WIND_FIELDS)}
 
 def test_parse_solar_wind_values_and_gaps():
     text = (
-        "# comment line\n"
-        "2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n"
-        "2021-01-01T00:05Z,4.2,,-0.1,1.0,,5.7,94000.0   \n"
+        b"# comment line\n"
+        b"2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n"
+        b"2021-01-01T00:05Z,4.2,,-0.1,1.0,,5.7,94000.0   \n"
     )
     table = ingest.parse_solar_wind(text)
     assert len(table) == 2
@@ -160,14 +169,14 @@ def test_parse_solar_wind_values_and_gaps():
 
 
 def test_parse_solar_wind_empty_file_gives_empty_table():
-    for text in ("", "# only a comment\n"):
+    for text in (b"", b"# only a comment\n"):
         table = ingest.parse_solar_wind(text)
         assert len(table) == 0
         assert table.values.shape == table.present.shape == (0, 7)
 
 
 def test_parse_solar_wind_field_count_error_carries_line_number():
-    text = "2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n2021-01-01T00:05Z,1,2\n"
+    text = b"2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n2021-01-01T00:05Z,1,2\n"
     with pytest.raises(MalformedLine) as exc:
         ingest.parse_solar_wind(text)
     assert exc.value.line_no == 2
@@ -175,25 +184,25 @@ def test_parse_solar_wind_field_count_error_carries_line_number():
 
 def test_parse_solar_wind_rejects_bad_numbers_and_non_finite():
     with pytest.raises(MalformedLine):
-        ingest.parse_solar_wind("2021-01-01T00:00Z,abc,0,0,0,1,1,1\n")
+        ingest.parse_solar_wind(b"2021-01-01T00:00Z,abc,0,0,0,1,1,1\n")
     with pytest.raises(MalformedLine):
-        ingest.parse_solar_wind("2021-01-01T00:00Z,nan,0,0,0,1,1,1\n")
+        ingest.parse_solar_wind(b"2021-01-01T00:00Z,nan,0,0,0,1,1,1\n")
 
 
 def test_parse_solar_wind_rejects_negative_physical_quantities():
     with pytest.raises(ValueOutOfRange):
-        ingest.parse_solar_wind("2021-01-01T00:00Z,4.0,0,0,0,-5.0,1,1\n")
+        ingest.parse_solar_wind(b"2021-01-01T00:00Z,4.0,0,0,0,-5.0,1,1\n")
 
 
 def test_parse_solar_wind_allows_negative_field_components():
-    table = ingest.parse_solar_wind("2021-01-01T00:00Z,4.0,-9,-9,-9,5,1,1\n")
+    table = ingest.parse_solar_wind(b"2021-01-01T00:00Z,4.0,-9,-9,-9,5,1,1\n")
     assert table.values[0, FIELD["bz"]] == -9.0
 
 
 def test_non_monotonic_timestamps_rejected():
     text = (
-        "2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
-        "2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
+        b"2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
+        b"2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
     )
     with pytest.raises(NonMonotonicTime) as exc:
         ingest.parse_solar_wind(text)
@@ -202,28 +211,28 @@ def test_non_monotonic_timestamps_rejected():
 
 def test_bad_timestamp_error_carries_line_number():
     with pytest.raises(BadTimestamp) as exc:
-        ingest.parse_dst("2021-01-01T00:00Z,-11\nnot-a-time,-12\n")
+        ingest.parse_dst(b"2021-01-01T00:00Z,-11\nnot-a-time,-12\n")
     assert exc.value.line_no == 2
 
 
 def test_first_faulty_line_wins_whatever_the_fault():
     # line 2 goes back in time; line 3 cannot be parsed at all
     text = (
-        "2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
-        "2021-01-01T00:00Z,4,0,0,0,1,1,1\n"
-        "2021-01-01T00:10Z,1,2\n"
+        b"2021-01-01T00:05Z,4,0,0,0,1,1,1\n"
+        b"2021-01-01T00:00Z,4,0,0,0,1,1,1\n"
+        b"2021-01-01T00:10Z,1,2\n"
     )
     with pytest.raises(NonMonotonicTime) as exc:
         ingest.parse_solar_wind(text)
     assert exc.value.line_no == 2
     # on one line, the timestamp is checked before the numbers
     with pytest.raises(BadTimestamp, match="hour-aligned") as exc:
-        ingest.parse_dst("2021-01-01T00:00Z,-1\n2021-01-01T01:30Z,abc\n")
+        ingest.parse_dst(b"2021-01-01T00:00Z,-1\n2021-01-01T01:30Z,abc\n")
     assert exc.value.line_no == 2
 
 
 def test_invalid_calendar_instant_names_its_line():
-    text = "2021-02-28T00:00Z,-1\n2021-02-29T00:00Z,-2\n"
+    text = b"2021-02-28T00:00Z,-1\n2021-02-29T00:00Z,-2\n"
     with pytest.raises(BadTimestamp, match="invalid calendar instant") as exc:
         ingest.parse_dst(text)
     assert exc.value.line_no == 2
@@ -233,25 +242,25 @@ def test_invalid_calendar_instant_names_its_line():
 
 
 def test_parse_dst_alignment():
-    assert ingest.parse_dst("2021-01-01T05:00Z,-23.5\n").values[0, 0] == -23.5
+    assert ingest.parse_dst(b"2021-01-01T05:00Z,-23.5\n").values[0, 0] == -23.5
     with pytest.raises(BadTimestamp):
-        ingest.parse_dst("2021-01-01T05:30Z,-23.5\n")
+        ingest.parse_dst(b"2021-01-01T05:30Z,-23.5\n")
 
 
 def test_parse_kp_alignment_and_range():
-    table = ingest.parse_kp("2021-01-01T03:00Z,3.7\n2021-01-01T06:00Z,\n")
+    table = ingest.parse_kp(b"2021-01-01T03:00Z,3.7\n2021-01-01T06:00Z,\n")
     assert table.values[0, 0] == 3.7
     assert table.present[:, 0].tolist() == [True, False]
     with pytest.raises(BadTimestamp):
-        ingest.parse_kp("2021-01-01T04:00Z,3.7\n")
+        ingest.parse_kp(b"2021-01-01T04:00Z,3.7\n")
     with pytest.raises(ValueOutOfRange):
-        ingest.parse_kp("2021-01-01T03:00Z,9.5\n")
+        ingest.parse_kp(b"2021-01-01T03:00Z,9.5\n")
     with pytest.raises(ValueOutOfRange):
-        ingest.parse_kp("2021-01-01T03:00Z,-0.1\n")
+        ingest.parse_kp(b"2021-01-01T03:00Z,-0.1\n")
 
 
 def test_kp_boundaries_are_legal():
-    table = ingest.parse_kp("2021-01-01T00:00Z,0.0\n2021-01-01T03:00Z,9.0\n")
+    table = ingest.parse_kp(b"2021-01-01T00:00Z,0.0\n2021-01-01T03:00Z,9.0\n")
     assert table.values[:, 0].tolist() == [0.0, 9.0]
 
 
@@ -317,7 +326,7 @@ def test_to_series_marks_missing_slots_and_field_gaps():
     base = datetime(2021, 1, 1, tzinfo=UTC)
     # a present record with a gap value at hour 1; hour 2 absent entirely
     table = ingest.parse_dst(
-        "2021-01-01T00:00Z,-10.0\n2021-01-01T01:00Z,\n2021-01-01T03:00Z,-12.0\n"
+        b"2021-01-01T00:00Z,-10.0\n2021-01-01T01:00Z,\n2021-01-01T03:00Z,-12.0\n"
     )
     series = ingest.to_series(table, "dst", 60)
     assert len(series) == 4
@@ -342,17 +351,17 @@ def test_to_series_off_grid_record_raises():
 
 def test_to_series_empty_raises():
     with pytest.raises(EmptyDataset):
-        ingest.to_series(ingest.parse_dst(""), "dst", 60)
+        ingest.to_series(ingest.parse_dst(b""), "dst", 60)
 
 
 def test_series_arrays_are_read_only():
-    series = ingest.to_series(ingest.parse_dst("2021-01-01T00:00Z,-10.0\n"), "dst", 60)
+    series = ingest.to_series(ingest.parse_dst(b"2021-01-01T00:00Z,-10.0\n"), "dst", 60)
     with pytest.raises(ValueError):
         series.values[0] = 0.0
 
 
 def test_table_arrays_are_read_only():
-    table = ingest.parse_dst("2021-01-01T00:00Z,-10.0\n")
+    table = ingest.parse_dst(b"2021-01-01T00:00Z,-10.0\n")
     for array in (table.minutes, table.values, table.present):
         with pytest.raises(ValueError):
             array[0] = 0
@@ -360,8 +369,8 @@ def test_table_arrays_are_read_only():
 
 def test_solar_wind_series_order_and_content():
     table = ingest.parse_solar_wind(
-        "2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n"
-        "2021-01-01T00:05Z,4.2,0.4,-0.1,1.0,373.0,5.7,94000.0\n"
+        b"2021-01-01T00:00Z,4.1,0.3,-0.2,0.9,372.0,5.6,95000.0\n"
+        b"2021-01-01T00:05Z,4.2,0.4,-0.1,1.0,373.0,5.7,94000.0\n"
     )
     series = ingest.solar_wind_series(table)
     assert tuple(s.name for s in series) == ingest.SOLAR_WIND_FIELDS
@@ -372,7 +381,7 @@ def test_solar_wind_series_order_and_content():
 def test_gaps_are_explicit_state_not_nan_data():
     # A NaN in the file is rejected; a gap is an empty field and comes back
     # as present=False, so downstream code never mistakes NaN for data.
-    table = ingest.parse_solar_wind("2021-01-01T00:00Z,4.1,,0,0,1,1,1\n")
+    table = ingest.parse_solar_wind(b"2021-01-01T00:00Z,4.1,,0,0,1,1,1\n")
     series = ingest.solar_wind_series(table)
     bx = series[1]
     assert not bx.present[0]
@@ -426,7 +435,7 @@ def canonical_files(draw):
 def test_valid_files_parse_to_their_records(file):
     kind, lines, _, records = file
     parse, fields, cadence = KINDS[kind]
-    table = parse("\n".join(lines) + "\n")
+    table = parse(("\n".join(lines) + "\n").encode())
     assert len(table) == len(records)
     origin = (datetime(2021, 1, 1, tzinfo=UTC) - datetime(1970, 1, 1, tzinfo=UTC)).days * 1440
     assert table.minutes.tolist() == [origin + m for m, _ in records]
@@ -489,6 +498,6 @@ def test_a_corrupted_line_is_reported_with_its_number(file, data):
     lines = lines[:index] + [",".join(cells)] + lines[index + 1:]
     error, _ = CORRUPTIONS[how]
     with pytest.raises(error) as exc:
-        KINDS[kind][0]("\n".join(lines) + "\n")
+        KINDS[kind][0](("\n".join(lines) + "\n").encode())
     assert type(exc.value) is error
     assert exc.value.line_no == index + 1

@@ -617,7 +617,7 @@ _MUTATIONS = {  # name: (mutation of the parsed file, the models it applies to)
 def fuzz_dir(tmp_path_factory):
     """A scratch directory holding the dataset the valid models were fitted on."""
     root = tmp_path_factory.mktemp("fuzz")
-    with open(root / "data.csv", "w", encoding="utf-8") as handle:
+    with open(root / "data.csv", "wb") as handle:
         _training_data(seed=6, n=24, p=3).write_csv(handle)
     return root
 

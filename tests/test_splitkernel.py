@@ -483,11 +483,12 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
 @needs_cc
 def test_concurrent_first_builds_of_the_scanner_leave_one_library(monkeypatch, tmp_path):
     loaded = _load_twice_at_once("csvscan", monkeypatch, tmp_path)
-    text = "2021-01-01T00:00Z,1.5\n# a comment\n\n2021-01-01T03:00:00Z,\n"
+    text = b"2021-01-01T00:00Z,1.5\n# a comment\n\n2021-01-01T03:00:00Z,\n"
     for scanner in loaded:
         assert scanner is not None
         monkeypatch.setattr(splitkernel, "load", lambda name, scanner=scanner: scanner)
-        line_nos, stamps, values, present = ingest._scan_compiled(text, 1)
+        line_nos, stamps, values, present = ingest.scan_rows(text, len(text), 1,
+                                                             stamp_last=False)
         assert list(line_nos) == [1, 4] and stamps.tolist() == [202101010000, 202101010300]
         assert values.tobytes() == np.array([[1.5], [math.nan]]).tobytes()
         assert present.tolist() == [[True], [False]]
