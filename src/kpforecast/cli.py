@@ -94,6 +94,7 @@ def _load_config(path: str) -> dict[str, str]:
     with _naming(path):
         text = Path(path).read_text(encoding="utf-8")
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # the line each key was set on
     for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +102,11 @@ def _load_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise _UsageError(f"{path}:{line_no}: expected 'key = value'")
-        values[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name in set_on:
+            raise _UsageError(f"{path}:{line_no}: {key.strip()} is already set on line "
+                              f"{set_on[name]}")
+        values[name], set_on[name] = value.strip(), line_no
     return values
 
 

@@ -41,9 +41,11 @@
  * the form of Java's DoubleToDecimal), then laid out as repr lays them out.
  *
  * Both directions use the 128-bit significands of the powers of five in
- * ``kp_pow5``, which the library computes from exact integers when it is
- * loaded.  The functions touch no Python object, so they run with the
- * interpreter lock released.
+ * ``kp_pow5``, which the library leaves empty: ``splitkernel.load`` fills
+ * it from exact integers, over the range this file exports as
+ * ``kp_pow5_min`` and ``kp_pow5_max``, before it returns the library.  The
+ * functions touch no Python object, so they run with the interpreter lock
+ * released.
  */
 
 #include <math.h>
@@ -62,85 +64,8 @@
  * Schubfach scales a double by. */
 #define POW5_MIN (-342)
 #define POW5_MAX 324
+const int64_t kp_pow5_min = POW5_MIN, kp_pow5_max = POW5_MAX;
 uint64_t kp_pow5[2 * (POW5_MAX - POW5_MIN + 1)];
-
-/* Unsigned integers of LIMBS 32-bit limbs, least significant first: 5^342
- * and twice a remainder below it take under 800 bits. */
-#define LIMBS 25
-
-static int bit_length(const uint32_t *a)
-{
-    for (int i = LIMBS - 1; i >= 0; i--)
-        if (a[i])
-            return 32 * i + 32 - __builtin_clz(a[i]);
-    return 0;
-}
-
-/* a = a * m, over a's lowest size limbs */
-static void multiply(uint32_t *a, uint32_t m, int size)
-{
-    uint64_t carry = 0;
-    for (int i = 0; i < size; i++) {
-        carry += (uint64_t)a[i] * m;
-        a[i] = (uint32_t)carry;
-        carry >>= 32;
-    }
-}
-
-/* a = a - b, if a >= b, over their lowest size limbs (the rest are 0);
- * returns whether it subtracted. */
-static int subtract_if_at_least(uint32_t *a, const uint32_t *b, int size)
-{
-    int64_t borrow = 0;
-    for (int i = size - 1; i >= 0; i--) {
-        if (a[i] != b[i]) {
-            if (a[i] < b[i])
-                return 0;
-            break;
-        }
-    }
-    for (int i = 0; i < size; i++) {
-        int64_t d = (int64_t)a[i] - b[i] - borrow;
-        borrow = d < 0;
-        a[i] = (uint32_t)d;
-    }
-    return 1;
-}
-
-static void store_power(int q, unsigned __int128 v)
-{
-    kp_pow5[2 * (q - POW5_MIN)] = (uint64_t)(v >> 64);
-    kp_pow5[2 * (q - POW5_MIN) + 1] = (uint64_t)v;
-}
-
-/* Fills kp_pow5 when the library is loaded, before any caller can use it.
- * With five = 5^p of bit length n: 5^p's top 128 bits for q = p, and
- * floor(2^(n + 127) / 5^p) for q = -p, by long division one bit at a time
- * (2^(n - 1) < 5^p < 2^n for p > 0, so the quotient has 128 bits). */
-__attribute__((constructor)) static void build_powers(void)
-{
-    uint32_t five[LIMBS] = {1};
-    for (int p = 0; p <= -POW5_MIN; p++, multiply(five, 5, LIMBS)) {
-        int n = bit_length(five), size = n / 32 + 1; /* 2 5^p < 2^(32 size) */
-        if (p <= POW5_MAX) {
-            unsigned __int128 top = 0;
-            for (int i = n - 1; i >= n - 128; i--)
-                top = top << 1 | (i >= 0 && (five[i / 32] >> (i % 32) & 1));
-            store_power(p, top);
-        }
-        if (p > 0) {
-            uint32_t rest[LIMBS] = {0};
-            unsigned __int128 quotient = 1;
-            rest[n / 32] = 1u << (n % 32); /* 2^n = 5^p + rest */
-            subtract_if_at_least(rest, five, size);
-            for (int i = 0; i < 127; i++) {
-                multiply(rest, 2, size);
-                quotient = quotient << 1 | subtract_if_at_least(rest, five, size);
-            }
-            store_power(-p, quotient);
-        }
-    }
-}
 
 /* w 10^q correctly rounded into *out, by Eisel-Lemire as Go's strconv
  * writes it (w > 0).  Returns 0, and leaves *out, where the 128-bit product

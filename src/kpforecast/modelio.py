@@ -20,7 +20,10 @@ crash or predict NaN:
   (``oob_mse`` may also be null); every integer is a JSON integer; every
   feature name is a string;
 * forests: the tree count matches the config, ``bootstrap`` is a JSON
-  boolean, importances are non-negative and sum to 1 or are all zero, and in
+  boolean, importances are non-negative and sum to 1 or are all zero, the
+  values no fit on Kp targets in [0, 9] can leave are refused (a leaf value
+  outside [0, 9], a ``train_target_range`` [lo, hi] without
+  0 <= lo <= hi <= 9, a negative ``oob_mse``), and in
   each tree the six lists have one length, every node holds the leaf or
   split fillers above, split features index the feature names, and a walk
   from node 0 down the child indices visits nodes 0, 1, ..., n-1 in that
@@ -152,6 +155,11 @@ def _tree_from_obj(obj, n_features: int, k: int) -> Tree:
         raise DataError(f"model file tree {k} has a leaf without f = r = -1 and t = 0.0")
     if (n_samples[leaf] < 1).any():
         raise DataError(f"model file tree {k} has a leaf with a row count below 1")
+    outside = value[leaf & ((value < 0.0) | (value > 9.0))]
+    if outside.size:
+        raise DataError(
+            f"model file tree {k} has a leaf value outside [0, 9]: {float(outside[0])!r}"
+        )
     if (_not_plus_zero(value[~leaf]) | (n_samples[~leaf] != 0)).any():
         raise DataError(f"model file tree {k} has a split without p = 0.0 and n = 0")
     _check_preorder(obj["l"], obj["r"], k)
@@ -200,14 +208,20 @@ def _forest_from_obj(obj: dict) -> ForestModel:
         raise DataError(
             f"model file has a train_target_range of {target_range.size} values, not 2"
         )
-    oob_mse = obj["oob_mse"]
+    lo, hi = float(target_range[0]), float(target_range[1])
+    if not 0.0 <= lo <= hi <= 9.0:
+        raise DataError(f"model file has a train_target_range {[lo, hi]!r} "
+                        "outside 0 <= lo <= hi <= 9")
+    oob_mse = None if obj["oob_mse"] is None else _real(obj["oob_mse"], "oob_mse")
+    if oob_mse is not None and oob_mse < 0.0:
+        raise DataError(f"model file has a negative oob_mse: {oob_mse!r}")
     return ForestModel(
         trees=tuple(_tree_from_obj(t, len(feature_names), k) for k, t in enumerate(trees)),
         feature_names=feature_names,
         config=config,
         importances=importances,
-        train_target_range=(float(target_range[0]), float(target_range[1])),
-        oob_mse=None if oob_mse is None else _real(oob_mse, "oob_mse"),
+        train_target_range=(lo, hi),
+        oob_mse=oob_mse,
     )
 
 

@@ -14,7 +14,11 @@ the interpreter's cache tag.  A process loads each kernel once: later calls
 return the same library, or the same None, without reading the source
 again, as long as the source path and ``CACHE_DIR`` are the ones it was
 loaded from.  Each build writes a temporary file and renames it into
-place, so concurrent first builds leave one complete library.  When
+place, so concurrent first builds leave one complete library.  Once
+loaded, a library is set up before :func:`load` returns it: each function
+gets its ``ctypes`` signature, and ``csvscan``'s table of powers of five,
+``kp_pow5``, is filled from Python's exact integers.  A library is
+therefore usable only through :func:`load`.  When
 no ``cc`` exists, the cache directory is not writable or the build fails,
 :func:`load` returns None and the caller falls back to its Python code: the
 forest grows its trees in numpy, and ``ingest`` reads and writes the CSV
@@ -142,7 +146,26 @@ def _load(name: str, source: Path):
         function = getattr(library, function_name)
         function.restype = restype
         function.argtypes = argtypes
+    if name == "csvscan":
+        _fill_powers_of_five(library)
     return library
+
+
+def _fill_powers_of_five(library) -> None:
+    """Write csvscan's ``kp_pow5``: for each q of its range, the top 128
+    bits of 5^q, truncated, as a high and a low 64-bit entry.
+
+    For q < 0 that is floor(2^(n + 127) / 5^-q), with n the bit length of
+    5^-q.  Two loads of one library write the same values.
+    """
+    low, high = (_I64.in_dll(library, f"kp_pow5_{end}").value for end in ("min", "max"))
+    words = []
+    for q in range(low, high + 1):
+        five = 5 ** abs(q)
+        n = five.bit_length()
+        top = five << 128 >> n if q >= 0 else (1 << (n + 127)) // five
+        words += (top >> 64, top & 0xFFFF_FFFF_FFFF_FFFF)
+    (ctypes.c_uint64 * len(words)).in_dll(library, "kp_pow5")[:] = words
 
 
 def _check_matrix(x: np.ndarray) -> None:

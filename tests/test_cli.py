@@ -196,6 +196,15 @@ def test_usage_errors_exit_1(sources, tmp_path, capsys):
                  "--out", str(tmp_path / "z")]) == 1
     err = capsys.readouterr().err
     assert "expected 'key = value'" in err and "ugly.conf:1" in err
+    # a config key set twice, also under its other spelling
+    for first, second in (("trees = 2", "trees = 3"),
+                          ("solar-wind = a.csv", "solar_wind = b.csv")):
+        twice = tmp_path / "twice.conf"
+        twice.write_text(f"{first}\n# again\n{second}\n")
+        assert main(["train", "--config", str(twice), "--data", "whatever.csv",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        key = second.partition(" ")[0]
+        assert f"twice.conf:3: {key} is already set on line 1" in capsys.readouterr().err
     # no subcommand / unknown subcommand
     assert main([]) == 1
     capsys.readouterr()

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -372,7 +373,12 @@ def test_an_empty_dataset_cell_is_a_malformed_line(tmp_path, load, row):
 
 # -- number text, both ways --------------------------------------------------
 
-_POW5_RANGE = range(-342, 325)  # POW5_MIN to POW5_MAX of csvscan.c
+#: POW5_MIN to POW5_MAX of csvscan.c, the q of every entry of ``kp_pow5``.
+_POW5_MIN, _POW5_MAX = (
+    int(re.search(rf"^#define POW5_{end} \(?(-?\d+)\)?$",
+                  splitkernel.source_path("csvscan").read_text(), re.M).group(1))
+    for end in ("MIN", "MAX"))
+_POW5_RANGE = range(_POW5_MIN, _POW5_MAX + 1)
 
 
 def test_the_powers_of_five_are_exact(scanner):

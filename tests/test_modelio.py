@@ -167,8 +167,9 @@ def test_a_fitted_chain_928_levels_deep_survives_the_round_trip(default_recursio
 
 
 def test_a_built_chain_5000_splits_deep_survives_the_round_trip(default_recursion_limit):
-    # split i is node 2i: x <= i + 0.5 goes to the leaf 2i + 1 predicting i,
-    # anything larger on to node 2i + 2; the last node predicts the depth
+    # split i is node 2i: x <= i + 0.5 goes to the leaf 2i + 1 predicting
+    # 9 i / depth, anything larger on to node 2i + 2; the last node predicts
+    # 9 (each leaf its own value, all in the range of Kp, [0, 9])
     depth = 5000
     splits = np.arange(depth)
     feature = np.full(2 * depth + 1, -1)
@@ -181,8 +182,8 @@ def test_a_built_chain_5000_splits_deep_survives_the_round_trip(default_recursio
     threshold[2 * splits] = splits + 0.5
     left[2 * splits] = 2 * splits + 1
     right[2 * splits] = 2 * splits + 2
-    value[2 * splits + 1] = splits
-    value[-1] = depth
+    value[2 * splits + 1] = 9.0 * splits / depth
+    value[-1] = 9.0
     n_samples[2 * splits + 1] = 1
     n_samples[-1] = 1
     tree = forest.Tree(feature, threshold, left, right, value, n_samples)
@@ -192,7 +193,7 @@ def test_a_built_chain_5000_splits_deep_survives_the_round_trip(default_recursio
         feature_names=("x0",),
         config=forest.ForestConfig(n_trees=1, min_leaf=1, bootstrap=False),
         importances=np.ones(1),
-        train_target_range=(0.0, float(depth)),
+        train_target_range=(0.0, 9.0),
         oob_mse=None,
     )
     content = model_to_json(model)
@@ -202,7 +203,7 @@ def test_a_built_chain_5000_splits_deep_survives_the_round_trip(default_recursio
     assert clone.trees == (tree,)
     assert model_to_json(clone) == content
     X = np.arange(depth + 1.0).reshape(-1, 1)
-    assert np.array_equal(forest.predict_batch(clone, X), np.arange(depth + 1.0))
+    assert np.array_equal(forest.predict_batch(clone, X), 9.0 * np.arange(depth + 1.0) / depth)
     assert sys.getrecursionlimit() == default_recursion_limit
 
 
@@ -405,12 +406,20 @@ def _set_top(key):
     (_forest_obj, _set_top("train_target_range"), [float("nan"), 9.0],
      "non-finite train_target_range: nan"),
     (_forest_obj, _set_top("train_target_range"), [0.0], "train_target_range of 1 values"),
+    (_forest_obj, _set_top("train_target_range"), [9.0, -5.0],
+     "train_target_range [9.0, -5.0] outside 0 <= lo <= hi <= 9"),
+    (_forest_obj, _set_top("train_target_range"), [-0.5, 9.0],
+     "train_target_range [-0.5, 9.0] outside 0 <= lo <= hi <= 9"),
+    (_forest_obj, _set_top("train_target_range"), [0.0, 9.5],
+     "train_target_range [0.0, 9.5] outside 0 <= lo <= hi <= 9"),
+    (_forest_obj, _set_top("oob_mse"), -1.0, "negative oob_mse: -1.0"),
     (_forest_obj, _set_leaf_value, "1.5", "non-numeric leaf value: '1.5'"),
     (_forest_obj, _set_leaf_value, False, "non-numeric leaf value: False"),
     (_forest_obj, _set_top("feature_names"), [1, 2, 3, 4], "non-string feature name: 1"),
     (_linear_obj, _set_top("feature_names"), [1, 2, 3, 4], "non-string feature name: 1"),
     (_linear_obj, _set_top("intercept"), "1.5", "non-numeric intercept: '1.5'"),
 ], ids=["oob string", "oob boolean", "range strings", "range NaN", "range length",
+        "range reversed", "range below 0", "range above 9", "oob negative",
         "leaf string", "leaf boolean", "forest names", "linear names", "intercept string"])
 def test_values_are_not_coerced(make, tamper, value, message):
     obj = make()
@@ -454,11 +463,15 @@ def _set_node(field, node_of):
     (_set_node("t", _first_leaf), 0.5, "leaf without f = r = -1 and t = 0.0"),
     (_set_node("t", _first_leaf), -0.0, "leaf without f = r = -1 and t = 0.0"),
     (_set_node("n", _first_leaf), 0, "leaf with a row count below 1"),
+    (_set_node("p", _first_leaf), 1e300, "leaf value outside [0, 9]: 1e+300"),
+    (_set_node("p", _first_leaf), 9.000000000000002,
+     "leaf value outside [0, 9]: 9.000000000000002"),
+    (_set_node("p", _first_leaf), -1e-300, "leaf value outside [0, 9]: -1e-300"),
     (_set_node("p", lambda tree: 0), 1.0, "split without p = 0.0 and n = 0"),
     (_set_node("p", lambda tree: 0), -0.0, "split without p = 0.0 and n = 0"),
     (_set_node("n", lambda tree: 0), 3, "split without p = 0.0 and n = 0"),
-], ids=["leaf f", "leaf r", "leaf t", "leaf t -0.0", "leaf n", "split p", "split p -0.0",
-        "split n"])
+], ids=["leaf f", "leaf r", "leaf t", "leaf t -0.0", "leaf n", "leaf p huge", "leaf p above 9",
+        "leaf p below 0", "split p", "split p -0.0", "split n"])
 def test_leaf_and_split_fillers_are_checked(tamper, value, message):
     obj = _forest_obj()
     tamper(obj, value)

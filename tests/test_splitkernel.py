@@ -392,8 +392,17 @@ def test_load_reads_each_source_once_per_cache_directory(monkeypatch, tmp_path):
     assert splitkernel.load() is splitkernel.load() is not scanner
     assert hashed == ["csvscan", "splitkernel"]
     monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path / "second")  # a moved cache builds again
-    assert splitkernel.load("csvscan") is not None and hashed[2:] == ["csvscan"]
+    moved = splitkernel.load("csvscan")
+    assert moved is not None and hashed[2:] == ["csvscan"]
     assert [path.name.split(".")[0] for path in (tmp_path / "second").iterdir()] == ["csvscan"]
+    # The moved library is another instance, with its own table of powers of five.
+    monkeypatch.setattr(splitkernel, "load", lambda name: moved)
+    texts = ["0.1", "2.2250738585072014e-308", "1.7976931348623157e308"]
+    buf = "".join(f"2021-01-01T00:00Z,{text}\n" for text in texts).encode()
+    _, _, values, _ = ingest.scan_rows(buf, len(buf), 1, stamp_last=False)
+    assert values.ravel().tolist() == [float(text) for text in texts]
+    written = ingest.format_rows(values, ["t"] * len(texts), stamp_last=False)
+    assert written == "".join(f"t,{float(text)!r}\n" for text in texts).encode()
 
 
 @pytest.mark.parametrize("missing", _MISSING)
