@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, NonFiniteValue
-from .fusion import FusedDataset, _all_finite
+from .errors import DimensionMismatch, EmptyDataset
+from .fusion import FusedDataset, _row_matrix
 
 __all__ = ["LinearModel", "fit_linear", "predict_linear", "predict_linear_batch"]
 
@@ -43,24 +43,14 @@ def fit_linear(data: FusedDataset) -> LinearModel:
     )
 
 
-def _check(model: LinearModel, rows: np.ndarray, ndim: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != ndim:
-        raise DimensionMismatch(f"expected a {ndim}-D input, got {rows.ndim}-D")
-    if rows.shape[-1] != len(model.feature_names):
-        raise DimensionMismatch(
-            f"row width {rows.shape[-1]}, model expects {len(model.feature_names)}"
-        )
-    if not _all_finite(rows):
-        raise NonFiniteValue("prediction rows must be finite")
-    return rows
-
-
 def predict_linear(model: LinearModel, row: np.ndarray) -> float:
-    row = _check(model, row, 1)
+    row = np.asarray(row, dtype=np.float64)
+    if row.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-D row, got {row.ndim}-D")
+    _row_matrix(row[None, :], len(model.feature_names))
     return float(model.intercept + row @ model.coefficients)
 
 
 def predict_linear_batch(model: LinearModel, rows: np.ndarray) -> np.ndarray:
-    rows = _check(model, rows, 2)
+    rows = _row_matrix(rows, len(model.feature_names))
     return model.intercept + rows @ model.coefficients

@@ -490,10 +490,7 @@ def main(argv=None) -> int:
             sys.stderr.write("error: a subcommand is required\n")
             return 1
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:  # semantic option checks (e.g. n_trees >= 1)
+    except (_UsageError, ValueError) as exc:  # ValueError: option checks (e.g. n_trees >= 1)
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except FileNotFoundError as exc:

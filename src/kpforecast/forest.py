@@ -19,20 +19,23 @@ data makes it.
 
 Each tree grows in one call to the compiled kernel of :mod:`.splitkernel`,
 which releases the interpreter lock, so up to ``threads`` trees grow in
-parallel, but no more than the process has CPUs.  It grows bit for bit the
-tree that the numpy :func:`_grow_tree` and :func:`_best_split` grow.  Its
-split search orders each candidate column by the column's ranks, computed
-once per fit.  A column's bag positions are presorted the first time a
-node of 64 rows or more draws it, and each node that reads the presort
-narrows it to a window of its own rows, followed by the rows of the nodes
-still to be split: a descendant reads a window a few times its own size,
-not the whole bag.  A node under 64 rows reads the window when it holds at
-most 8 times the node's rows, and sorts its own rows otherwise.  Each
-worker thread allocates its scratch once per fit, about
-``4 * n_rows * n_features`` bytes plus 69 bytes a feature for its windows.
-Where the kernel cannot be built (no ``cc``, no writable cache),
-:func:`_grow_tree` grows the trees in numpy; the model is the same either
-way.
+parallel, but no more than the process has CPUs; at one, every tree grows
+in the calling thread.  It grows bit for bit the tree that the numpy
+:func:`_grow_tree` and :func:`_best_split` grow.  Both growers take a
+tree's bag and the state of its stream after the bag draw, and return the
+tree's six arrays and its importances, so :func:`fit` draws each bag and
+makes each :class:`Tree` the same way for both.  The compiled split search
+orders each candidate column by the column's ranks, computed once per fit.
+A column's bag positions are presorted the first time a node of 64 rows or
+more draws it, and each node that reads the presort narrows it to a window
+of its own rows, followed by the rows of the nodes still to be split: a
+descendant reads a window a few times its own size, not the whole bag.  A
+node under 64 rows reads the window when it holds at most 8 times the
+node's rows, and sorts its own rows otherwise.  Each thread that grows a
+tree allocates its scratch once per fit, about ``4 * n_rows * n_features``
+bytes plus 69 bytes a feature for its windows.  Where the kernel cannot be
+built (no ``cc``, no writable cache), :func:`_grow_tree` grows the trees in
+numpy; the model is the same either way.
 
 Determinism: tree ``i`` owns a private stream seeded from
 ``(config.seed, i)``; the bootstrap is drawn first, then each node consumes
@@ -48,22 +51,17 @@ are averaged over trees and normalised to sum to one.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    KOutOfRange,
-    NonFiniteValue,
-)
+from .errors import DimensionMismatch, EmptyDataset, KOutOfRange
 from . import splitkernel
-from .fusion import FeatureSubset, FusedDataset, _all_finite
+from .fusion import FeatureSubset, FusedDataset, _row_matrix
 from .rng import PortableRng, derive_seed
 
 _TREE_STREAM = 0x74726565  # "tree": namespaces per-tree seeds in the fan-out
@@ -251,21 +249,17 @@ def _draw_bag(n: int, config: ForestConfig, tree_seed: int):
     return rng, bag, oob
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: ForestConfig,
-    mtry: int,
-    tree_seed: int,
-) -> tuple[Tree, np.ndarray, np.ndarray]:
-    """Grow one tree; returns (tree, unnormalised importance, oob row indices).
+def _grow_tree(X: np.ndarray, y: np.ndarray, bag: np.ndarray, state: int, mtry: int,
+               min_leaf: int):
+    """One tree on the rows of ``bag``, drawing from the stream at ``state``:
+    its six arrays and its unnormalised importances.
 
-    This is the reference that the compiled grower matches bit for bit.  The
-    stack pops a node's left child before its right, so nodes are numbered,
-    and the stream and importances consumed, in preorder.
+    This is the reference that :meth:`.splitkernel.Grower.grow` matches bit
+    for bit.  The stack pops a node's left child before its right, so nodes
+    are numbered, and the stream and importances consumed, in preorder.
     """
     n, p = X.shape
-    rng, bag, oob = _draw_bag(n, config, tree_seed)
+    rng = PortableRng(state)
     all_features = np.arange(p)
     imp = np.zeros(p)
     feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
@@ -278,7 +272,7 @@ def _grow_tree(
             right[parent] = node
         ysub = y[rows]
         found = None
-        if rows.size > config.min_leaf and ysub.min() != ysub.max():
+        if rows.size > min_leaf and ysub.min() != ysub.max():
             cand = all_features if mtry == p else rng.subset(p, mtry)
             found = _best_split(X, y, rows, cand)
         if found is None:
@@ -301,7 +295,7 @@ def _grow_tree(
         stack.append((right_rows, node))
         stack.append((left_rows, -1))
 
-    return Tree(feature, threshold, left, right, value, n_samples), imp, oob
+    return (feature, threshold, left, right, value, n_samples), imp
 
 
 def _route(tree: Tree, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -343,29 +337,21 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
     library = splitkernel.load()
     if library is None:
-        def build(tree_seed: int):
-            return _grow_tree(X, y, config, mtry, tree_seed)
+        grow = functools.partial(_grow_tree, X, y)
     else:
-        # The column ranks are computed once per fit and read by every tree;
-        # each worker thread makes one grower (with its scratch) for its trees.
-        X = np.ascontiguousarray(X)
-        ranks = splitkernel.column_ranks(library, X)
-        local = threading.local()
+        grow = splitkernel.Grower(library, np.ascontiguousarray(X), y).grow
 
-        def build(tree_seed: int):
-            grower = getattr(local, "grower", None)
-            if grower is None:
-                grower = local.grower = splitkernel.Grower(library, X, ranks, y)
-            rng, bag, oob = _draw_bag(data.n_rows, config, tree_seed)
-            arrays, imp = grower.grow(bag, rng.state, mtry, config.min_leaf)
-            return Tree(*arrays), imp, oob
+    def build(tree_seed: int):
+        rng, bag, oob = _draw_bag(data.n_rows, config, tree_seed)
+        arrays, imp = grow(bag, rng.state, mtry, config.min_leaf)
+        return Tree(*arrays), imp, oob
 
-    # Threads beyond the CPUs add no speed, and each would hold a grower's scratch.
+    # Threads beyond the CPUs add no speed, and each would hold its own scratch.
     workers = min(threads, usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             grown = list(pool.map(build, seeds))
-    else:
+    else:  # no pool: a worker thread's allocations add about 2 MB to the peak
         grown = [build(s) for s in seeds]
 
     trees = tuple(tree for tree, _, _ in grown)
@@ -413,14 +399,7 @@ def predict(model: ForestModel, row: np.ndarray) -> float:
 
 def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     """Vector of predictions for a 2-D row matrix."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionMismatch("predict_batch expects a 2-D matrix")
-    expected = len(model.feature_names)
-    if rows.shape[1] != expected:
-        raise DimensionMismatch(f"row width {rows.shape[1]}, model expects {expected}")
-    if not _all_finite(rows):
-        raise NonFiniteValue("prediction rows must be finite")
+    rows = _row_matrix(rows, len(model.feature_names))
     every = np.arange(rows.shape[0])
     total = np.zeros(rows.shape[0])
     for tree in model.trees:  # fixed accumulation order: by tree index

@@ -56,6 +56,7 @@ import numpy as np
 from .errors import (
     CadenceMismatch,
     DataError,
+    DimensionMismatch,
     EmptyDataset,
     EmptyIntersection,
     IndexOutOfRange,
@@ -315,6 +316,19 @@ def _all_finite(array: np.ndarray) -> bool:
     """Whether every value of ``array`` is finite, read without a temporary
     of its size: ``min`` and ``max`` are NaN if any value is."""
     return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
+def _row_matrix(rows, width: int | None = None) -> np.ndarray:
+    """``rows`` as a float64 matrix, which a model's input must be: 2-D,
+    ``width`` columns wide (any width when None) and finite."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D row matrix, got {rows.ndim}-D")
+    if width is not None and rows.shape[1] != width:
+        raise DimensionMismatch(f"row width {rows.shape[1]}, model expects {width}")
+    if not _all_finite(rows):
+        raise NonFiniteValue("rows must be finite")
+    return rows
 
 
 @dataclass(frozen=True)

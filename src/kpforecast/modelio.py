@@ -23,7 +23,8 @@ crash or predict NaN:
   boolean, importances are non-negative and sum to 1 or are all zero, the
   values no fit on Kp targets in [0, 9] can leave are refused (a leaf value
   outside [0, 9], a ``train_target_range`` [lo, hi] without
-  0 <= lo <= hi <= 9, a negative ``oob_mse``), and in
+  0 <= lo <= hi <= 9, an ``oob_mse`` outside [0, 81], trees whose leaves
+  count different numbers of rows), and in
   each tree the six lists have one length, every node holds the leaf or
   split fillers above, split features index the feature names, and a walk
   from node 0 down the child indices visits nodes 0, 1, ..., n-1 in that
@@ -215,8 +216,19 @@ def _forest_from_obj(obj: dict) -> ForestModel:
     oob_mse = None if obj["oob_mse"] is None else _real(obj["oob_mse"], "oob_mse")
     if oob_mse is not None and oob_mse < 0.0:
         raise DataError(f"model file has a negative oob_mse: {oob_mse!r}")
+    # an OOB prediction and its target lie in [0, 9], and every rounding step
+    # is monotone, so a mean of squared residuals stays at most 81
+    if oob_mse is not None and oob_mse > 81.0:
+        raise DataError(f"model file has an oob_mse above 81: {oob_mse!r}")
+    trees = tuple(_tree_from_obj(t, len(feature_names), k) for k, t in enumerate(trees))
+    # each tree's leaves count the rows of its bag, one per training row
+    counts = [sum(tree.n_samples.tolist()) for tree in trees]
+    for k, count in enumerate(counts):
+        if count != counts[0]:
+            raise DataError(f"model file tree {k} has leaves counting {count} rows, "
+                            f"tree 0 {counts[0]}")
     return ForestModel(
-        trees=tuple(_tree_from_obj(t, len(feature_names), k) for k, t in enumerate(trees)),
+        trees=trees,
         feature_names=feature_names,
         config=config,
         importances=importances,

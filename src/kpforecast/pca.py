@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, DimensionMismatch, EmptyDataset, KOutOfRange, NonFiniteValue
-from .fusion import FusedDataset, _all_finite
+from .errors import DegenerateData, EmptyDataset, KOutOfRange
+from .fusion import FusedDataset, _row_matrix
 
 __all__ = ["PcaModel", "fit_pca", "project"]
 
@@ -37,18 +37,9 @@ class PcaModel:
         return self.directions.shape[0]
 
 
-def _as_matrix(data) -> np.ndarray:
-    X = data.rows if isinstance(data, FusedDataset) else np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch("expected a 2-D row matrix")
-    if not _all_finite(X):
-        raise NonFiniteValue("PCA input must be finite")
-    return X
-
-
 def fit_pca(data, k: int) -> PcaModel:
     """Top-``k`` principal components via SVD of the centred row matrix."""
-    X = _as_matrix(data)
+    X = _row_matrix(data.rows if isinstance(data, FusedDataset) else data)
     n, p = X.shape
     if n == 0:
         raise EmptyDataset("PCA needs at least 2 rows, got none")
@@ -81,9 +72,5 @@ def fit_pca(data, k: int) -> PcaModel:
 
 def project(model: PcaModel, data) -> np.ndarray:
     """Coordinates of each row along the model's directions, shape (n, k)."""
-    X = _as_matrix(data)
-    if X.shape[1] != model.mean.size:
-        raise DimensionMismatch(
-            f"row width {X.shape[1]}, model expects {model.mean.size}"
-        )
+    X = _row_matrix(data.rows if isinstance(data, FusedDataset) else data, model.mean.size)
     return (X - model.mean) @ model.directions.T

@@ -3,7 +3,9 @@
 ``splitkernel.c`` grows a whole tree exactly as the numpy
 ``forest._grow_tree`` grows it (see the C source for how), and ``ctypes``
 releases the interpreter lock for the call, so trees grown on a thread pool
-grow in parallel.  ``csvscan.c`` reads and writes the rows of the
+grow in parallel.  One :class:`Grower` serves every thread of a fit: it
+ranks the matrix's columns once, and gives each thread its own scratch.
+``csvscan.c`` reads and writes the rows of the
 canonical CSV files; :func:`.ingest.scan_rows` and :func:`.ingest.format_rows`
 are its only callers.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +42,8 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64, _PTR, _BYTES = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p
-# fit calls kp_rank_columns and kp_grow_tree; kp_smallest_keys (one subset
-# draw) is there for the differential tests.
+# Grower calls kp_rank_columns, kp_scratch_bytes and kp_grow_tree;
+# kp_smallest_keys (one subset draw) is there for the differential tests.
 _SPLITKERNEL = {
     "kp_scratch_bytes": (_I64, [_I64, _I64]),  # rows, columns
     "kp_rank_columns": (None, [_PTR, _I64, _I64, _PTR, _PTR]),  # x, n, p, pairs, ranks
@@ -196,28 +199,26 @@ _TREE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
 
 
 class Grower:
-    """The kernel over one matrix and its ranks, with its own scratch.
+    """The kernel over one matrix, its column ranks and its targets.
 
-    ``grow`` grows one tree.  The instance holds every array whose address
-    it passes, so they outlive the call; one instance serves one thread at a
-    time.
+    ``grow`` grows one tree, and any number of threads may call it at once.
+    The ranks are computed once, here; each thread allocates its own
+    scratch and node buffers the first time it grows, and keeps them for
+    its later trees.  The instance holds every array whose address it
+    passes, so they outlive the call.
     """
 
-    def __init__(self, library, x: np.ndarray, ranks: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, library, x: np.ndarray, y: np.ndarray) -> None:
         _check_matrix(x)
         self.n, self.p = n, p = x.shape
-        if (ranks.dtype != np.int32 or ranks.shape != (p, n) or not ranks.flags.c_contiguous
-                or ranks.min() < 0 or ranks.max() >= n):
-            raise ValueError("ranks must be column_ranks(library, x)")
         self.x = x
-        self.ranks = ranks
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         if self.y.shape != (n,):
             raise ValueError("y must hold one target per row of x")
+        self.ranks = column_ranks(library, x)
         self.library = library
-        self.scratch = np.empty(library.kp_scratch_bytes(n, p), dtype=np.uint8)
-        self.nodes = tuple(np.empty(2 * n - 1, dtype=dtype) for dtype in _TREE_DTYPES)
-        self.fixed = (x.ctypes.data, ranks.ctypes.data, n, p, self.y.ctypes.data)
+        self.fixed = (x.ctypes.data, self.ranks.ctypes.data, n, p, self.y.ctypes.data)
+        self.local = threading.local()  # each thread's scratch and node buffers
 
     def grow(self, bag: np.ndarray, state: int, mtry: int, min_leaf: int):
         """One tree on the rows of ``bag`` (one per row of x), drawing from
@@ -228,10 +229,14 @@ class Grower:
             raise ValueError(f"a bag holds {self.n} rows of x")
         if not 1 <= mtry <= self.p or min_leaf < 1:
             raise ValueError(f"need 1 <= mtry <= {self.p} and min_leaf >= 1")
+        local = self.local
+        if not hasattr(local, "scratch"):  # this thread's first tree
+            local.scratch = np.empty(self.library.kp_scratch_bytes(self.n, self.p), np.uint8)
+            local.nodes = tuple(np.empty(2 * self.n - 1, dtype) for dtype in _TREE_DTYPES)
         imp = np.zeros(self.p)
         count = self.library.kp_grow_tree(
-            *self.fixed, bag.ctypes.data, state, mtry, min_leaf, self.scratch.ctypes.data,
-            *(array.ctypes.data for array in self.nodes), imp.ctypes.data)
+            *self.fixed, bag.ctypes.data, state, mtry, min_leaf, local.scratch.ctypes.data,
+            *(array.ctypes.data for array in local.nodes), imp.ctypes.data)
         if count < 0:
             raise RuntimeError("the kernel split a node into an empty side")
-        return tuple(array[:count].copy() for array in self.nodes), imp
+        return tuple(array[:count].copy() for array in local.nodes), imp

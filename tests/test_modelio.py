@@ -398,6 +398,10 @@ def _set_top(key):
     return tamper
 
 
+def _scale_tree_1_counts(obj, factor):
+    obj["trees"][1]["n"] = [factor * count for count in obj["trees"][1]["n"]]
+
+
 @pytest.mark.parametrize("make, tamper, value, message", [
     (_forest_obj, _set_top("oob_mse"), "nan", "non-numeric oob_mse: 'nan'"),
     (_forest_obj, _set_top("oob_mse"), True, "non-numeric oob_mse: True"),
@@ -413,6 +417,10 @@ def _set_top(key):
     (_forest_obj, _set_top("train_target_range"), [0.0, 9.5],
      "train_target_range [0.0, 9.5] outside 0 <= lo <= hi <= 9"),
     (_forest_obj, _set_top("oob_mse"), -1.0, "negative oob_mse: -1.0"),
+    (_forest_obj, _set_top("oob_mse"), 1e300, "oob_mse above 81: 1e+300"),
+    (_forest_obj, _set_top("oob_mse"), 81.00000000000001,
+     "oob_mse above 81: 81.00000000000001"),
+    (_forest_obj, _scale_tree_1_counts, 2, "tree 1 has leaves counting 80 rows, tree 0 40"),
     (_forest_obj, _set_leaf_value, "1.5", "non-numeric leaf value: '1.5'"),
     (_forest_obj, _set_leaf_value, False, "non-numeric leaf value: False"),
     (_forest_obj, _set_top("feature_names"), [1, 2, 3, 4], "non-string feature name: 1"),
@@ -420,6 +428,7 @@ def _set_top(key):
     (_linear_obj, _set_top("intercept"), "1.5", "non-numeric intercept: '1.5'"),
 ], ids=["oob string", "oob boolean", "range strings", "range NaN", "range length",
         "range reversed", "range below 0", "range above 9", "oob negative",
+        "oob huge", "oob above 81", "leaf counts doubled",
         "leaf string", "leaf boolean", "forest names", "linear names", "intercept string"])
 def test_values_are_not_coerced(make, tamper, value, message):
     obj = make()

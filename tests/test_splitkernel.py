@@ -219,7 +219,7 @@ def test_an_overflowing_midpoint_splits_at_lo(kernel, n, lo, hi):
 def test_a_grown_tree_outlives_the_next_grow(kernel):
     X = np.arange(12.0).reshape(4, 3)
     y = np.array([0.0, 1.0, 5.0, 9.0])
-    grower = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y)
+    grower = splitkernel.Grower(kernel, X, y)
     first, _ = grower.grow(np.arange(4), 0, 3, 1)
     kept = [array.copy() for array in first]
     grower.grow(np.array([3, 3, 3, 0]), 0, 3, 1)  # a smaller tree over the same buffers
@@ -246,47 +246,74 @@ def test_kernel_subset_keeps_the_lowest_index_of_tied_keys(kernel, case):
     assert got.tolist() == expected.tolist()
 
 
-def test_each_worker_thread_reuses_one_grower(kernel, monkeypatch):
+def test_each_worker_thread_allocates_one_scratch(kernel, monkeypatch):
     data = _synthetic(days=8)
     config = ForestConfig(n_trees=6, seed=4)
     expected = _forest_bits(fit(data, config))
     made = []
+    scratch_bytes = kernel.kp_scratch_bytes
 
-    class Counted(splitkernel.Grower):
-        def __init__(self, *args):
-            made.append(threading.get_ident())
-            super().__init__(*args)
+    def counted(*args):
+        made.append(threading.get_ident())
+        return scratch_bytes(*args)
 
-    monkeypatch.setattr(splitkernel, "Grower", Counted)
+    monkeypatch.setattr(kernel, "kp_scratch_bytes", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         # 4 workers on fewer cores share nothing writable; a pool never
-        # holds more workers, nor growers, than the CPUs it may use.
+        # holds more workers, nor scratches, than the CPUs it may use.
         for threads, cpus in ((1, 4), (4, 4), (8, 2)):
             monkeypatch.setattr(forest, "usable_cpus", lambda: cpus)
             made.clear()
             assert _forest_bits(fit(data, config, threads=threads)) == expected
             assert 1 <= len(made) <= min(threads, cpus) and len(set(made)) == len(made)
+            if threads == 1:  # one worker: every tree grows in the calling thread
+                assert made == [threading.get_ident()]
     finally:
         sys.setswitchinterval(interval)
+
+
+def _grown_bits(grown):
+    """Each (six arrays, importances) pair a grower returned, as bytes."""
+    return [(_tree_bits(forest.Tree(*arrays)), imp.tobytes()) for arrays, imp in grown]
+
+
+def test_one_grower_grows_the_same_trees_in_two_threads_at_once(kernel):
+    data = _synthetic(days=8)
+    grower = splitkernel.Grower(kernel, np.ascontiguousarray(data.rows), data.targets)
+    jobs = []
+    for tree_seed in range(8):
+        rng, bag, _ = forest._draw_bag(data.n_rows, ForestConfig(), tree_seed)
+        jobs.append((bag, rng.state, 50, 2))
+    serial = _grown_bits(grower.grow(*job) for job in jobs)
+    together = threading.Barrier(2, timeout=60)
+    grown = [None, None]
+
+    def grow(i):
+        together.wait()  # both threads grow at once, each into its own scratch
+        grown[i] = _grown_bits(grower.grow(*job) for job in jobs)
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert grown == [serial, serial]
 
 
 def test_grower_refuses_arrays_it_cannot_pass_to_the_kernel(kernel):
     X = np.arange(12.0).reshape(4, 3)
     y = np.arange(4.0)
-    ranks = splitkernel.column_ranks(kernel, X)
-    assert ranks.tolist() == [[0, 1, 2, 3]] * 3
+    assert splitkernel.column_ranks(kernel, X).tolist() == [[0, 1, 2, 3]] * 3
     with pytest.raises(ValueError):
         splitkernel.column_ranks(kernel, np.asfortranarray(X))  # column-major
     with pytest.raises(ValueError):
         splitkernel.column_ranks(kernel, X.astype(np.float32))
-    for bad_ranks in (ranks.astype(np.int64), ranks.T.copy(), ranks + 1, ranks - 1):
-        with pytest.raises(ValueError):
-            splitkernel.Grower(kernel, X, bad_ranks, y)
     with pytest.raises(ValueError):
-        splitkernel.Grower(kernel, X, ranks, y[:3])
-    grower = splitkernel.Grower(kernel, X, ranks, y)
+        splitkernel.Grower(kernel, X, y[:3])
+    grower = splitkernel.Grower(kernel, X, y)
     for bag in (np.arange(3), np.array([0, 1, 2, 4]), np.array([0, 1, 2, -1])):
         with pytest.raises(ValueError):
             grower.grow(bag, 0, 1, 1)
@@ -479,14 +506,11 @@ def test_concurrent_first_builds_leave_one_library_that_loads(monkeypatch, tmp_p
 
     X = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
     y = np.array([4.0, 1.0, 2.0, 0.0])
-    config = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False)
-    tree, imp, _ = forest._grow_tree(X, y, config, 2, 7)
+    expected = _grown_bits([forest._grow_tree(X, y, np.arange(4), 7, 2, 1)])
     for kernel in loaded:
         assert kernel is not None
-        grower = splitkernel.Grower(kernel, X, splitkernel.column_ranks(kernel, X), y)
-        arrays, got_imp = grower.grow(np.arange(4), PortableRng(7).state, 2, 1)
-        assert _tree_bits(forest.Tree(*arrays)) == _tree_bits(tree)
-        assert got_imp.tobytes() == imp.tobytes()
+        grower = splitkernel.Grower(kernel, X, y)
+        assert _grown_bits([grower.grow(np.arange(4), 7, 2, 1)]) == expected
 
 
 @needs_cc
