@@ -32,10 +32,11 @@ of its own rows, followed by the rows of the nodes still to be split: a
 descendant reads a window a few times its own size, not the whole bag.  A
 node under 64 rows reads the window when it holds at most 8 times the
 node's rows, and sorts its own rows otherwise.  Each thread that grows a
-tree allocates its scratch once per fit, about ``4 * n_rows * n_features``
-bytes plus 69 bytes a feature for its windows.  Where the kernel cannot be
-built (no ``cc``, no writable cache), :func:`_grow_tree` grows the trees in
-numpy; the model is the same either way.
+tree allocates its scratch once per fit, about ``2 * n_rows * n_features``
+bytes (``4 *`` above 65,536 rows, where ranks and positions take 32 bits)
+plus 69 bytes a feature for its windows.  Where the kernel cannot be built
+(no ``cc``, no writable cache), :func:`_grow_tree` grows the trees in numpy;
+the model is the same either way.
 
 Determinism: tree ``i`` owns a private stream seeded from
 ``(config.seed, i)``; the bootstrap is drawn first, then each node consumes
@@ -335,7 +336,7 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
     mtry = config.resolve_mtry(data.n_features)
 
     seeds = [derive_seed(config.seed, _TREE_STREAM, i) for i in range(config.n_trees)]
-    library = splitkernel.load()
+    library = splitkernel.kernel_for(data.n_rows)
     if library is None:
         grow = functools.partial(_grow_tree, X, y)
     else:

@@ -275,8 +275,9 @@ def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
 
     A row is a timestamp and ``cols`` numbers, the stamp first or, with
     ``stamp_last``, last.  Returns each row's 1-based line (an ``array``),
-    its time as YYYYMMDDHHMM, its values, and which values are present (an
-    empty field is a gap, NaN).  None when the scanner cannot be loaded or
+    its time as YYYYMMDDHHMM, its values, which values are present (an
+    empty field is a gap, NaN), and the newlines of ``buf[:end]``, counted
+    once to size the arrays.  None when the scanner cannot be loaded or
     the bytes leave its strict grammar (see the C source); the caller's
     Python reader then reads them.  Past ``end``, only a number's ``strtod``
     fallback reads on, and a byte that is not part of a number stops it: the
@@ -287,7 +288,8 @@ def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
     library = splitkernel.load("csvscan")
     if library is None:
         return None
-    capacity = buf.count(b"\n", 0, end) + 1  # lines, so at least the rows
+    newlines = buf.count(b"\n", 0, end)
+    capacity = newlines + 1  # lines, so at least the rows
     line_nos = array("q", bytes(8 * capacity))
     stamps = np.empty(capacity, dtype=np.int64)
     values = np.empty((capacity, cols))
@@ -297,7 +299,7 @@ def scan_rows(buf: bytes, end: int, cols: int, *, stamp_last: bool):
     if rows < 0:
         return None
     del line_nos[rows:]
-    return line_nos, stamps[:rows], values[:rows], present[:rows]
+    return line_nos, stamps[:rows], values[:rows], present[:rows], newlines
 
 
 class _Scan:
@@ -310,7 +312,8 @@ class _Scan:
     UTF-8, and a byte that is not raises the ``UnicodeDecodeError`` of
     decoding ``content[:end]`` before any fault of a line is reported.
     The pass is the compiled scanner's where it reads the content, else
-    :meth:`_scan_lines`.  Each check notes the first record it fails on, and
+    :meth:`_scan_lines`; either counts the newlines of the content once, as
+    ``newlines``.  Each check notes the first record it fails on, and
     :meth:`raise_first` raises the fault of the earliest line and, within
     that line, of the lowest rank, so the error names the same line and
     problem as checking every line in turn.
@@ -331,7 +334,7 @@ class _Scan:
         scanned = scan_rows(content, end, cols, stamp_last=stamp_last)
         if scanned is None:
             scanned = self._scan_lines(cols)
-        self.line_nos, stamps, self.values, self.present = scanned
+        self.line_nos, stamps, self.values, self.present, self.newlines = scanned
         self.minutes, valid = minutes_from_digits(stamps)
         self.check(~valid, _LAST_STAMP if stamp_last else _STAMP, lambda r: _timestamp_error(
             self.line_no(r), self._cells(r)[-1 if stamp_last else 0]))
@@ -351,7 +354,8 @@ class _Scan:
         stamps = array("q")  # YYYYMMDDHHMM of each record
         values = array("d")  # every value of every record, record after record
         gaps: list[int] = []  # positions in ``values`` of empty fields
-        for line_no, line in _data_lines(self._text().split("\n")):
+        lines = self._text().split("\n")
+        for line_no, line in _data_lines(lines):
             parts = line.split(",")
             record = len(line_nos)
             if len(parts) != cols + 1:
@@ -380,7 +384,8 @@ class _Scan:
         present = np.ones((records, cols), dtype=bool)
         present.flat[gaps] = False
         return (line_nos, np.frombuffer(stamps, dtype=np.int64),
-                np.frombuffer(values, dtype=np.float64).reshape(records, cols), present)
+                np.frombuffer(values, dtype=np.float64).reshape(records, cols), present,
+                len(lines) - 1)
 
     def line_no(self, record: int) -> int:
         """The line number of ``record``."""
@@ -483,7 +488,7 @@ def parse_dataset_rows(buf: bytes, end: int, cols: int,
     scan.check((targets < 0.0) | (targets > 9.0), _RANGE, lambda r: ValueOutOfRange(
         scan.line_no(r), f"target must lie in [0, 9], got {float(targets[r])}"))
     scan.raise_first()
-    return scan.content.count(b"\n", 0, scan.end), scan.minutes, scan.values
+    return scan.newlines, scan.minutes, scan.values
 
 
 # --------------------------------------------------------------------------

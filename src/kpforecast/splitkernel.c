@@ -46,6 +46,12 @@
  * otherwise.  A column that would hold more than WINDOWS windows drops its
  * presort, and its next large node presorts it again.
  *
+ * A rank and a bag position are an ``entry``: 16 bits, so the ranks and
+ * each caller's presort take 2 bytes per row and column, or 32 bits when
+ * built with -DKP_WIDE.  ``kp_max_rows`` is the most rows an X may have in
+ * this build (a bag has as many positions as X has rows); the loader reads
+ * it to choose the build for a matrix and the dtype of its ranks.
+ *
  * The functions touch no Python object, so they run with the interpreter
  * lock released.  Each caller passes its own scratch of
  * ``kp_scratch_bytes(rows, columns)`` bytes; the ranks are only read.
@@ -64,6 +70,14 @@
 /* The windows a column may hold; the benchmark's fits never fill 16. */
 #define WINDOWS 16
 #define RUN 16
+
+#ifdef KP_WIDE
+typedef uint32_t entry;
+const int64_t kp_max_rows = 0x7FFFFFFF; /* a row index is exact as a double, and fits int32 */
+#else
+typedef uint16_t entry;
+const int64_t kp_max_rows = 0x10000; /* positions and ranks 0 to 65,535 */
+#endif
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define MIX1 0xBF58476D1CE4E5B9ULL
@@ -86,22 +100,22 @@ typedef struct {
 
 /* Scratch carved from one caller-owned buffer; n bag rows, p columns. */
 typedef struct {
-    const double *x;      /* row-major X, n rows of p */
-    const int32_t *ranks; /* p columns of n: each row's dense rank */
+    const double *x;    /* row-major X, n rows of p */
+    const entry *ranks; /* p columns of n: each row's dense rank */
     int64_t n, p;
     const int64_t *bag; /* bag position -> row of X */
     double *yb;       /* y by bag position */
-    int32_t *presort; /* p columns of n: the windows' bag positions in stable x order */
+    entry *presort;   /* p columns of n: the windows' bag positions in stable x order */
     int32_t *lo;      /* p: where each column's innermost window starts */
     int32_t *ends;    /* p columns of WINDOWS: the windows' ends, innermost last */
     uint8_t *windows; /* p: windows held; 0 when the column is not presorted */
-    int32_t *where;   /* n: bag position -> its index in pos */
+    entry *where;     /* n: bag position -> its index in pos */
     int32_t *count;   /* n + 1: the counting sort's rank offsets */
     pair *pairs;      /* n + 1: a window pass writes one past the node */
     pair *tmp;        /* n */
     double *ys;       /* n: a leaf's targets in node order */
-    int32_t *pos;     /* n: every node's positions, a segment per node */
-    int32_t *part;    /* n: the partition's and a window pass's buffer */
+    entry *pos;       /* n: every node's positions, a segment per node */
+    entry *part;      /* n: the partition's and a window pass's buffer */
     pending *stack;   /* n: at most one pending node per bag position */
     uint64_t *keys;   /* p */
     uint64_t *work;   /* p */
@@ -148,7 +162,7 @@ int64_t kp_scratch_bytes(int64_t n, int64_t p)
     return (int64_t)carve(&g, 0, n, p);
 }
 
-static void setup(grower *g, const double *x, const int32_t *ranks, int64_t n, int64_t p,
+static void setup(grower *g, const double *x, const entry *ranks, int64_t n, int64_t p,
                   const int64_t *bag, void *scratch)
 {
     g->x = x;
@@ -203,7 +217,7 @@ static pair *sort_pairs(pair *a, pair *tmp, int64_t m)
 /* Each column's dense ranks of the finite row-major X: rank r holds the
  * rows with the (r+1)-th smallest distinct value, and values that compare
  * equal (0.0 and -0.0) share a rank.  ``pairs`` holds 2 * n pairs. */
-void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t *ranks)
+void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, entry *ranks)
 {
     pair *a = pairs;
     for (int64_t f = 0; f < p; f++) {
@@ -216,10 +230,11 @@ void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t
             a[i].y = (double)i; /* exact: n < 2**31 */
         }
         const pair *s = sort_pairs(a, a + n, n);
-        int32_t *rank = ranks + f * n, r = 0;
+        entry *rank = ranks + f * n;
+        int64_t r = 0;
         for (int64_t i = 0; i < n; i++) {
             r += i > 0 && s[i].key != s[i - 1].key;
-            rank[(int64_t)s[i].y] = r;
+            rank[(int64_t)s[i].y] = (entry)r;
         }
     }
 }
@@ -229,8 +244,8 @@ void kp_rank_columns(const double *x, int64_t n, int64_t p, void *pairs, int32_t
  * positions in ascending order, so ties keep position order. */
 static void presort(grower *g, int64_t f, int64_t s)
 {
-    int32_t *order = g->presort + f * g->n;
-    const int32_t *rank = g->ranks + f * g->n;
+    entry *order = g->presort + f * g->n;
+    const entry *rank = g->ranks + f * g->n;
     int32_t *count = g->count;
     memset(count, 0, sizeof(int32_t) * (g->n + 1));
     for (int64_t i = 0; i < g->n; i++)
@@ -240,7 +255,7 @@ static void presort(grower *g, int64_t f, int64_t s)
         count[r] += count[r - 1];
     for (int64_t i = 0; i < g->n; i++)
         if (g->where[i] >= s)
-            order[s + count[rank[g->bag[i]]]++] = (int32_t)i;
+            order[s + count[rank[g->bag[i]]]++] = (entry)i;
     g->lo[f] = (int32_t)s;
     g->ends[f * WINDOWS] = (int32_t)g->n;
     g->windows[f] = 1;
@@ -257,15 +272,16 @@ static void presort(grower *g, int64_t f, int64_t s)
  * with one. */
 static const pair *read_window(grower *g, int64_t f, int64_t s, int64_t e)
 {
-    int32_t *order = g->presort + f * g->n;
+    entry *order = g->presort + f * g->n;
     int32_t *ends = g->ends + f * WINDOWS;
-    const int32_t *rank = g->ranks + f * g->n;
+    const entry *rank = g->ranks + f * g->n;
     const int64_t lo = g->lo[f], hi = ends[g->windows[f] - 1];
     const uint32_t m = (uint32_t)(e - s);
     pair *p = g->pairs;
     int64_t k = 0, up = 0;
     for (int64_t i = lo; i < hi; i++) {
-        const int32_t at = order[i], w = g->where[at];
+        const entry at = order[i];
+        const int32_t w = g->where[at];
         g->part[up] = at;
         up += w >= e;
         p[k].key = (uint64_t)rank[g->bag[at]] << 32 | (uint64_t)at;
@@ -273,8 +289,8 @@ static const pair *read_window(grower *g, int64_t f, int64_t s, int64_t e)
         k += (uint32_t)(w - s) < m; /* s <= w < e */
     }
     for (k = 0; k < e - s; k++)
-        order[s + k] = (int32_t)POSITION(p[k].key);
-    memcpy(order + e, g->part, sizeof(int32_t) * up);
+        order[s + k] = (entry)POSITION(p[k].key);
+    memcpy(order + e, g->part, sizeof *order * up);
     if (e < hi && g->windows[f] == WINDOWS) {
         g->windows[f] = 0; /* no room for [e, hi), and [lo, s) is stale */
         return p;
@@ -303,8 +319,8 @@ static const pair *column_pairs(grower *g, int64_t f, int64_t s, int64_t m)
         && (m >= PRESORT_MIN || ends[g->windows[f] - 1] - g->lo[f] <= WINDOW_READ * m))
         return read_window(g, f, s, s + m);
 
-    const int32_t *rank = g->ranks + f * g->n;
-    const int32_t *pos = g->pos + s;
+    const entry *rank = g->ranks + f * g->n;
+    const entry *pos = g->pos + s;
     pair *p = g->pairs;
     for (int64_t i = 0; i < m; i++) {
         p[i].key = (uint64_t)rank[g->bag[pos[i]]] << 32 | (uint64_t)pos[i];
@@ -468,7 +484,7 @@ static double pairwise_sum(const double *a, int64_t n)
  * adds each split's importance to ``imp`` (p zeros on entry) and returns
  * the node count, at most 2 * n - 1; or -1, before writing out of bounds,
  * if a split left a side empty. */
-int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p,
+int64_t kp_grow_tree(const double *x, const entry *ranks, int64_t n, int64_t p,
                      const double *y, const int64_t *bag, uint64_t state,
                      int64_t mtry, int64_t min_leaf, void *scratch,
                      int64_t *feature, double *threshold, int64_t *left, int64_t *right,
@@ -478,7 +494,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
     setup(&g, x, ranks, n, p, bag, scratch);
     for (int64_t i = 0; i < n; i++) {
         g.yb[i] = y[bag[i]];
-        g.pos[i] = g.where[i] = (int32_t)i;
+        g.pos[i] = g.where[i] = (entry)i;
     }
     for (int64_t f = 0; f < p; f++)
         g.cand[f] = f;
@@ -487,7 +503,7 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
     g.stack[top++] = (pending){0, n, -1};
     while (top > 0) {
         const pending at = g.stack[--top];
-        int32_t *pos = g.pos + at.start;
+        entry *pos = g.pos + at.start;
         const int64_t m = at.end - at.start;
         if (nodes == 2 * n - 1)
             return -1;
@@ -545,9 +561,9 @@ int64_t kp_grow_tree(const double *x, const int32_t *ranks, int64_t n, int64_t p
             else
                 g.part[nr++] = pos[i];
         }
-        memcpy(pos + nl, g.part, sizeof(int32_t) * nr);
+        memcpy(pos + nl, g.part, sizeof *pos * nr);
         for (int64_t i = 0; i < m; i++)
-            g.where[pos[i]] = (int32_t)(at.start + i);
+            g.where[pos[i]] = (entry)(at.start + i);
 
         /* Non-empty sides bound the stack by n and the nodes by 2n - 1. */
         if (nl == 0 || nr == 0 || top + 2 > g.n)

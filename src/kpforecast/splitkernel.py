@@ -5,22 +5,28 @@
 releases the interpreter lock for the call, so trees grown on a thread pool
 grow in parallel.  One :class:`Grower` serves every thread of a fit: it
 ranks the matrix's columns once, and gives each thread its own scratch.
+The source is built twice.  The ``splitkernel`` build holds ranks and bag
+positions in 16 bits, so the ranks and each thread's presort take 2 bytes
+per row and column; it takes matrices of up to its ``kp_max_rows``, 65,536
+rows.  The ``splitkernel32`` build holds them in 32 bits, for larger
+matrices.  :func:`kernel_for` picks the build from the row count, and
+builds ``splitkernel32`` only when a matrix first needs it.
 ``csvscan.c`` reads and writes the rows of the
 canonical CSV files; :func:`.ingest.scan_rows` and :func:`.ingest.format_rows`
 are its only callers.
 
 :func:`load` compiles a kernel's source with the system ``cc`` the first
 time a process needs it and caches the library in this package's
-``__pycache__``, keyed by the sha256 of the source and compiler flags and by
-the interpreter's cache tag.  A process loads each kernel once: later calls
-return the same library, or the same None, without reading the source
-again, as long as the source path and ``CACHE_DIR`` are the ones it was
-loaded from.  Each build writes a temporary file and renames it into
-place, so concurrent first builds leave one complete library.  Once
-loaded, a library is set up before :func:`load` returns it: each function
-gets its ``ctypes`` signature, and ``csvscan``'s table of powers of five,
-``kp_pow5``, is filled from Python's exact integers.  A library is
-therefore usable only through :func:`load`.  When
+``__pycache__`` under the kernel's name, keyed by the sha256 of the source
+and compiler flags and by the interpreter's cache tag.  A process loads
+each kernel once: later calls return the same library, or the same None,
+without reading the source again, as long as the source path and
+``CACHE_DIR`` are the ones it was loaded from.  Each build writes a
+temporary file and renames it into place, so concurrent first builds leave
+one complete library.  Once loaded, a library is set up before :func:`load`
+returns it: each function gets its ``ctypes`` signature, and ``csvscan``'s
+table of powers of five, ``kp_pow5``, is filled from Python's exact
+integers.  A library is therefore usable only through :func:`load`.  When
 no ``cc`` exists, the cache directory is not writable or the build fails,
 :func:`load` returns None and the caller falls back to its Python code: the
 forest grows its trees in numpy, and ``ingest`` reads and writes the CSV
@@ -42,7 +48,7 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64, _PTR, _BYTES = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p
-# Grower calls kp_rank_columns, kp_scratch_bytes and kp_grow_tree;
+# Grower calls kp_rank_columns, kp_scratch_bytes and kp_grow_tree, and reads kp_max_rows;
 # kp_smallest_keys (one subset draw) is there for the differential tests.
 _SPLITKERNEL = {
     "kp_scratch_bytes": (_I64, [_I64, _I64]),  # rows, columns
@@ -71,10 +77,22 @@ _CSVSCAN = {
 #: Each kernel's functions, by the name of its source in this package.
 _SIGNATURES = {"splitkernel": _SPLITKERNEL, "csvscan": _CSVSCAN}
 
+#: Each kernel's source in this package and its flags beyond FLAGS, by kernel name.
+_BUILDS = {
+    "splitkernel": ("splitkernel", ()),  # 16-bit ranks and bag positions
+    "splitkernel32": ("splitkernel", ("-DKP_WIDE",)),  # 32-bit ones
+    "csvscan": ("csvscan", ()),
+}
+
 
 def source_path(name: str) -> Path:
     """The C source of the kernel ``name``."""
-    return Path(__file__).with_name(f"{name}.c")
+    return Path(__file__).with_name(f"{_BUILDS[name][0]}.c")
+
+
+def flags(name: str) -> tuple[str, ...]:
+    """The compiler flags of the kernel ``name``."""
+    return (*FLAGS, *_BUILDS[name][1])
 
 
 def _sha256():
@@ -97,11 +115,11 @@ def _sha256():
 
 def library_path(name: str, source: bytes) -> Path:
     """Where the library of the kernel ``name`` built from ``source`` is cached."""
-    digest = _sha256()(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    digest = _sha256()(source + " ".join(flags(name)).encode()).hexdigest()[:16]
     return CACHE_DIR / f"{name}.{sys.implementation.cache_tag}-{digest}.so"
 
 
-def _build(cc: str, source: Path, target: Path) -> None:
+def _build(cc: str, name: str, target: Path) -> None:
     # Only a build needs these, so they are imported here.
     import subprocess
     import tempfile
@@ -110,7 +128,8 @@ def _build(cc: str, source: Path, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=CACHE_DIR, prefix=target.name + ".", suffix=".tmp")
     os.close(fd)
     try:
-        done = subprocess.run([cc, *FLAGS, "-o", tmp, str(source)], capture_output=True)
+        done = subprocess.run([cc, *flags(name), "-o", tmp, str(source_path(name))],
+                              capture_output=True)
         if done.returncode:
             raise OSError(f"{cc} exited with {done.returncode}: {done.stderr.decode(errors='replace')}")
         os.replace(tmp, target)
@@ -124,8 +143,8 @@ _LOADED: dict[tuple[str, Path, Path], ctypes.CDLL | None] = {}
 
 
 def load(name: str = "splitkernel"):
-    """The library of the kernel ``name`` (``splitkernel`` or ``csvscan``),
-    built on first use; None when it cannot be built or loaded."""
+    """The library of the kernel ``name`` (``splitkernel``, ``splitkernel32``
+    or ``csvscan``), built on first use; None when it cannot be built or loaded."""
     key = (name, source_path(name), CACHE_DIR)
     if key not in _LOADED:  # two threads may both load it: the library is the same
         _LOADED[key] = _load(name, key[1])
@@ -141,11 +160,11 @@ def _load(name: str, source: Path):
             cc = shutil.which("cc")
             if cc is None:
                 return None
-            _build(cc, source, path)
+            _build(cc, name, path)
         library = ctypes.CDLL(str(path))
     except OSError:
         return None
-    for function_name, (restype, argtypes) in _SIGNATURES[name].items():
+    for function_name, (restype, argtypes) in _SIGNATURES[source.stem].items():
         function = getattr(library, function_name)
         function.restype = restype
         function.argtypes = argtypes
@@ -171,12 +190,28 @@ def _fill_powers_of_five(library) -> None:
     (ctypes.c_uint64 * len(words)).in_dll(library, "kp_pow5")[:] = words
 
 
-def _check_matrix(x: np.ndarray) -> None:
+def max_rows(library) -> int:
+    """The most rows a matrix may have in ``library``, a build of the split kernel."""
+    return _I64.in_dll(library, "kp_max_rows").value
+
+
+def kernel_for(rows: int):
+    """The build of the split kernel for a matrix of ``rows`` rows, built on
+    first use: ``splitkernel`` when its 16-bit entries hold every rank and
+    bag position, else ``splitkernel32``; None when it cannot be built or loaded."""
+    library = load()
+    if library is not None and rows > max_rows(library):
+        library = load("splitkernel32")
+    return library
+
+
+def _check_matrix(library, x: np.ndarray) -> None:
     if x.dtype != np.float64 or x.ndim != 2 or not x.flags.c_contiguous:
         raise ValueError("x must be a row-major 2-D float64 array")
     n, p = x.shape
-    if not 1 <= n < 2**31 or p < 1:
-        raise ValueError(f"x must have 1 to 2**31 - 1 rows and a column, got {x.shape}")
+    limit = max_rows(library)
+    if not 1 <= n <= limit or p < 1:
+        raise ValueError(f"x must have 1 to {limit} rows and a column, got {x.shape}")
 
 
 def column_ranks(library, x: np.ndarray) -> np.ndarray:
@@ -185,10 +220,12 @@ def column_ranks(library, x: np.ndarray) -> np.ndarray:
     ``x`` must be finite.  Rows whose values compare equal (0.0 and -0.0
     too) share a rank, and the smallest value has rank 0.  A grower orders
     a column's rows by rank, and presorts a column by counting sort on it.
+    The ranks are unsigned integers as wide as the build's entries: the
+    narrowest that holds every rank below its row limit.
     """
-    _check_matrix(x)
+    _check_matrix(library, x)
     n, p = x.shape
-    ranks = np.empty((p, n), dtype=np.int32)
+    ranks = np.empty((p, n), dtype=np.min_scalar_type(max_rows(library) - 1))
     pairs = np.empty(4 * n)
     library.kp_rank_columns(x.ctypes.data, n, p, pairs.ctypes.data, ranks.ctypes.data)
     return ranks
@@ -209,7 +246,7 @@ class Grower:
     """
 
     def __init__(self, library, x: np.ndarray, y: np.ndarray) -> None:
-        _check_matrix(x)
+        _check_matrix(library, x)
         self.n, self.p = n, p = x.shape
         self.x = x
         self.y = np.ascontiguousarray(y, dtype=np.float64)

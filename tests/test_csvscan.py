@@ -257,6 +257,29 @@ def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
     assert peak <= read.rows.nbytes + 4 * chunk
 
 
+class _CountedBytes(bytes):
+    """Bytes that note each ``count`` of their newlines."""
+
+    def count(self, *args):
+        self.counts.append(args)
+        return super().count(*args)
+
+
+@pytest.mark.parametrize("load", [_LOAD, _scanner_off], ids=["as built", "without scanner"])
+def test_a_dataset_chunk_counts_its_newlines_once(load):
+    """``parse_dataset_rows`` returns the line ends the scanner counted to
+    size its arrays, or that the Python pass split, and counts none again."""
+    text = b"# note\n1.0,2.0,1970-01-01T00:00Z\n\n1.5,3.0,1970-01-01T03:00Z\n# end\nrest"
+    buf = _CountedBytes(text)
+    buf.counts = []
+    end = text.rfind(b"\n") + 1
+    with mock.patch.object(splitkernel, "load", load):
+        lines, minutes, values = ingest.parse_dataset_rows(buf, end, 2, 7)
+    assert lines == text.count(b"\n", 0, end) == 5
+    assert minutes.tolist() == [0, 180] and values.tolist() == [[1.0, 2.0], [1.5, 3.0]]
+    assert len(buf.counts) == (load("csvscan") is not None)
+
+
 def _random_dataset(rows, width=3, seed=4):
     rng = np.random.default_rng(seed)
     return FusedDataset(tuple(f"x{j}" for j in range(width)), rng.standard_normal((rows, width)),

@@ -38,6 +38,21 @@ def kernel():
     return found
 
 
+@pytest.fixture(scope="module")
+def builds(kernel):
+    """Both builds of the split kernel: 16-bit ranks and positions, then 32-bit ones."""
+    wide = splitkernel.load("splitkernel32")
+    if wide is None:
+        pytest.skip("the 32-bit split kernel cannot be built here")
+    return kernel, wide
+
+
+def _fit_in(library, data, config):
+    """:func:`fit` with its trees grown by ``library``, whatever the rows' count."""
+    with mock.patch.object(splitkernel, "kernel_for", lambda rows: library):
+        return fit(data, config)
+
+
 _CONSTANTS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300])
 _HUGE_PAIRS = ((1e308, 1.7e308), (-1.7e308, -1e308))  # lo + hi is +inf or -inf
 
@@ -128,13 +143,13 @@ def fits(draw):
 @settings(max_examples=300)
 @given(fits())
 @example(fit_case=_overflow_in_one_order())
-def test_compiled_fit_equals_numpy_fit_bit_for_bit(kernel, fit_case):
+def test_compiled_fit_equals_numpy_fit_bit_for_bit(builds, fit_case):
     data, config = fit_case
     with np.errstate(all="ignore"):
-        compiled = fit(data, config)
         with mock.patch.object(splitkernel, "load", lambda: None):
-            reference = fit(data, config)
-    assert _forest_bits(compiled) == _forest_bits(reference)
+            reference = _forest_bits(fit(data, config))
+        for library in builds:  # the 32-bit build too, on bags the 16-bit one holds
+            assert _forest_bits(_fit_in(library, data, config)) == reference
 
 
 #: The windows a column's presort may hold before the kernel drops it.
@@ -150,16 +165,17 @@ def _depth(tree):
     return int(depth.max())
 
 
-def _assert_fits_alike(data, config):
-    """The compiled and numpy fits agree bit for bit; returns the compiled model."""
-    compiled = fit(data, config)
+def _assert_fits_alike(builds, data, config):
+    """Each build's fit and the numpy fit agree bit for bit; returns the first build's model."""
     with mock.patch.object(splitkernel, "load", lambda: None):
-        reference = fit(data, config)
-    assert _forest_bits(compiled) == _forest_bits(reference)
-    return compiled
+        reference = _forest_bits(fit(data, config))
+    models = [_fit_in(library, data, config) for library in builds]
+    for model in models:
+        assert _forest_bits(model) == reference
+    return models[0]
 
 
-def test_a_chain_deeper_than_the_window_stack_fits_as_in_numpy(kernel):
+def test_a_chain_deeper_than_the_window_stack_fits_as_in_numpy(builds):
     """Each split peels one row off an end of the column order, the right
     end and the left in turn, so every left child leaves a pending row in
     its parent's windows and the stacks overflow over and over.  Each
@@ -174,13 +190,13 @@ def test_a_chain_deeper_than_the_window_stack_fits_as_in_numpy(kernel):
     y[peel] = 3.0 ** np.arange(n, 0, -1)
     data, _ = _fit_case(np.column_stack([x, 2.0 * x + 1.0, -x]), y, None)
     for seed in range(3):
-        model = _assert_fits_alike(data, ForestConfig(n_trees=2, mtry=2, min_leaf=1, seed=seed,
-                                                      bootstrap=False))
+        model = _assert_fits_alike(builds, data, ForestConfig(
+            n_trees=2, mtry=2, min_leaf=1, seed=seed, bootstrap=False))
         assert [_depth(tree) for tree in model.trees] == [n - 1, n - 1]
 
 
 @pytest.mark.parametrize("bootstrap", [True, False])
-def test_a_wide_bag_of_deep_trees_fits_as_in_numpy(kernel, bootstrap):
+def test_a_wide_bag_of_deep_trees_fits_as_in_numpy(builds, bootstrap):
     """720 rows over 120 columns at mtry 100: every column orders the rows
     by one latent value, blurred by noise that grows with the column index,
     and the targets grow geometrically away from its middle, so the trees
@@ -191,13 +207,13 @@ def test_a_wide_bag_of_deep_trees_fits_as_in_numpy(kernel, bootstrap):
     X = t[:, None] + rng.normal(size=(n, p)) * np.linspace(0.0, 0.2, p)
     data, config = _fit_case(X, 2.0 ** (20.0 * np.abs(t)), ForestConfig(
         n_trees=2, mtry=100, min_leaf=1, seed=15, bootstrap=bootstrap))
-    model = _assert_fits_alike(data, config)
+    model = _assert_fits_alike(builds, data, config)
     assert min(_depth(tree) for tree in model.trees) > 2 * _WINDOWS
 
 
 @pytest.mark.parametrize("n", [10, 100])  # sorted and presorted nodes
 @pytest.mark.parametrize("lo, hi", _HUGE_PAIRS)
-def test_an_overflowing_midpoint_splits_at_lo(kernel, n, lo, hi):
+def test_an_overflowing_midpoint_splits_at_lo(builds, n, lo, hi):
     """Columns whose two values sum past the largest float split at the
     lower value, so both children keep rows, on both paths."""
     rng = np.random.default_rng(n)
@@ -206,9 +222,7 @@ def test_an_overflowing_midpoint_splits_at_lo(kernel, n, lo, hi):
     data = make_dataset(X.tolist(), y.tolist())
     for config in (ForestConfig(n_trees=3, mtry=1, min_leaf=1, seed=3),
                    ForestConfig(n_trees=2, mtry=2, min_leaf=2, seed=4, bootstrap=False)):
-        compiled = fit(data, config)
-        with mock.patch.object(splitkernel, "load", lambda: None):
-            assert _forest_bits(fit(data, config)) == _forest_bits(compiled)
+        compiled = _assert_fits_alike(builds, data, config)
         for tree in compiled.trees:
             splits = tree.left >= 0
             assert splits.any() and (tree.threshold[splits] == lo).all()
@@ -279,6 +293,54 @@ def _grown_bits(grown):
     return [(_tree_bits(forest.Tree(*arrays)), imp.tobytes()) for arrays, imp in grown]
 
 
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_the_row_count_picks_the_build_at_its_limit(builds, monkeypatch, n):
+    """65,536 rows grow in the 16-bit build and 65,537 in the 32-bit one,
+    never in numpy, and each grows the tree that ``_grow_tree`` grows.  The
+    first column's ranks run up to n - 1; the second holds about 50 rows a value."""
+    narrow, library = builds[0], builds[n > 65536]
+    assert splitkernel.max_rows(narrow) == 65536
+    rng = np.random.default_rng(n)
+    X = np.column_stack([rng.permutation(n), rng.integers(0, n // 50, n)]).astype(np.float64)
+    y = rng.integers(0, 28, n) / 3.0
+    assert splitkernel.kernel_for(n) is library
+    ranks = splitkernel.column_ranks(library, X)
+    assert ranks.dtype == (np.uint32 if n > 65536 else np.uint16)
+    assert ranks[0].max() == n - 1
+    if n > 65536:
+        with pytest.raises(ValueError):
+            splitkernel.Grower(narrow, X, y)
+    data, _ = _fit_case(X, y, None)
+    config = ForestConfig(n_trees=1, mtry=1, min_leaf=4096, seed=n)
+    tree_rng, bag, _ = forest._draw_bag(n, config, forest.derive_seed(
+        config.seed, forest._TREE_STREAM, 0))
+    arrays, _ = forest._grow_tree(X, y, bag, tree_rng.state, 1, 4096)
+
+    def numpy_grower(*args):
+        raise AssertionError("fit fell back to the numpy grower")
+
+    monkeypatch.setattr(forest, "_grow_tree", numpy_grower)
+    tree = fit(data, config).trees[0]
+    assert _tree_bits(tree) == _tree_bits(forest.Tree(*arrays))
+    assert len(tree.feature) > 15  # min_leaf 4096 still leaves a tree of many splits
+
+
+def test_the_16_bit_build_halves_the_ranks_and_the_presort(builds):
+    """Ranks take 2 bytes a row and column, and so does a thread's presort:
+    past the per-row buffers, the scratch holds 2 bytes per row and column,
+    plus per column a stack of windows and the candidate draw's three keys."""
+    narrow, wide = builds
+    per_column = 4 + 4 * _WINDOWS + 1 + 3 * 8  # start, ends and count; keys, work, cand
+    for n, p in ((1432, 767), (713, 1), (65536, 2)):
+        X = np.zeros((n, p))
+        assert splitkernel.column_ranks(narrow, X).nbytes == 2 * n * p
+        assert splitkernel.column_ranks(wide, X).nbytes == 4 * n * p
+        rows_only = narrow.kp_scratch_bytes(n, 0)
+        scratch = narrow.kp_scratch_bytes(n, p)
+        assert scratch - rows_only <= 2 * n * p + per_column * p + 7 * 15  # 7 buffers aligned to 16
+        assert wide.kp_scratch_bytes(n, p) - scratch >= 2 * n * p
+
+
 def test_one_grower_grows_the_same_trees_in_two_threads_at_once(kernel):
     data = _synthetic(days=8)
     grower = splitkernel.Grower(kernel, np.ascontiguousarray(data.rows), data.targets)
@@ -330,10 +392,13 @@ _SOURCES = sorted(Path(splitkernel.__file__).parent.glob("*.c"))
 @needs_cc
 def test_kernel_source_compiles_without_warnings(tmp_path):
     assert [source.stem for source in _SOURCES] == ["csvscan", "splitkernel"]
-    for source in _SOURCES:  # every kernel of the package
+    builds = splitkernel._BUILDS
+    assert sorted(builds) == ["csvscan", "splitkernel", "splitkernel32"]
+    assert sorted({splitkernel.source_path(name) for name in builds}) == _SOURCES
+    for name in builds:  # every build of every kernel of the package
         done = subprocess.run(
-            ["cc", *splitkernel.FLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / f"{source.stem}.so"), str(source)],
+            ["cc", *splitkernel.flags(name), "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / f"{name}.so"), str(splitkernel.source_path(name))],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -426,10 +491,35 @@ def test_load_reads_each_source_once_per_cache_directory(monkeypatch, tmp_path):
     monkeypatch.setattr(splitkernel, "load", lambda name: moved)
     texts = ["0.1", "2.2250738585072014e-308", "1.7976931348623157e308"]
     buf = "".join(f"2021-01-01T00:00Z,{text}\n" for text in texts).encode()
-    _, _, values, _ = ingest.scan_rows(buf, len(buf), 1, stamp_last=False)
+    _, _, values, _, _ = ingest.scan_rows(buf, len(buf), 1, stamp_last=False)
     assert values.ravel().tolist() == [float(text) for text in texts]
     written = ingest.format_rows(values, ["t"] * len(texts), stamp_last=False)
     assert written == "".join(f"t,{float(text)!r}\n" for text in texts).encode()
+
+
+@needs_cc
+def test_the_32_bit_build_is_made_when_a_matrix_first_needs_it(monkeypatch, tmp_path):
+    """A fit of a few hundred rows builds the 16-bit kernel alone; the
+    32-bit one is built beside it, under its own name, for a larger matrix."""
+    monkeypatch.setattr(splitkernel, "CACHE_DIR", tmp_path)
+    built = []
+    build = splitkernel._build
+
+    def counted(cc, name, target):
+        built.append(name)
+        build(cc, name, target)
+
+    monkeypatch.setattr(splitkernel, "_build", counted)
+    fit(_synthetic(days=8), ForestConfig(n_trees=2, seed=3))
+    narrow = splitkernel.load()
+    assert splitkernel.kernel_for(splitkernel.max_rows(narrow)) is narrow
+    assert built == ["splitkernel"]
+    wide = splitkernel.kernel_for(splitkernel.max_rows(narrow) + 1)
+    assert wide is not None and wide is not narrow and splitkernel.kernel_for(2**31 - 1) is wide
+    assert built == ["splitkernel", "splitkernel32"]
+    source = splitkernel.source_path("splitkernel").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        splitkernel.library_path(name, source).name for name in built)
 
 
 @pytest.mark.parametrize("missing", _MISSING)
@@ -520,8 +610,9 @@ def test_concurrent_first_builds_of_the_scanner_leave_one_library(monkeypatch, t
     for scanner in loaded:
         assert scanner is not None
         monkeypatch.setattr(splitkernel, "load", lambda name, scanner=scanner: scanner)
-        line_nos, stamps, values, present = ingest.scan_rows(text, len(text), 1,
-                                                             stamp_last=False)
-        assert list(line_nos) == [1, 4] and stamps.tolist() == [202101010000, 202101010300]
+        line_nos, stamps, values, present, newlines = ingest.scan_rows(text, len(text), 1,
+                                                                       stamp_last=False)
+        assert list(line_nos) == [1, 4] and newlines == 4
+        assert stamps.tolist() == [202101010000, 202101010300]
         assert values.tobytes() == np.array([[1.5], [math.nan]]).tobytes()
         assert present.tolist() == [[True], [False]]
