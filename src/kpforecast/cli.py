@@ -324,12 +324,9 @@ def _cmd_predict(args) -> int:
         predicted = forest.predict_batch(model, data.rows)
     else:
         predicted = baseline.predict_linear_batch(model, data.rows)
-    lines = ["row_time,predicted"]
-    lines += [
-        f"{time},{float(v)!r}"
-        for time, v in zip(ingest.format_minutes(data.row_minutes), predicted)
-    ]
-    _write(opts.out, "".join(line + "\n" for line in lines))
+    with _create(opts.out) as handle:
+        ingest.write_rows(handle, ("row_time", "predicted"), (predicted,),
+                          ingest.format_minutes(data.row_minutes), stamp_last=False)
     return 0
 
 
@@ -436,13 +433,9 @@ def _cmd_pca(args) -> int:
     with _naming(opts.data):
         data = FusedDataset.read_csv(opts.data)
         coords = pca.project(pca.fit_pca(data, 2), data)
-    lines = ["pc1,pc2,kp_label"]
-    lines += [
-        f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},"
-        f"{int(math.floor(data.targets[i] + 0.5))}"
-        for i in range(data.n_rows)
-    ]
-    _write(opts.out, "".join(line + "\n" for line in lines))
+    labels = [str(math.floor(target + 0.5)) for target in data.targets.tolist()]
+    with _create(opts.out) as handle:
+        ingest.write_rows(handle, ("pc1", "pc2", "kp_label"), (coords,), labels, stamp_last=True)
     return 0
 
 

@@ -190,18 +190,19 @@ class PlanResult:
 
 
 def _full_width_fit(
-    train: FusedDataset, plan: ExperimentPlan, threads: int, fits: dict
+    data: FusedDataset, train: FusedDataset, plan: ExperimentPlan, threads: int, fits: dict
 ) -> forest.ForestModel:
-    """The forest fitted on the whole, un-downsampled training split.
+    """The forest fitted on the whole, un-downsampled training split of ``data``.
 
-    ``fits`` maps ``(lag_spec, cutoff_minute, forest_config)`` to that forest.  The
-    key leaves out the sources, so one dict must only ever see one set of
-    them; it leaves out ``threads``, which never changes a model.
+    ``fits`` maps ``(lag_spec, cutoff_minute, forest_config)`` to the dataset
+    and that forest; the key leaves out ``threads``, which never changes a model.
     """
     key = (plan.lag_spec, plan.cutoff_minute, plan.forest_config)
     if key not in fits:
-        fits[key] = forest.fit(train, plan.forest_config, threads)
-    return fits[key]
+        fits[key] = (data, forest.fit(train, plan.forest_config, threads))
+    if fits[key][0] is not data:
+        raise ValueError("fits holds a forest of another dataset; give each dataset its own dict")
+    return fits[key][1]
 
 
 def run_plan(
@@ -213,8 +214,9 @@ def run_plan(
 ) -> PlanResult:
     """Execute a plan on an already-fused dataset (stages 2-6).
 
-    Plans that share a ``fits`` dict share the full-width training fit: the
-    plain RF plan's model and every top-k plan's ranking forest.
+    Plans on one dataset that share a ``fits`` dict share the full-width
+    training fit: the plain RF plan's model and every top-k plan's ranking
+    forest.  A ``fits`` dict that holds another dataset's fit raises ``ValueError``.
     """
     fits = {} if fits is None else fits
     train, test = split_by_time(data, plan.cutoff_minute)
@@ -224,7 +226,7 @@ def run_plan(
         raise EmptyDataset(f"no rows before {format_timestamp(plan.cutoff_minute)}")
 
     if plan.k_features is not None:  # a forest plan: the plan refuses a linear one
-        ranking = forest.importance(_full_width_fit(train, plan, threads, fits))
+        ranking = forest.importance(_full_width_fit(data, train, plan, threads, fits))
         subset = forest.top_k(ranking, plan.k_features)
         train = select_features(train, subset)
         test = select_features(test, subset)
@@ -239,7 +241,7 @@ def run_plan(
 
     if plan.model_kind == "forest":
         if plan.k_features is None and plan.downsample == 1:
-            model = _full_width_fit(train, plan, threads, fits)
+            model = _full_width_fit(data, train, plan, threads, fits)
         else:
             model = forest.fit(train, plan.forest_config, threads)
         predicted = forest.predict_batch(model, test.rows)

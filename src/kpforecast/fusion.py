@@ -1,4 +1,4 @@
-r"""Fusing multi-cadence series into lagged feature rows on the Kp grid.
+"""Fusing multi-cadence series into lagged feature rows on the Kp grid.
 
 A prediction instant is a 3-hour Kp boundary ``t``.  Its feature row is the
 concatenation of lagged values, most recent first, for each solar-wind
@@ -13,64 +13,34 @@ With the default spec this yields 7*108 + 3 + 8 = 767 features named
 ``fma_m0 ... fma_m535, ..., dst_m0, dst_m60, dst_m120, kp_m0, ..., kp_m1260``
 (``_m<minutes>`` is the lag).
 
-Each builder of the feature matrix allocates it once, at its final size.
-``fuse`` first checks which instants every lag slot covers, then fills the
-kept rows one source at a time; the dataset reader first counts the lines,
-then reads each chunk into its slice of the rows.
+``fuse`` allocates the feature matrix once, at its final size: it first
+checks which instants every lag slot covers, then fills the kept rows one
+source at a time.
 
 A :class:`FusedDataset` keeps each row's instant as an int64 minute (see
-:mod:`.ingest`).  It is saved as the dataset CSV: a header of the feature
-names then ``target,row_time``, and one line per row with every float written
-as ``repr`` writes it (an exact round-trip).  The dataset CSV is bytes
-here, as all CSV text is in the package: ``write_csv`` streams it to a
-binary file a block of rows at a time, and ``to_csv`` returns the same bytes.
-A dataset line is a measurement record's row shape with the stamp moved
-last, so :func:`.ingest.format_rows` writes each block and
-:func:`.ingest.parse_dataset_rows` reads the rows: the row grammar, and the
-order in which a line's faults are reported, live in :mod:`.ingest` alone.
-This module calls no compiled code itself.
-
-Both readers take one entry point over the file's bytes: ``read_csv`` opens
-the file, and ``from_csv`` reads bytes held in memory, so the two agree on
-every input.  A line ends at ``\n``, ``\r\n`` or ``\r`` (the
-universal newlines of ``open()``) and nowhere else.  The bytes are read
-twice, a chunk at a time: once to count the lines and check that they are
-UTF-8, and once to read the rows, so neither the file nor a second copy of
-the rows is ever held.  A chunk the compiled scanner does not read (a line
-outside its strict form, or any chunk where the kernel cannot be built)
-takes the Python pass alone; the file is not read a third time, except to
-word the error of bytes that are not UTF-8.
+:mod:`.ingest`), which also owns its file, the dataset CSV, so this module
+calls no compiled code and reads or writes no file itself.
 """
 
 from __future__ import annotations
 
-import codecs
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
+from . import ingest
 from .errors import (
     CadenceMismatch,
     DataError,
     DimensionMismatch,
-    EmptyDataset,
     EmptyIntersection,
     IndexOutOfRange,
-    MalformedLine,
     NonFiniteValue,
 )
-from .ingest import (
-    SOLAR_WIND_FIELDS,
-    MeasurementSeries,
-    format_minutes,
-    format_rows,
-    format_timestamp,
-    parse_dataset_rows,
-)
+from .ingest import SOLAR_WIND_FIELDS, MeasurementSeries, format_timestamp
 from .rng import PortableRng
 
 __all__ = [
@@ -87,11 +57,6 @@ __all__ = [
 _KP_CADENCE = 180
 
 _FIRST_MINUTE, _LAST_MINUTE = -1_035_593_280, 4_223_371_679  # 0001-01-01T00:00Z, 9999-12-31T23:59Z
-
-#: Rows per block of the dataset CSV as it is written.
-_BLOCK_ROWS = 256
-#: Bytes per read of the dataset CSV.
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -188,128 +153,23 @@ class FusedDataset:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
-    def _csv_blocks(self) -> Iterator[bytes]:
-        """The dataset CSV: the header line, then the lines of each block of
-        rows, every cell as ``repr`` writes it (see :func:`.ingest.format_rows`)."""
-        yield (",".join([*self.feature_names, "target", "row_time"]) + "\n").encode("utf-8")
-        for start in range(0, self.n_rows, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            yield format_rows(np.column_stack([self.rows[start:stop], self.targets[start:stop]]),
-                              format_minutes(self.row_minutes[start:stop]), stamp_last=True)
-
     def to_csv(self) -> bytes:
-        """Header plus one line per row; floats via repr (exact round-trip)."""
-        return b"".join(self._csv_blocks())
+        """The dataset CSV's bytes: header plus one line per row, floats via repr."""
+        return ingest.format_dataset(self)
 
     def write_csv(self, handle: BinaryIO) -> None:
         """Write :meth:`to_csv`'s bytes to the binary ``handle`` a block of rows at a time."""
-        handle.writelines(self._csv_blocks())
+        ingest.write_dataset(handle, self)
 
     @classmethod
     def from_csv(cls, content: bytes) -> "FusedDataset":
         """Parse the bytes :meth:`to_csv` writes, as :meth:`read_csv` reads a file's."""
-        return cls._read(io.BytesIO(content))
+        return cls(*ingest.parse_dataset(content))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FusedDataset":
-        """Read a dataset CSV file a chunk of lines at a time.
-
-        Blank and ``#`` lines are skipped, as is trailing whitespace.  A fault
-        raises a :class:`~kpforecast.errors.DataError` subtype that names the
-        1-based line: :class:`EmptyDataset` for a file without a header,
-        :class:`MalformedLine` for a bad header, a wrong cell count or a cell
-        that is not a finite number, :class:`ValueOutOfRange` for a target
-        outside [0, 9] and :class:`BadTimestamp` for a bad ``row_time``.
-        Bytes that are not UTF-8 raise ``UnicodeDecodeError``.
-        """
-        with open(path, "rb") as handle:
-            return cls._read(handle)
-
-    @classmethod
-    def _read(cls, handle: BinaryIO) -> "FusedDataset":
-        """The dataset in a binary file, read in two passes over its bytes.
-
-        The first counts the lines, which bounds the rows, and the arrays
-        are allocated once at that size.  The second reads the header, then
-        hands :func:`.ingest.parse_dataset_rows` a chunk of whole lines at a
-        time and copies its rows into the next rows of the arrays, so neither
-        the file's bytes nor a second copy of the rows is ever held whole.
-        The dataset keeps a prefix of each array, which stays C-contiguous.
-        Arrays too short for the rows (lines that end in a lone ``\\r``, or a
-        file that grew since its lines were counted) are grown as they fill.
-        """
-        capacity = _count_lines(handle)
-        handle.seek(0)
-        names, line_no, tail = _read_header(handle)
-        out = [np.empty((capacity, len(names))), np.empty(capacity), np.empty(capacity, np.int64)]
-        count = 0
-        while chunk := handle.read(_CHUNK_BYTES):
-            chunk = tail + chunk
-            end = chunk.rfind(b"\n") + 1
-            count, line_no = _fill(out, count, chunk, end, line_no)
-            tail = chunk[end:]
-        count, _ = _fill(out, count, tail, len(tail), line_no)
-        return cls(names, *(array[:count] for array in out))
-
-
-def _count_lines(handle: BinaryIO) -> int:
-    """One more than the newlines of ``handle``, whose bytes must be UTF-8.
-
-    An ASCII chunk costs one ``bytes.isascii`` for that check.  Bytes that
-    are not UTF-8 raise, before any fault of a line, the ``UnicodeDecodeError``
-    of decoding the file whole, which counts the byte's position from its start.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0
-    try:
-        while chunk := handle.read(_CHUNK_BYTES):
-            newlines += chunk.count(b"\n")
-            if not chunk.isascii() or decoder.getstate()[0]:  # or a character runs on
-                decoder.decode(chunk)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        handle.seek(0)
-        handle.read().decode("utf-8")
-        raise
-    return newlines + 1
-
-
-def _read_header(handle: BinaryIO) -> tuple[tuple[str, ...], int, bytes]:
-    """The feature names of the header, the number of the line after it, and
-    the rest of the bytes read to find it (lines that ended in a lone ``\\r``).
-
-    Blank and ``#`` lines before it are skipped, as is trailing whitespace.
-    """
-    line_no = 1
-    for raw in handle:  # up to each \n; a \r ends a line too
-        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        for k, line in enumerate(map(str.rstrip, lines)):
-            if line and not line.startswith("#"):
-                header = line.split(",")
-                if len(header) < 3 or header[-2:] != ["target", "row_time"]:
-                    raise MalformedLine(line_no + k,
-                                        "dataset CSV header must end with target,row_time")
-                return tuple(header[:-2]), line_no + k + 1, "\n".join(lines[k + 1:]).encode()
-        line_no += len(lines) - 1
-    raise EmptyDataset("dataset CSV has no header line")
-
-
-def _fill(out: list[np.ndarray], start: int, buf: bytes, end: int,
-          line_no: int) -> tuple[int, int]:
-    """Read the dataset lines ``buf[:end]``, the first of them line
-    ``line_no``, into ``out`` (rows, targets and row minutes) from row
-    ``start``, growing the arrays in place if they are too short; the row
-    and the line after them.  Only the chunk and its block are alive here.
-    """
-    rows, targets, minutes = out
-    lines, block_minutes, values = parse_dataset_rows(buf, end, rows.shape[1] + 1, line_no)
-    stop = start + len(block_minutes)
-    if stop > len(minutes):  # the first rows are kept; the rest is filled later
-        out[:] = [np.resize(array, (2 * stop, *array.shape[1:])) for array in out]
-        rows, targets, minutes = out
-    rows[start:stop], targets[start:stop], minutes[start:stop] = (
-        values[:, :-1], values[:, -1], block_minutes)
-    return stop, line_no + lines
+        """Read a dataset CSV file; its faults are those of :func:`.ingest.read_dataset`."""
+        return cls(*ingest.read_dataset(path))
 
 
 def _all_finite(array: np.ndarray) -> bool:

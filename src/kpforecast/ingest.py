@@ -32,9 +32,9 @@ writes it.  The package's one timestamp codec is here too:
 
 The row codec is here as well, and nowhere else.  It takes and returns
 ``bytes`` only, never CSV text as ``str``.  A row is a timestamp and
-numbers, the stamp first (a measurement record) or last (a dataset row of
-:mod:`.fusion`, which :func:`parse_dataset_rows` reads a chunk of lines at
-a time).  One reader serves both.  Bytes that are not UTF-8 raise first,
+numbers, the stamp first (a measurement record) or last (a dataset row,
+which :func:`parse_dataset_rows` reads a chunk of lines at a time).  One
+reader serves both.  Bytes that are not UTF-8 raise first,
 named by their place in the file.  The reader turns ``\r\n`` and ``\r``
 into ``\n``, then makes one pass over the lines, which splits the fields,
 matches the timestamp pattern (keeping its digits) and converts the
@@ -50,10 +50,18 @@ built, take the Python pass, which decodes them, converts with ``float``
 and is the scanner's test reference.  ``format_rows`` returns the bytes of
 rows written as ``repr`` would, through the kernel where it can be built,
 else through its one Python reference writer.
+
+The dataset CSV of :class:`.fusion.FusedDataset` is here too.
+:func:`write_rows` writes it (and the rows of ``predict`` and ``pca``) 256
+rows at a time, each block straight from the codec's buffer.  Its reader
+reads the bytes twice, 1 MiB at a time: once to count the lines and check
+that they are UTF-8, then into arrays allocated once.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import operator
 import re
@@ -61,7 +69,8 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from datetime import datetime
-from typing import Callable, Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,6 +99,11 @@ __all__ = [
     "scan_rows",
     "parse_dataset_rows",
     "format_rows",
+    "write_rows",
+    "write_dataset",
+    "format_dataset",
+    "read_dataset",
+    "parse_dataset",
     "to_series",
     "solar_wind_series",
 ]
@@ -263,6 +277,11 @@ def _number_fault(fields: Iterable[str]) -> str | None:
     return None
 
 
+def _lf(content: bytes) -> bytes:
+    r"""``content`` with each ``\r\n`` and ``\r`` line end made ``\n``."""
+    return content.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """The 1-based number and text of each line that holds data: trailing
     whitespace stripped, blank and ``#`` lines skipped."""
@@ -326,7 +345,7 @@ class _Scan:
             content = content[:end]
             if not content.isascii():  # name a byte that is not UTF-8 by its place in the file
                 content.decode("utf-8")
-            content = content.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            content = _lf(content)
             end = len(content)
         self.content, self.end = content, end
         self.stamp_last, self.first_line = stamp_last, first_line
@@ -516,6 +535,11 @@ def format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | Non
     written.  The compiled ``kp_format_rows`` of ``csvscan.c`` writes the
     lines; where it cannot be built, :func:`_format_rows` does.
     """
+    return bytes(_formatted(values, stamps, present, stamp_last))
+
+
+def _formatted(values, stamps, present, stamp_last) -> bytes | memoryview:
+    """:func:`format_rows`'s bytes, or the used part of the kernel's buffer that holds them."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2 or len(stamps) != values.shape[0]:
         raise ValueError("values must be 2-D with one stamp per row")
@@ -533,7 +557,7 @@ def format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | Non
     out = np.empty(rows * (cols * _CELL_BYTES + encoded.itemsize + 2), dtype=np.uint8)
     size = library.kp_format_rows(values.ctypes.data, flags, rows, cols, encoded.ctypes.data,
                                   encoded.itemsize, stamp_last, out.ctypes.data)
-    return out[:size].tobytes()
+    return out[:size].data
 
 
 def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | None,
@@ -562,6 +586,127 @@ def _format_rows(values: np.ndarray, stamps: list[str], present: np.ndarray | No
     else:
         text = "".join(stamp + "," + ",".join(line) + "\n" for line, stamp in zip(lines, stamps))
     return text.encode("ascii")
+
+
+# --------------------------------------------------------------------------
+# the dataset CSV: the feature names then ``target,row_time``, then its rows
+
+_BLOCK_ROWS = 256  # rows per block of a CSV file as it is written
+_CHUNK_BYTES = 1 << 20  # bytes per read of the dataset CSV
+
+
+def write_rows(handle: BinaryIO, header: Sequence[str], columns: Sequence[np.ndarray],
+               stamps: list[str], *, stamp_last: bool) -> None:
+    """Write the ``header`` line, then each row as :func:`format_rows` writes it, to
+    a binary handle.  Row ``r`` is ``stamps[r]`` and row ``r`` of each of
+    ``columns`` (1-D columns or 2-D blocks of them)."""
+    handle.write((",".join(header) + "\n").encode("utf-8"))
+    for start in range(0, len(stamps), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        handle.write(_formatted(np.column_stack([column[start:stop] for column in columns]),
+                                stamps[start:stop], None, stamp_last))
+
+
+def write_dataset(handle: BinaryIO, data) -> None:
+    """Write the dataset CSV of ``data``, a :class:`.fusion.FusedDataset`, to a binary handle."""
+    write_rows(handle, [*data.feature_names, "target", "row_time"], (data.rows, data.targets),
+               format_minutes(data.row_minutes), stamp_last=True)
+
+
+def format_dataset(data) -> bytes:
+    """The bytes :func:`write_dataset` writes."""
+    handle = io.BytesIO()
+    write_dataset(handle, data)
+    return handle.getvalue()
+
+
+def read_dataset(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The feature names, rows, targets and row minutes of a dataset CSV file.
+
+    Blank and ``#`` lines are skipped, as is trailing whitespace.  A fault raises
+    the :class:`~kpforecast.errors.DataError` that names its line: :class:`EmptyDataset`
+    (no header), :class:`MalformedLine` (a bad header, cell count or number),
+    :class:`ValueOutOfRange` (a target outside [0, 9]) or :class:`BadTimestamp`.
+    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` first."""
+    with open(path, "rb") as handle:
+        return _read_dataset(handle)
+
+
+def parse_dataset(content: bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`read_dataset` of a file holding ``content``."""
+    return _read_dataset(io.BytesIO(content))
+
+
+def _read_dataset(handle: BinaryIO):
+    """The dataset in a binary file, in arrays allocated once for its line count
+    and grown only if too short (lone ``\\r`` line ends, or a file that grew)."""
+    capacity = _count_lines(handle)
+    handle.seek(0)
+    names, line_no, tail = _read_header(handle)
+    out = [np.empty((capacity, len(names))), np.empty(capacity), np.empty(capacity, np.int64)]
+    count = 0
+    while chunk := handle.read(_CHUNK_BYTES):
+        chunk = tail + chunk
+        end = chunk.rfind(b"\n") + 1
+        count, line_no = _fill(out, count, chunk, end, line_no)
+        tail = chunk[end:]
+    count, _ = _fill(out, count, tail, len(tail), line_no)
+    return (names, *(array[:count] for array in out))
+
+
+def _count_lines(handle: BinaryIO) -> int:
+    """One more than the newlines of ``handle``, whose bytes must be UTF-8.
+
+    An ASCII chunk costs one ``bytes.isascii`` for that check.  Bytes that
+    are not UTF-8 raise, before any fault of a line, the ``UnicodeDecodeError``
+    of decoding the file whole, which counts the byte's position from its start.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = 0
+    try:
+        while chunk := handle.read(_CHUNK_BYTES):
+            newlines += chunk.count(b"\n")
+            if not chunk.isascii() or decoder.getstate()[0]:  # or a character runs on
+                decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        handle.seek(0)
+        handle.read().decode("utf-8")
+        raise
+    return newlines + 1
+
+
+def _read_header(handle: BinaryIO) -> tuple[tuple[str, ...], int, bytes]:
+    """The feature names of the header, the number of the line after it, and
+    the rest of the bytes read to find it (lines that ended in a lone ``\\r``)."""
+    line_no = 0  # the lines before this read's
+    for raw in handle:  # up to each \n; a \r ends a line too
+        lines = _lf(raw).decode("utf-8").split("\n")
+        for k, line in _data_lines(lines):
+            header = line.split(",")
+            if len(header) < 3 or header[-2:] != ["target", "row_time"]:
+                raise MalformedLine(line_no + k, "dataset CSV header must end with target,row_time")
+            return tuple(header[:-2]), line_no + k + 1, "\n".join(lines[k:]).encode()
+        line_no += len(lines) - 1
+    raise EmptyDataset("dataset CSV has no header line")
+
+
+def _fill(out: list[np.ndarray], start: int, buf: bytes, end: int,
+          line_no: int) -> tuple[int, int]:
+    """Read the dataset lines ``buf[:end]``, the first of them line
+    ``line_no``, into ``out`` (rows, targets and row minutes) from row
+    ``start``, growing the arrays in place if they are too short; the row
+    and the line after them.  Only the chunk and its block are alive here.
+    """
+    rows, targets, minutes = out
+    lines, block_minutes, values = parse_dataset_rows(buf, end, rows.shape[1] + 1, line_no)
+    stop = start + len(block_minutes)
+    if stop > len(minutes):  # the first rows are kept; the rest is filled later
+        out[:] = [np.resize(array, (2 * stop, *array.shape[1:])) for array in out]
+        rows, targets, minutes = out
+    rows[start:stop], targets[start:stop], minutes[start:stop] = (
+        values[:, :-1], values[:, -1], block_minutes)
+    return stop, line_no + lines
 
 
 # --------------------------------------------------------------------------

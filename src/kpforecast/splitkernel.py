@@ -12,8 +12,8 @@ rows.  The ``splitkernel32`` build holds them in 32 bits, for larger
 matrices.  :func:`kernel_for` picks the build from the row count, and
 builds ``splitkernel32`` only when a matrix first needs it.
 ``csvscan.c`` reads and writes the rows of the
-canonical CSV files; :func:`.ingest.scan_rows` and :func:`.ingest.format_rows`
-are its only callers.
+canonical CSV files; :func:`.ingest.scan_rows` and the writer of
+:func:`.ingest.format_rows` and :func:`.ingest.write_rows` are its only callers.
 
 :func:`load` compiles a kernel's source with the system ``cc`` the first
 time a process needs it and caches the library in this package's

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpforecast import cli, splitkernel
+from kpforecast import baseline, cli, ingest, modelio, splitkernel
 from kpforecast.cli import main
+from kpforecast.fusion import FusedDataset
 
 SMALL_LAGS = [
     "--solar-lookback-minutes", "60",
@@ -335,6 +336,27 @@ def test_the_pinned_bytes_hold_without_the_csv_scanner(tmp_cwd, monkeypatch, mis
     monkeypatch.setattr(splitkernel, "load",
                         lambda name="splitkernel": None if name in missing else load(name))
     test_synth_fuse_and_predict_bytes_are_pinned(tmp_cwd)
+
+
+@pytest.mark.parametrize("missing", [(), ("csvscan",)], ids=["as built", "no scanner"])
+def test_predict_with_a_linear_model_writes_each_prediction(sources, monkeypatch, missing):
+    """Each line after the header is a row's time and ``repr`` of the
+    linear model's prediction for it."""
+    load = splitkernel.load
+    monkeypatch.setattr(splitkernel, "load",
+                        lambda name="splitkernel": None if name in missing else load(name))
+    root = sources["dir"]
+    data, model, out = root / "fused.csv", root / "linear.json", root / "pred.csv"
+    assert main(_fuse_args(sources, data)) == 0
+    assert main(["train", "--data", str(data), "--model-kind", "linear",
+                 "--out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 0
+    dataset = FusedDataset.read_csv(data)
+    predicted = baseline.predict_linear_batch(modelio.load_model(model), dataset.rows)
+    lines = [f"{time},{float(value)!r}"
+             for time, value in zip(ingest.format_minutes(dataset.row_minutes), predicted)]
+    assert out.read_text().split("\n") == ["row_time,predicted", *lines, ""]
 
 
 def test_threads_default_is_the_cpus_this_process_may_use(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kpforecast import datagen, fusion, ingest, splitkernel
+from kpforecast import datagen, ingest, splitkernel
 from kpforecast.cli import main
 from kpforecast.errors import DataError, MalformedLine
 from kpforecast.fusion import FusedDataset
@@ -207,7 +207,7 @@ def test_dataset_readers_agree_on_both_paths(scanner, tmp_path, data, chunk):
     content = data.draw(one_edit(lines, -1), label="content")
     path = tmp_path / "data.csv"
     path.write_bytes(content)
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         from_file, from_text = _dataset_file(path), _dataset_text(content)
     assert _bits(from_text) == _bits(from_file)
     with mock.patch.object(splitkernel, "load", _scanner_off):
@@ -245,7 +245,7 @@ def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
     path = tmp_path / "data.csv"
     with open(path, "wb") as handle:
         data.write_csv(handle)
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         tracemalloc.start()
         try:
             read = FusedDataset.read_csv(path)
@@ -255,6 +255,26 @@ def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
     assert read.rows.tobytes() == data.rows.tobytes()
     assert read.rows.flags.c_contiguous  # so forest.fit reads it without a copy
     assert peak <= read.rows.nbytes + 4 * chunk
+
+
+def test_the_dataset_writer_writes_each_block_from_the_codec_buffer(scanner, tmp_path):
+    """numpy reports its buffers to tracemalloc: writing holds one block's
+    matrix and the codec's buffer for its text, never a copy of that text."""
+    rng = np.random.default_rng(6)
+    n, p, rows = 600, 200, ingest._BLOCK_ROWS
+    data = FusedDataset(tuple(f"x{j}" for j in range(p)), rng.standard_normal((n, p)),
+                        rng.uniform(0.0, 9.0, n), 180 * np.arange(n))
+    buffer = rows * ((p + 1) * ingest._CELL_BYTES + len("1970-01-01T00:00Z") + 2)
+    text = len(data.to_csv()) * rows // n  # about a block's text
+    with open(tmp_path / "data.csv", "wb") as handle:
+        tracemalloc.start()
+        try:
+            data.write_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "data.csv").read_bytes() == data.to_csv()
+    assert peak < buffer + rows * (p + 1) * 8 + text // 4
 
 
 class _CountedBytes(bytes):
@@ -301,7 +321,7 @@ def test_a_refused_chunk_alone_takes_the_python_pass(scanner, tmp_path):
         passes.append(self.content[:self.end])
         return scan_lines(self, cols)
 
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
             mock.patch.object(ingest._Scan, "_scan_lines", counted):
         with pytest.raises(MalformedLine, match=rf"^line {len(lines)}: unparsable number 'abc'$"):
             FusedDataset.read_csv(path)
@@ -322,7 +342,7 @@ def test_a_dataset_with_other_line_ends_reads_through_the_scanner(scanner, tmp_p
     other.write_bytes(data.to_csv().replace(b"\n", newline.encode()))
     expected = _bits(FusedDataset.read_csv(lf))
     assert expected == _bits(data)
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
             mock.patch.object(ingest._Scan, "_scan_lines", None):
         assert _bits(FusedDataset.read_csv(other)) == expected
 
@@ -577,7 +597,7 @@ def test_the_dataset_writer_writes_as_the_python_writer_does(scanner, data, rows
     targets = data.draw(st.lists(st.floats(0.0, 9.0), min_size=rows, max_size=rows))
     dataset = FusedDataset(tuple(f"x{j}" for j in range(width)), cells, targets,
                            180 * np.arange(rows))
-    with mock.patch.object(fusion, "_BLOCK_ROWS", block):
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         compiled = dataset.to_csv()
         with mock.patch.object(splitkernel, "load", _scanner_off):
             assert dataset.to_csv() == compiled

@@ -326,7 +326,21 @@ def test_shared_fits_hold_the_full_width_forest():
     top = run_plan(data, _plan(k_features=10), fits=fits)
     rf = run_plan(data, _plan(), fits=fits)
     assert list(fits) == [(SMALL_SPEC, _cutoff(12), FAST_FOREST)]
-    assert rf.model is fits[(SMALL_SPEC, _cutoff(12), FAST_FOREST)]
+    fitted_on, model = fits[(SMALL_SPEC, _cutoff(12), FAST_FOREST)]
+    assert fitted_on is data and rf.model is model
     # sharing changes no result
     assert rf.report == run_plan(data, _plan()).report
     assert top.report == run_plan(data, _plan(k_features=10)).report
+
+
+@pytest.mark.parametrize("k_features", [None, 10], ids=["RF", "top-k ranking"])
+def test_shared_fits_refuse_another_dataset(k_features):
+    """A dict that holds one dataset's forest never hands it to another
+    dataset's plan of the same lag spec, cutoff and forest config."""
+    first, second = (fuse(*_sources(seed=seed), SMALL_SPEC) for seed in (1, 2))
+    fits: dict = {}
+    run_plan(first, _plan(), fits=fits)
+    with pytest.raises(ValueError, match="another dataset"):
+        run_plan(second, _plan(k_features=k_features), fits=fits)
+    assert run_plan(first, _plan(k_features=k_features), fits=fits).report == run_plan(
+        first, _plan(k_features=k_features)).report

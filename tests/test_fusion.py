@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpforecast import datagen, fusion, ingest
+from kpforecast import datagen, ingest
 from kpforecast.errors import (
     BadTimestamp,
     CadenceMismatch,
@@ -608,7 +608,7 @@ def test_a_file_that_grows_between_the_passes_still_reads(tmp_path, chunk):
     header, *lines = grown.to_csv().splitlines(keepends=True)
     path = tmp_path / "data.csv"
     path.write_bytes(header + b"".join(lines[:10]))
-    count_lines = fusion._count_lines
+    count_lines = ingest._count_lines
 
     def counted_then_grown(handle):
         counted = count_lines(handle)
@@ -616,8 +616,8 @@ def test_a_file_that_grows_between_the_passes_still_reads(tmp_path, chunk):
             more.write(b"".join(lines[10:]))
         return counted
 
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk), \
-            mock.patch.object(fusion, "_count_lines", counted_then_grown):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(ingest, "_count_lines", counted_then_grown):
         read = FusedDataset.read_csv(path)
     _assert_same_bits(read, grown)
 
@@ -634,7 +634,7 @@ def test_a_body_that_is_not_utf8_raises_before_any_line_fault(tmp_path, chunk):
     path.write_bytes(content)
     with pytest.raises(UnicodeDecodeError) as whole:
         content.decode("utf-8")
-    with mock.patch.object(fusion, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         with pytest.raises(UnicodeDecodeError) as exc:
             FusedDataset.read_csv(path)
     assert str(exc.value) == str(whole.value)
