@@ -5,9 +5,24 @@ measurements into lagged feature rows on the 3-hour Kp grid, trains a
 from-scratch random-forest regressor to predict Kp a few hours ahead, and
 evaluates it — against an ordinary-least-squares baseline — by the fraction
 of test predictions within one Kp unit of the truth.
+
+Importing the package sets numpy's OpenBLAS idle policy, so the lines that
+do it must run before anything imports numpy.  OpenBLAS reads
+``OPENBLAS_THREAD_TIMEOUT`` once, when numpy loads it, and starts its
+worker threads then.  By default (2^28 cycles, about 0.1 s) each idle
+worker spins that long at start-up and after every threaded BLAS call
+before it sleeps, which costs a short command about 0.1 s of CPU per
+worker and does no work.  The package sets the minimum, 4 (2^4 cycles), so
+an idle worker sleeps at once.  A value already in the environment is
+kept, and so is the worker count (``OPENBLAS_NUM_THREADS``); outputs do
+not depend on either setting.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .baseline import LinearModel, fit_linear, predict_linear, predict_linear_batch
 from .datagen import SynthConfig, generate

@@ -639,7 +639,7 @@ def parse_dataset(content: bytes) -> tuple[tuple[str, ...], np.ndarray, np.ndarr
 
 def _read_dataset(handle: BinaryIO):
     """The dataset in a binary file, in arrays allocated once for its line count
-    and grown only if too short (lone ``\\r`` line ends, or a file that grew)."""
+    and grown only if too short (mixed line ends, or a file that grew)."""
     capacity = _count_lines(handle)
     handle.seek(0)
     names, line_no, tail = _read_header(handle)
@@ -647,25 +647,41 @@ def _read_dataset(handle: BinaryIO):
     count = 0
     while chunk := handle.read(_CHUNK_BYTES):
         chunk = tail + chunk
-        end = chunk.rfind(b"\n") + 1
-        count, line_no = _fill(out, count, chunk, end, line_no)
+        end = _lines_end(chunk)
         tail = chunk[end:]
+        if chunk.find(b"\r", 0, end) >= 0:  # made LF here, so the chunk is not held twice
+            chunk = _lf(chunk[:end])
+            end = len(chunk)
+        count, line_no = _fill(out, count, chunk, end, line_no)
     count, _ = _fill(out, count, tail, len(tail), line_no)
     return (names, *(array[:count] for array in out))
 
 
-def _count_lines(handle: BinaryIO) -> int:
-    """One more than the newlines of ``handle``, whose bytes must be UTF-8.
+def _lines_end(buf: bytes, start: int = 0) -> int:
+    """The end of the last whole line of ``buf``, found in ``buf[start:]``; 0 if none ends there.
 
-    An ASCII chunk costs one ``bytes.isascii`` for that check.  Bytes that
-    are not UTF-8 raise, before any fault of a line, the ``UnicodeDecodeError``
-    of decoding the file whole, which counts the byte's position from its start.
+    A line ends after a ``\\n``, or after a ``\\r`` that is not the last byte: a
+    last ``\\r`` may begin a ``\\r\\n`` that the next bytes read complete."""
+    return max(buf.rfind(b"\n", start), buf.rfind(b"\r", start, len(buf) - 1)) + 1
+
+
+def _count_lines(handle: BinaryIO) -> int:
+    """One more than the line ends of ``handle``, whose bytes must be UTF-8.
+
+    A chunk whose lines all end alike (``\\n``, ``\\r\\n`` or ``\\r``) has as
+    many line ends as it has of the commoner of ``\\n`` and ``\\r``, give or
+    take a ``\\r\\n`` split between two chunks; a chunk that mixes them has
+    more, and the reader's arrays then grow.  An ASCII chunk with no ``\\r``
+    costs one ``bytes.count`` and one ``bytes.isascii``.  Bytes that are not
+    UTF-8 raise, before any fault of a line, the ``UnicodeDecodeError`` of
+    decoding the file whole, which counts the byte's position from its start.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0
+    ends = 0
     try:
         while chunk := handle.read(_CHUNK_BYTES):
-            newlines += chunk.count(b"\n")
+            newlines = chunk.count(b"\n")
+            ends += max(newlines, chunk.count(b"\r")) if b"\r" in chunk else newlines
             if not chunk.isascii() or decoder.getstate()[0]:  # or a character runs on
                 decoder.decode(chunk)
         decoder.decode(b"", final=True)
@@ -673,22 +689,29 @@ def _count_lines(handle: BinaryIO) -> int:
         handle.seek(0)
         handle.read().decode("utf-8")
         raise
-    return newlines + 1
+    return ends + 1
 
 
 def _read_header(handle: BinaryIO) -> tuple[tuple[str, ...], int, bytes]:
     """The feature names of the header, the number of the line after it, and
-    the rest of the bytes read to find it (lines that ended in a lone ``\\r``)."""
-    line_no = 0  # the lines before this read's
-    for raw in handle:  # up to each \n; a \r ends a line too
-        lines = _lf(raw).decode("utf-8").split("\n")
+    the rest of the bytes read to find it.
+
+    The handle is read up to each ``\\n``, but a buffer at most at a time, so
+    a file whose lines end in a lone ``\\r`` is not read whole to find it."""
+    line_no, buf = 0, b""  # the lines before ``buf``, and the bytes read after them
+    while True:
+        block = handle.readline(io.DEFAULT_BUFFER_SIZE)
+        buf += block
+        end = _lines_end(buf, max(len(buf) - len(block) - 1, 0)) if block else len(buf)
+        lines = _lf(buf[:end]).decode("utf-8").split("\n")
         for k, line in _data_lines(lines):
             header = line.split(",")
             if len(header) < 3 or header[-2:] != ["target", "row_time"]:
                 raise MalformedLine(line_no + k, "dataset CSV header must end with target,row_time")
-            return tuple(header[:-2]), line_no + k + 1, "\n".join(lines[k:]).encode()
-        line_no += len(lines) - 1
-    raise EmptyDataset("dataset CSV has no header line")
+            return tuple(header[:-2]), line_no + k + 1, "\n".join(lines[k:]).encode() + buf[end:]
+        if not block:
+            raise EmptyDataset("dataset CSV has no header line")
+        line_no, buf = line_no + len(lines) - 1, buf[end:]
 
 
 def _fill(out: list[np.ndarray], start: int, buf: bytes, end: int,

@@ -235,26 +235,51 @@ def test_the_scanner_reads_the_synthetic_archive(scanner, tmp_path):
             assert _bits(_PARSERS[kind](content)) == compiled
 
 
-def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
-    """numpy reports its buffers to tracemalloc: reading holds the rows once,
-    plus a raw read, a chunk and one chunk's block, never a second matrix."""
+_PEAK_CHUNK = 1 << 18
+
+
+def _traced_read(tmp_path, newline=b"\n"):
+    """A 1000 x 200 dataset, the same rows read back from its file with lines
+    ending in ``newline``, and the peak memory tracemalloc saw during the read."""
     rng = np.random.default_rng(5)
-    n, p, chunk = 1000, 200, 1 << 18
+    n, p = 1000, 200
     data = FusedDataset(tuple(f"x{j}" for j in range(p)), rng.standard_normal((n, p)),
                         rng.uniform(0.0, 9.0, n), 180 * np.arange(n))
     path = tmp_path / "data.csv"
     with open(path, "wb") as handle:
         data.write_csv(handle)
-    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+    if newline != b"\n":
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    with mock.patch.object(ingest, "_CHUNK_BYTES", _PEAK_CHUNK):
         tracemalloc.start()
         try:
             read = FusedDataset.read_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert read.rows.tobytes() == data.rows.tobytes()
+    assert _bits(read) == _bits(data)
+    return read, peak
+
+
+def test_the_scanner_allocates_the_rows_once(scanner, tmp_path):
+    """numpy reports its buffers to tracemalloc: reading holds the rows once,
+    plus a raw read, a chunk and one chunk's block, never a second matrix."""
+    read, peak = _traced_read(tmp_path)
     assert read.rows.flags.c_contiguous  # so forest.fit reads it without a copy
-    assert peak <= read.rows.nbytes + 4 * chunk
+    assert peak <= read.rows.nbytes + 4 * _PEAK_CHUNK
+
+
+@pytest.mark.parametrize("load", [_LOAD, _scanner_off], ids=["as built", "without scanner"])
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+def test_a_dataset_with_other_line_ends_is_read_a_chunk_at_a_time(scanner, tmp_path, load,
+                                                                  newline):
+    """Lines that end in \\r or \\r\\n are counted and cut into chunks as \\n
+    lines are, so the read stays within the bound of an LF read: the file is
+    never held whole, the arrays are sized once, and a chunk is made LF
+    where its bytes as read can be let go."""
+    with mock.patch.object(splitkernel, "load", load):
+        read, peak = _traced_read(tmp_path, newline)
+    assert peak <= read.rows.nbytes + 4 * _PEAK_CHUNK
 
 
 def test_the_dataset_writer_writes_each_block_from_the_codec_buffer(scanner, tmp_path):
@@ -334,8 +359,8 @@ def test_a_refused_chunk_alone_takes_the_python_pass(scanner, tmp_path):
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_a_dataset_with_other_line_ends_reads_through_the_scanner(scanner, tmp_path, newline,
                                                                    chunk):
-    """Lines that end in \\r\\n or \\r read as LF lines do, with no Python pass;
-    a file of \\r lines counts one line, so its arrays grow as they fill."""
+    """Lines that end in \\r\\n or \\r read as LF lines do, with no Python pass,
+    whichever chunk a line end falls in."""
     data = _random_dataset(30)
     lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
     lf.write_bytes(data.to_csv())
