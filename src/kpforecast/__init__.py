@@ -14,8 +14,10 @@ worker spins that long at start-up and after every threaded BLAS call
 before it sleeps, which costs a short command about 0.1 s of CPU per
 worker and does no work.  The package sets the minimum, 4 (2^4 cycles), so
 an idle worker sleeps at once.  A value already in the environment is
-kept, and so is the worker count (``OPENBLAS_NUM_THREADS``); outputs do
-not depend on either setting.
+kept, and so is the worker count (``OPENBLAS_NUM_THREADS``).  The timeout
+changes no output.  The worker count changes three, whose last bits follow
+how BLAS splits its work: the linear model file (``train --model-kind
+linear``), the linear ``evaluate`` report and the ``pca`` projection.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .baseline import LinearModel, fit_linear, predict_linear, predict_linear_batch
+from .baseline import LinearModel, fit_linear, predict_linear_batch
 from .datagen import SynthConfig, generate
 from .errors import DataError, KpForecastError
 from .evaluate import (
@@ -41,7 +43,6 @@ from .forest import (
     ImportanceReport,
     fit,
     importance,
-    predict,
     predict_batch,
     top_k,
 )
@@ -93,13 +94,11 @@ __all__ = [
     "ForestModel",
     "ImportanceReport",
     "fit",
-    "predict",
     "predict_batch",
     "importance",
     "top_k",
     "LinearModel",
     "fit_linear",
-    "predict_linear",
     "predict_linear_batch",
     "PcaModel",
     "fit_pca",

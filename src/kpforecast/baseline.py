@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset
-from .fusion import FusedDataset, _row_matrix
+from .errors import EmptyDataset, NonFiniteValue
+from .fusion import FusedDataset, _all_finite, _row_matrix
 
-__all__ = ["LinearModel", "fit_linear", "predict_linear", "predict_linear_batch"]
+__all__ = ["LinearModel", "fit_linear", "predict_linear_batch"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,14 +43,11 @@ def fit_linear(data: FusedDataset) -> LinearModel:
     )
 
 
-def predict_linear(model: LinearModel, row: np.ndarray) -> float:
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D row, got {row.ndim}-D")
-    _row_matrix(row[None, :], len(model.feature_names))
-    return float(model.intercept + row @ model.coefficients)
-
-
 def predict_linear_batch(model: LinearModel, rows: np.ndarray) -> np.ndarray:
+    """Vector of predictions for a 2-D row matrix; refuses one that overflows."""
     rows = _row_matrix(rows, len(model.feature_names))
-    return model.intercept + rows @ model.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = model.intercept + rows @ model.coefficients
+    if not _all_finite(predicted):
+        raise NonFiniteValue("predictions must be finite; the model overflows on these rows")
+    return predicted

@@ -320,10 +320,11 @@ def _cmd_predict(args) -> int:
     with _naming(opts.data):
         data = FusedDataset.read_csv(opts.data)
     _check_feature_names(model, data, opts.model, opts.data)
-    if isinstance(model, forest.ForestModel):
-        predicted = forest.predict_batch(model, data.rows)
-    else:
-        predicted = baseline.predict_linear_batch(model, data.rows)
+    with _naming(opts.model):  # a linear model's coefficients may overflow
+        if isinstance(model, forest.ForestModel):
+            predicted = forest.predict_batch(model, data.rows)
+        else:
+            predicted = baseline.predict_linear_batch(model, data.rows)
     with _create(opts.out) as handle:
         ingest.write_rows(handle, ("row_time", "predicted"), (predicted,),
                           ingest.format_minutes(data.row_minutes), stamp_last=False)
@@ -432,7 +433,7 @@ def _cmd_pca(args) -> int:
     opts = _resolve(args, _PCA_SPEC)
     with _naming(opts.data):
         data = FusedDataset.read_csv(opts.data)
-        coords = pca.project(pca.fit_pca(data, 2), data)
+        coords = pca.project(pca.fit_pca(data, 2), data.rows)
     labels = [str(math.floor(target + 0.5)) for target in data.targets.tolist()]
     with _create(opts.out) as handle:
         ingest.write_rows(handle, ("pc1", "pc2", "kp_label"), (coords,), labels, stamp_last=True)

@@ -8,14 +8,14 @@ and the split minimising the weighted sum of child target variances wins
 (ties: the lowest feature index, then the lowest threshold).  Growth stops
 when a node has at most ``min_leaf`` rows, zero target variance, or no
 candidate admits a valid split.  A leaf predicts the mean of its routed
-targets; the forest predicts the mean over trees.  A row routes left when
-``value <= threshold``.  A fitted tree is a :class:`Tree`: six parallel
-arrays over its nodes, numbered in preorder, which growth, prediction,
-out-of-bag scoring and the model file (:mod:`.modelio`) all share.  Rows
-route level by level: each pass moves every row not yet at a leaf one level
-down, and out-of-bag rows route by their index into the training matrix,
-which is never copied.  No step recurses, so a tree may be as deep as its
-data makes it.
+targets; the forest predicts the mean over trees for each row of a matrix
+(:func:`predict_batch`).  A row routes left when ``value <= threshold``.  A
+fitted tree is a :class:`Tree`: six parallel arrays over its nodes,
+numbered in preorder, which growth, prediction, out-of-bag scoring and the
+model file (:mod:`.modelio`) all share.  Rows route level by level: each
+pass moves every row not yet at a leaf one level down, and out-of-bag rows
+route by their index into the training matrix, which is never copied.  No
+step recurses, so a tree may be as deep as its data makes it.
 
 Each tree grows in one call to the compiled kernel of :mod:`.splitkernel`,
 which releases the interpreter lock, so up to ``threads`` trees grow in
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, KOutOfRange
+from .errors import EmptyDataset, KOutOfRange
 from . import splitkernel
 from .fusion import FeatureSubset, FusedDataset, _row_matrix
 from .rng import PortableRng, derive_seed
@@ -74,7 +74,6 @@ __all__ = [
     "RankedFeature",
     "ImportanceReport",
     "fit",
-    "predict",
     "predict_batch",
     "importance",
     "top_k",
@@ -388,14 +387,6 @@ def fit(data: FusedDataset, config: ForestConfig = ForestConfig(), threads: int 
 
 # --------------------------------------------------------------------------
 # prediction
-
-
-def predict(model: ForestModel, row: np.ndarray) -> float:
-    """Mean over trees for a single feature row."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1:
-        raise DimensionMismatch("predict expects a single 1-D row")
-    return float(predict_batch(model, row[None, :])[0])
 
 
 def predict_batch(model: ForestModel, rows: np.ndarray) -> np.ndarray:

@@ -9,12 +9,13 @@ each direction's largest-magnitude entry positive so output is unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, EmptyDataset, KOutOfRange
-from .fusion import FusedDataset, _row_matrix
+from .errors import DegenerateData, EmptyDataset, KOutOfRange, NonFiniteValue
+from .fusion import FusedDataset, _all_finite, _row_matrix
 
 __all__ = ["PcaModel", "fit_pca", "project"]
 
@@ -32,14 +33,13 @@ class PcaModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_components(self) -> int:
-        return self.directions.shape[0]
 
+def fit_pca(data: FusedDataset, k: int) -> PcaModel:
+    """Top-``k`` principal components via SVD of the dataset's centred rows.
 
-def fit_pca(data, k: int) -> PcaModel:
-    """Top-``k`` principal components via SVD of the centred row matrix."""
-    X = _row_matrix(data.rows if isinstance(data, FusedDataset) else data)
+    Rows so large that their mean or total variance overflows are refused.
+    """
+    X = data.rows
     n, p = X.shape
     if n == 0:
         raise EmptyDataset("PCA needs at least 2 rows, got none")
@@ -48,10 +48,12 @@ def fit_pca(data, k: int) -> PcaModel:
     if not 1 <= k <= min(n, p):
         raise KOutOfRange(f"k must lie in [1, {min(n, p)}], got {k}")
 
-    mean = X.mean(axis=0)
-    centred = X - mean
-
-    total_variance = float((centred * centred).sum() / (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centred = X - mean
+        total_variance = float((centred * centred).sum() / (n - 1))
+    if not math.isfinite(total_variance):  # as it is when the mean overflows
+        raise NonFiniteValue("rows overflow: their mean or total variance is not finite")
     if total_variance == 0.0:
         raise DegenerateData("rows carry zero variance; no principal directions")
 
@@ -70,7 +72,12 @@ def fit_pca(data, k: int) -> PcaModel:
     )
 
 
-def project(model: PcaModel, data) -> np.ndarray:
-    """Coordinates of each row along the model's directions, shape (n, k)."""
-    X = _row_matrix(data.rows if isinstance(data, FusedDataset) else data, model.mean.size)
-    return (X - model.mean) @ model.directions.T
+def project(model: PcaModel, rows: np.ndarray) -> np.ndarray:
+    """Coordinates of each row of a 2-D matrix along the model's directions,
+    shape (n, k); refuses rows whose coordinates overflow."""
+    X = _row_matrix(rows, model.mean.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = (X - model.mean) @ model.directions.T
+    if not _all_finite(coords):
+        raise NonFiniteValue("coordinates must be finite; the rows overflow")
+    return coords

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpforecast.baseline import LinearModel, fit_linear, predict_linear, predict_linear_batch
+from kpforecast.baseline import LinearModel, fit_linear, predict_linear_batch
 from kpforecast.errors import DimensionMismatch, NonFiniteValue
 from kpforecast.rng import PortableRng
 
@@ -18,7 +20,7 @@ def test_recovers_exact_line():
     model = fit_linear(make_dataset([[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0]))
     assert abs(model.intercept) < 1e-12
     assert abs(model.coefficients[0] - 2.0) < 1e-12
-    assert abs(predict_linear(model, np.array([10.0])) - 20.0) < 1e-10
+    assert abs(predict_linear_batch(model, np.array([[10.0]]))[0] - 20.0) < 1e-10
 
 
 def test_constant_target_gives_flat_model():
@@ -62,26 +64,28 @@ def test_duplicate_columns_get_minimum_norm_solution():
     assert abs(model.coefficients[0] - model.coefficients[1]) < 1e-10
 
 
-def test_batch_and_single_prediction_agree():
-    rng = PortableRng(8)
-    X = np.array([[rng.random() for _ in range(4)] for _ in range(15)])
-    y = np.array([rng.random() for _ in range(15)])
-    model = fit_linear(make_dataset(X, y))
-    batch = predict_linear_batch(model, X)
-    singles = [predict_linear(model, X[i]) for i in range(15)]
-    # matrix and per-row products may take different BLAS paths: tight
-    # tolerance rather than bitwise equality
-    assert np.allclose(batch, singles, rtol=0.0, atol=1e-12)
-
-
 def test_prediction_input_validation():
     model = fit_linear(make_dataset([[1.0, 2.0]], [3.0]))
     with pytest.raises(DimensionMismatch):
-        predict_linear(model, np.zeros(3))
+        predict_linear_batch(model, np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch):
         predict_linear_batch(model, np.zeros(2))  # 1-D where 2-D expected
     with pytest.raises(NonFiniteValue):
-        predict_linear(model, np.array([1.0, np.inf]))
+        predict_linear_batch(model, np.array([[1.0, np.inf]]))
+
+
+@pytest.mark.parametrize("coefficient, row", [
+    (1e308, [10.0, 0.0]),  # the product overflows to inf
+    (1e308, [-1e308, 0.0]),  # and to -inf
+    (1e308, [2.0, -1e308]),  # inf - inf is NaN
+])
+def test_prediction_that_overflows_is_refused_without_a_warning(coefficient, row):
+    model = LinearModel(0.5, np.array([coefficient, coefficient]), ("x0", "x1"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteValue, match="predictions must be finite"):
+            predict_linear_batch(model, np.array([[0.0, 0.0], row]))
+    assert caught == []
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -667,6 +668,41 @@ def test_pca_on_fewer_than_2_rows_is_a_data_error(valid_files, tmp_path, rows, g
     code, err = _run(["pca", "--data", str(data), "--out", str(tmp_path / "pca.csv")])
     assert (code, err) == (2, f"error: {data}: PCA needs at least 2 rows, got {got}\n")
     assert not (tmp_path / "pca.csv").exists()
+
+
+def _run_without_warnings(argv):
+    """``_run(argv)``, failing the test if a warning is raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _run(argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+def test_pca_on_rows_that_overflow_is_a_data_error(valid_files, tmp_path):
+    # finite cells whose mean overflows once wrote -inf,nan coordinates and exited 0
+    lines = valid_files["data"].read_text().splitlines(keepends=True)
+    data = tmp_path / "huge.csv"
+    data.write_text(lines[0] + "".join("1.5e308," + line.split(",", 1)[1] for line in lines[1:]))
+    code, err = _run_without_warnings(["pca", "--data", str(data),
+                                       "--out", str(tmp_path / "pca.csv")])
+    assert (code, err) == (2, f"error: {data}: rows overflow: their mean or total variance "
+                              "is not finite\n")
+    assert not (tmp_path / "pca.csv").exists()
+
+
+def test_a_linear_model_that_overflows_is_named(valid_files, tmp_path):
+    # a finite coefficient of 1e308 once wrote inf predictions and exited 0
+    tampered = json.loads(valid_files["linear"].read_text())
+    tampered["coefficients"][0] = 1e308
+    model = tmp_path / "huge_linear.json"
+    model.write_text(json.dumps(tampered))
+    code, err = _run_without_warnings(["predict", "--model", str(model),
+                                       "--data", str(valid_files["data"]),
+                                       "--out", str(tmp_path / "p.csv")])
+    assert (code, err) == (2, f"error: {model}: predictions must be finite; the model "
+                              "overflows on these rows\n")
+    assert not (tmp_path / "p.csv").exists()
 
 
 _OFF_GRID = b"2021-01-01T00:00Z,1,1,1,1,1,1,1\n2021-01-01T00:17Z,1,1,1,1,1,1,1\n"

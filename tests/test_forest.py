@@ -22,7 +22,6 @@ from kpforecast.forest import (
     _route,
     fit,
     importance,
-    predict,
     predict_batch,
     top_k,
 )
@@ -100,8 +99,8 @@ def test_route_left_on_exact_threshold_match():
     data = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0.0, 0.0, 5.0, 5.0])
     model = fit(data, EXACT_TREE)
     threshold = _the_tree(model).threshold[0]
-    assert predict(model, np.array([threshold])) == 0.0  # <= goes left
-    assert predict(model, np.array([np.nextafter(threshold, 100.0)])) == 5.0
+    probe = np.array([[threshold], [np.nextafter(threshold, 100.0)]])
+    assert predict_batch(model, probe).tolist() == [0.0, 5.0]  # <= goes left
 
 
 def test_adjacent_value_midpoint_guard_keeps_split_valid():
@@ -163,7 +162,6 @@ def test_forest_prediction_is_mean_over_stub_trees():
         train_target_range=(3.0, 5.0),
         oob_mse=None,
     )
-    assert predict(model, np.array([0.0])) == 4.0
     assert predict_batch(model, np.array([[0.0], [9.0]])).tolist() == [4.0, 4.0]
 
 
@@ -178,16 +176,6 @@ def test_predictions_bounded_by_training_target_range():
     assert out.min() >= y.min() - 1e-12
     assert out.max() <= y.max() + 1e-12
     assert model.train_target_range == (y.min(), y.max())
-
-
-def test_predict_and_predict_batch_agree():
-    rng = PortableRng(4)
-    X = np.array([[rng.random() for _ in range(4)] for _ in range(40)])
-    y = np.array([rng.random() for _ in range(40)])
-    model = fit(make_dataset(X, y), ForestConfig(n_trees=7, seed=3))
-    batch = predict_batch(model, X)
-    single = np.array([predict(model, X[i]) for i in range(len(X))])
-    assert np.array_equal(batch, single)
 
 
 # -- oracle equivalence ----------------------------------------------------------
@@ -230,7 +218,7 @@ def test_single_tree_training_predictions_match_oracle_multifeature():
         )
         model = fit(data, config)
         expected = oracle_tree(X, y, min_leaf=min_leaf)
-        got = [predict(model, X[i]) for i in range(n)]
+        got = predict_batch(model, X).tolist()
         want = [oracle_predict(expected, X[i]) for i in range(n)]
         assert got == want, f"trial {trial}"
 
@@ -562,11 +550,11 @@ def test_importance_csv_round_trip_shape():
 def test_predict_rejects_wrong_width_and_nonfinite():
     model = fit(_random_data(7, n=20, p=3), ForestConfig(n_trees=2, seed=0))
     with pytest.raises(DimensionMismatch):
-        predict(model, np.zeros(4))
+        predict_batch(model, np.zeros((1, 4)))
     with pytest.raises(DimensionMismatch):
         predict_batch(model, np.zeros((2, 4)))
     with pytest.raises(NonFiniteValue):
-        predict(model, np.array([0.0, np.nan, 0.0]))
+        predict_batch(model, np.array([[0.0, np.nan, 0.0]]))
 
 
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -583,13 +571,11 @@ def test_predict_batch_refuses_a_non_finite_value_in_any_cell(data, bad):
     with pytest.raises(NonFiniteValue):
         predict_batch(model, X)
     with pytest.raises(NonFiniteValue):
-        predict(model, X[i])
+        predict_batch(model, X[i:i + 1])
 
 
-def test_predict_refuses_a_matrix():
+def test_predict_batch_refuses_a_1d_row():
     model = _forest_of([_leaf(1.0, 1)], 3)
-    with pytest.raises(DimensionMismatch, match="1-D"):
-        predict(model, np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch, match="2-D"):
         predict_batch(model, np.zeros(3))
 

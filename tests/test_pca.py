@@ -79,7 +79,7 @@ def test_projection_variance_equals_eigenvalue():
     X = _random_matrix(4, 50, 4)
     data = make_dataset(X, np.ones(50))
     model = fit_pca(data, 2)
-    coords = project(model, data)
+    coords = project(model, data.rows)
     for i in range(2):
         var = coords[:, i].var(ddof=1)
         assert var == pytest.approx(model.explained_variance[i], rel=1e-9)
@@ -120,3 +120,18 @@ def test_projection_refuses_a_non_finite_value_in_any_cell(data, bad):
     rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))] = bad
     with pytest.raises(NonFiniteValue, match="must be finite"):
         project(model, rows)
+
+
+def test_rows_whose_mean_or_variance_overflows_are_refused():
+    with pytest.raises(NonFiniteValue, match="mean or total variance"):
+        fit_pca(make_dataset([[1.5e308, 0.0], [1.5e308, 1.0], [1.0, 2.0]], [1.0] * 3), 1)
+    # the mean is finite, but the squared deviations are not
+    with pytest.raises(NonFiniteValue, match="mean or total variance"):
+        fit_pca(make_dataset([[1e200, 0.0], [-1e200, 1.0]], [1.0] * 2), 1)
+
+
+def test_projection_that_overflows_is_refused():
+    data = make_dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 2.0, 3.0])
+    model = fit_pca(data, 1)  # direction (1, 1) / sqrt(2)
+    with pytest.raises(NonFiniteValue, match="coordinates must be finite"):
+        project(model, np.array([[0.0, 0.0], [1.7e308, 1.7e308]]))
