@@ -34,7 +34,6 @@ from .evaluate import (
     ExperimentPlan,
     accuracy_within_1,
     comparison_table,
-    run_experiment,
     run_plan,
 )
 from .forest import (
@@ -107,7 +106,6 @@ __all__ = [
     "ExperimentPlan",
     "accuracy_within_1",
     "run_plan",
-    "run_experiment",
     "comparison_table",
     "SynthConfig",
     "generate",

@@ -29,13 +29,17 @@ class LinearModel:
 def fit_linear(data: FusedDataset) -> LinearModel:
     """Least-squares fit of ``target ~ intercept + rows``.
 
-    Uses a rank-revealing SVD solve, so rank-deficient designs get the
-    minimum-norm solution instead of an error.
+    Uses a rank-revealing SVD solve, so rank-deficient and ill-conditioned
+    designs get the minimum-norm solution instead of an error.  Rows whose
+    singular values overflow are refused: the solve would drop every
+    direction but the overflowing one and return a degenerate model.
     """
     if data.n_rows == 0:
         raise EmptyDataset("cannot fit a linear model on zero rows")
     design = np.hstack([np.ones((data.n_rows, 1)), data.rows])
-    solution, *_ = np.linalg.lstsq(design, data.targets, rcond=None)
+    solution, _, _, singular = np.linalg.lstsq(design, data.targets, rcond=None)
+    if not _all_finite(singular):
+        raise NonFiniteValue("rows overflow: the singular values of the design are not finite")
     return LinearModel(
         intercept=float(solution[0]),
         coefficients=solution[1:],

@@ -66,7 +66,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(t) for t in items)
+    values = tuple(int(t) for t in items)
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{repeated} is given twice")
+    return values
 
 
 def _timestamp(text: str) -> int:
@@ -194,7 +198,8 @@ _FOREST_SPEC = _field_spec(forest.ForestConfig, _FOREST_OPTIONS)
 _THREADS_SPEC = {"threads": (int, None, "worker threads (default: the usable CPUs)")}
 
 
-def _read_sources(opts):
+def _fused(opts, lag_spec: LagSpec) -> FusedDataset:
+    """The three source files named in ``opts``, fused with ``lag_spec``."""
     with _naming(opts.solar_wind):
         solar = ingest.solar_wind_series(
             ingest.parse_solar_wind(Path(opts.solar_wind).read_bytes()))
@@ -202,7 +207,7 @@ def _read_sources(opts):
         dst = ingest.to_series(ingest.parse_dst(Path(opts.dst).read_bytes()), "dst", 60)
     with _naming(opts.kp):
         kp = ingest.to_series(ingest.parse_kp(Path(opts.kp).read_bytes()), "kp", 180)
-    return solar, dst, kp
+    return fuse(solar, dst, kp, lag_spec)
 
 
 def _create(path_text: str) -> BinaryIO:
@@ -243,8 +248,7 @@ _FUSE_SPEC = {**_SOURCE_SPEC, **_LAG_SPEC,
 
 def _cmd_fuse(args) -> int:
     opts = _resolve(args, _FUSE_SPEC)
-    solar, dst, kp = _read_sources(opts)
-    data = fuse(solar, dst, kp, LagSpec(**_values(_LAG_OPTIONS, opts)))
+    data = _fused(opts, LagSpec(**_values(_LAG_OPTIONS, opts)))
     with _create(opts.out) as handle:
         data.write_csv(handle)
     return 0
@@ -380,8 +384,7 @@ def _cmd_evaluate(args) -> int:
     plan = _plan(opts, **_values(_PLAN_OPTIONS, opts))
     if plan.model_kind == "linear":
         _refuse_forest_options(opts, keep=("seed",))
-    solar, dst, kp = _read_sources(opts)
-    report = evaluate.run_experiment(plan, solar, dst, kp, threads=threads)
+    report = evaluate.run_plan(_fused(opts, plan.lag_spec), plan, threads).report
     sys.stdout.write(report.to_text())
     if opts.out is not None:
         _write(opts.out, report.to_json())
@@ -412,8 +415,7 @@ def _cmd_compare(args) -> int:
             )
         )
     plans.append(_plan(opts, model_kind="linear"))
-    solar, dst, kp = _read_sources(opts)
-    table = evaluate.comparison_table(plans, solar, dst, kp, threads=threads)
+    table = evaluate.comparison_table(plans, _fused(opts, plans[0].lag_spec), threads)
     content = "label,accuracy\n" + "".join(
         f"{label},{acc!r}\n" for label, acc in table
     )

@@ -1,17 +1,17 @@
 """Experiment orchestration and the within-±1 accuracy metric.
 
-``run_experiment`` wires the stages in a fixed, leakage-free order:
+``run_plan`` runs one plan on a dataset the caller fused with the plan's lag
+spec, in a fixed, leakage-free order:
 
-1. fuse the sources,
-2. split chronologically at the cutoff,
-3. if a forest with feature selection is asked for: rank the features by
+1. split chronologically at the cutoff,
+2. if a forest with feature selection is asked for: rank the features by
    the importances of the full-width forest fitted on the *training* rows
    only, take the top-k, and project both splits onto them,
-4. downsample low-Kp rows (training split only),
-5. fit the final model on the training split,
-6. predict the test split and score.
+3. downsample low-Kp rows (training split only),
+4. fit the final model on the training split,
+5. predict the test split and score.
 
-The full-width forest of step 3 is the same fit as the final model of a
+The full-width forest of step 2 is the same fit as the final model of a
 plain RF plan (same rows, same config, and fits are deterministic).  A
 caller-owned ``fits`` dict shares it between plans, so a comparison fits it
 once.  Nothing derived from test rows ever reaches a fit.
@@ -32,11 +32,10 @@ from .fusion import (
     LagSpec,
     check_downsample,
     downsample_low_kp,
-    fuse,
     split_by_time,
     select_features,
 )
-from .ingest import MeasurementSeries, format_timestamp
+from .ingest import format_timestamp
 from .rng import derive_seed
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "PlanResult",
     "accuracy_within_1",
     "run_plan",
-    "run_experiment",
     "comparison_table",
 ]
 
@@ -133,7 +131,7 @@ def _report(predicted: np.ndarray, actual: np.ndarray, config_echo: dict) -> Eva
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything one experiment needs besides the measurement series."""
+    """Everything one experiment needs besides the dataset it runs on."""
 
     cutoff_minute: int  # rows before this minute since 1970-01-01T00:00Z train
     lag_spec: LagSpec = LagSpec()
@@ -212,12 +210,15 @@ def run_plan(
     *,
     fits: dict | None = None,
 ) -> PlanResult:
-    """Execute a plan on an already-fused dataset (stages 2-6).
+    """Execute a plan on a dataset fused with its lag spec.
 
     Plans on one dataset that share a ``fits`` dict share the full-width
     training fit: the plain RF plan's model and every top-k plan's ranking
-    forest.  A ``fits`` dict that holds another dataset's fit raises ``ValueError``.
+    forest.  A dataset of another lag spec, or a ``fits`` dict that holds
+    another dataset's fit, raises ``ValueError``.
     """
+    if data.feature_names != plan.lag_spec.feature_names():
+        raise ValueError("the dataset's features are not those of the plan's lag spec")
     fits = {} if fits is None else fits
     train, test = split_by_time(data, plan.cutoff_minute)
     if test.n_rows == 0:
@@ -251,40 +252,15 @@ def run_plan(
     return PlanResult(model, _report(predicted, test.targets, plan.echo()))
 
 
-def run_experiment(
-    plan: ExperimentPlan,
-    solar: tuple[MeasurementSeries, ...],
-    dst: MeasurementSeries,
-    kp: MeasurementSeries,
-    threads: int = 1,
-) -> EvalReport:
-    """Fuse the sources and execute the plan."""
-    data = fuse(solar, dst, kp, plan.lag_spec)
-    return run_plan(data, plan, threads).report
+def comparison_table(plans, data: FusedDataset, threads: int = 1) -> list[tuple[str, float]]:
+    """``(label, accuracy_within_1)`` per plan on ``data``, in input order.
 
-
-def comparison_table(
-    plans,
-    solar: tuple[MeasurementSeries, ...],
-    dst: MeasurementSeries,
-    kp: MeasurementSeries,
-    threads: int = 1,
-) -> list[tuple[str, float]]:
-    """``(label, accuracy_within_1)`` per plan, in input order.
-
-    Sources are fused once per distinct lag spec, and the full-width training
-    fit is shared between the plain RF plan and the top-k rankings of plans
-    with identical (lag spec, cutoff, forest config).  Both are pure caches
-    that cannot change any result: the paper's comparison (RF, two top-k
-    rows, a downsampled top-k row, Linear) makes four forest fits, not five.
+    The full-width training fit is shared between the plain RF plan and the
+    top-k rankings of plans with identical (cutoff, forest config).  It is a
+    pure cache that cannot change any result: the paper's comparison (RF, two
+    top-k rows, a downsampled top-k row, Linear) makes four forest fits, not
+    five.
     """
-    fused: dict[LagSpec, FusedDataset] = {}
     fits: dict = {}
-    table = []
-    for plan in plans:
-        data = fused.get(plan.lag_spec)
-        if data is None:
-            data = fused[plan.lag_spec] = fuse(solar, dst, kp, plan.lag_spec)
-        result = run_plan(data, plan, threads, fits=fits)
-        table.append((plan.label(), result.report.accuracy_within_1))
-    return table
+    return [(plan.label(), run_plan(data, plan, threads, fits=fits).report.accuracy_within_1)
+            for plan in plans]

@@ -96,3 +96,23 @@ def test_batch_prediction_refuses_a_non_finite_value_in_any_cell(data, bad):
     rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))] = bad
     with pytest.raises(NonFiniteValue, match="must be finite"):
         predict_linear_batch(model, rows)
+
+
+def test_fit_refuses_rows_whose_singular_values_overflow():
+    # a column of 1.5e308 once gave lstsq an inf singular value and rank 1,
+    # and the fit wrote an intercept of 0.0 and near-zero coefficients
+    rng = PortableRng(8)
+    rows = np.array([[1.5e308, rng.random(), rng.random()] for _ in range(12)])
+    targets = np.array([rng.random() * 9 for _ in range(12)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteValue, match="^rows overflow: the singular values of the "
+                                                 "design are not finite$"):
+            fit_linear(make_dataset(rows, targets))
+    assert caught == []
+    # a finite but ill-conditioned design keeps lstsq's minimum-norm answer
+    rows = np.column_stack([np.full(12, 1e300), rows[:, 1:]])
+    model = fit_linear(make_dataset(rows, targets))
+    expected, *_ = np.linalg.lstsq(np.hstack([np.ones((12, 1)), rows]), targets, rcond=None)
+    assert model.intercept == expected[0]
+    assert np.array_equal(model.coefficients, expected[1:])

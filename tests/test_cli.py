@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpforecast import baseline, cli, ingest, modelio, splitkernel
+from kpforecast import baseline, cli, forest, ingest, modelio, splitkernel
 from kpforecast.cli import main
 from kpforecast.fusion import FusedDataset
 
@@ -113,7 +113,21 @@ def test_full_pipeline_flow(sources, capsys):
     assert 0 <= label <= 9
 
 
-def test_compare_writes_expected_table(sources, capsys):
+def _counting(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that appends each call's arguments to the list returned."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compare_writes_expected_table(sources, capsys, monkeypatch):
+    fuses = _counting(monkeypatch, cli, "fuse")
+    fits = _counting(monkeypatch, forest, "fit")
     args = [
         "compare",
         "--solar-wind", str(sources["solar"]),
@@ -133,6 +147,10 @@ def test_compare_writes_expected_table(sources, capsys):
     assert labels == ["RF", "RF top-20", "RF top-10", "RF top-10 L=2", "Linear"]
     for line in lines[1:]:
         assert 0.0 <= float(line.split(",")[1]) <= 1.0
+    # the five plans share one fused dataset, and the RF row's full-width
+    # fit also ranks the features of both top-k rows
+    assert len(fuses) == 1
+    assert [data.n_features for data, *_ in fits] == [fuses[0][3].feature_count, 20, 10, 10]
 
 
 def test_reruns_are_byte_identical(sources, capsys):
@@ -607,10 +625,13 @@ def test_evaluate_refuses_k_features_on_a_linear_model(valid_files, tmp_path):
     ("evaluate", ["--k-features", "5000"], "k_features 5000 exceeds feature count 767"),
     ("evaluate", ["--mtry", "768"], "mtry 768 exceeds feature count 767"),
     ("evaluate", ["--k-features", "10", "--mtry", "11"], "mtry 11 exceeds feature count 10"),
-], ids=["compare-mtry", "compare-k", "evaluate-k", "evaluate-mtry", "evaluate-k-mtry"])
+    ("compare", ["--ks", "10,50,10"], "bad value for --ks: 10 is given twice"),
+], ids=["compare-mtry", "compare-k", "evaluate-k", "evaluate-mtry", "evaluate-k-mtry",
+        "compare-repeated-k"])
 def test_k_and_mtry_are_checked_before_any_file_is_read(tmp_path, command, flags, message):
     # compare --mtry 300 --ks 100,50 once fitted the full-width forest and
-    # then exited 1; --ks 5000 and --k-features 5000 exited 2 after a fit
+    # then exited 1; --ks 5000 and --k-features 5000 exited 2 after a fit;
+    # --ks 10,10 printed the RF top-10 row twice and fitted that forest twice
     missing = str(tmp_path / "missing.csv")  # never read
     code, err = _run([command, "--solar-wind", missing, "--dst", missing, "--kp", missing,
                       "--cutoff", "2021-01-03T00:00Z", *flags, "--out", str(tmp_path / "out")])
@@ -689,6 +710,19 @@ def test_pca_on_rows_that_overflow_is_a_data_error(valid_files, tmp_path):
     assert (code, err) == (2, f"error: {data}: rows overflow: their mean or total variance "
                               "is not finite\n")
     assert not (tmp_path / "pca.csv").exists()
+
+
+def test_a_linear_fit_on_rows_that_overflow_is_a_data_error(valid_files, tmp_path):
+    # a column of 1.5e308 once gave a degenerate model (intercept 0.0,
+    # near-zero coefficients) and exited 0
+    lines = valid_files["data"].read_text().splitlines(keepends=True)
+    data = tmp_path / "huge.csv"
+    data.write_text(lines[0] + "".join("1.5e308," + line.split(",", 1)[1] for line in lines[1:]))
+    code, err = _run_without_warnings(["train", "--data", str(data), "--model-kind", "linear",
+                                       "--out", str(tmp_path / "linear.json")])
+    assert (code, err) == (2, f"error: {data}: rows overflow: the singular values of the "
+                              "design are not finite\n")
+    assert not (tmp_path / "linear.json").exists()
 
 
 def test_a_linear_model_that_overflows_is_named(valid_files, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -19,7 +20,6 @@ from kpforecast.evaluate import (
     ExperimentPlan,
     accuracy_within_1,
     comparison_table,
-    run_experiment,
     run_plan,
 )
 from kpforecast.fusion import (
@@ -98,7 +98,7 @@ def _plan(**kwargs):
 
 def test_report_bins_and_storm_breakout():
     solar, dst, kp = _sources(seed=11)
-    report = run_experiment(_plan(), solar, dst, kp)
+    report = run_plan(fuse(solar, dst, kp, SMALL_SPEC), _plan()).report
     assert report.n == sum(report.per_bin_hits)
     assert report.accuracy_within_1 == pytest.approx(
         report.per_bin_hits[0] / report.n
@@ -236,12 +236,21 @@ def test_run_plan_matches_manual_linear_pipeline():
     )
 
 
-def test_run_experiment_equals_fuse_plus_run_plan():
-    solar, dst, kp = _sources(seed=4)
-    plan = _plan()
-    direct = run_experiment(plan, solar, dst, kp)
-    staged = run_plan(fuse(solar, dst, kp, SMALL_SPEC), plan).report
-    assert direct == staged
+@pytest.mark.parametrize("fields", [{}, {"k_features": 10}, {"model_kind": "linear"}],
+                         ids=["RF", "top-k", "linear"])
+def test_run_plan_refuses_a_dataset_of_another_lag_spec(fields):
+    # it once ran, echoed the plan's lag spec in the report and checked
+    # k_features against the plan's width, not the dataset's
+    data = fuse(*_sources(seed=4), SMALL_SPEC)
+    other = LagSpec(solar_wind_lookback_minutes=30, solar_wind_step_minutes=5,
+                    dst_lookback_hours=2, kp_lookback_hours=6, horizon_hours=3)
+    assert other.feature_count < data.n_features
+    with pytest.raises(ValueError, match="^the dataset's features are not those of the "
+                                         "plan's lag spec$"):
+        run_plan(data, _plan(lag_spec=other, **fields))
+    with pytest.raises(ValueError, match="plan's lag spec"):
+        comparison_table([_plan(**fields), _plan(lag_spec=other, **fields)], data)
+    assert run_plan(data, _plan(**fields)).report.config_echo["lag_spec"] == asdict(SMALL_SPEC)
 
 
 # -- leakage guard ------------------------------------------------------------------
@@ -268,7 +277,7 @@ def test_removing_a_test_row_cannot_change_the_model():
 
 
 def test_empty_splits_raise():
-    data = make_dataset(np.arange(5.0), np.ones(5))
+    data = fuse(*_sources(seed=4), SMALL_SPEC)
     with pytest.raises(EmptyTestSet):
         run_plan(data, _plan(cutoff_minute=EPOCH + 400 * 1440))
     with pytest.raises(EmptyDataset):
@@ -286,14 +295,15 @@ def test_comparison_table_order_labels_and_cache_purity():
         _plan(k_features=8, downsample=2),
         _plan(model_kind="linear"),
     ]
-    table = comparison_table(plans, solar, dst, kp)
+    data = fuse(solar, dst, kp, SMALL_SPEC)
+    table = comparison_table(plans, data)
     assert [label for label, _ in table] == ["RF", "RF top-8", "RF top-8 L=2",
                                              "Linear"]
     assert all(0.0 <= acc <= 1.0 for _, acc in table)
     # the memoised ranking fit must not change any number: run each plan
     # in isolation (fresh caches) and compare
     for plan, (label, acc) in zip(plans, table):
-        assert run_experiment(plan, solar, dst, kp).accuracy_within_1 == acc
+        assert run_plan(data, plan).report.accuracy_within_1 == acc
 
 
 def test_comparison_table_fits_each_forest_once(monkeypatch):
@@ -313,10 +323,10 @@ def test_comparison_table_fits_each_forest_once(monkeypatch):
         _plan(k_features=8, downsample=2),
         _plan(model_kind="linear"),
     ]
-    comparison_table(plans, solar, dst, kp)
+    data = fuse(solar, dst, kp, SMALL_SPEC)
+    comparison_table(plans, data)
     # one full-width fit serves the RF row and both rankings
-    full_width = fuse(solar, dst, kp, SMALL_SPEC).n_features
-    assert widths == [full_width, 12, 8, 8]
+    assert widths == [data.n_features, 12, 8, 8]
 
 
 def test_shared_fits_hold_the_full_width_forest():
